@@ -528,9 +528,7 @@ fn explore_compiled(
 ) -> Bounded<ReachabilityGraph> {
     let mut meter = Meter::new(budget);
     let stride = compiled.place_count();
-    // Pre-size the probe table from the state budget so big bounded
-    // explorations skip the rehash cascade (store.rs, budget hint).
-    let mut store = MarkingStore::with_state_budget(stride, budget.max_states);
+    let mut store = MarkingStore::new(stride);
     store.intern(m0);
     // The initial state always exists, even under a zero budget.
     meter.take_state();
@@ -641,7 +639,7 @@ fn explore_stubborn(
 ) -> Bounded<ReachabilityGraph> {
     let mut meter = Meter::new(budget);
     let stride = compiled.place_count();
-    let mut store = MarkingStore::with_state_budget(stride, budget.max_states);
+    let mut store = MarkingStore::new(stride);
     store.intern(m0);
     meter.take_state();
 

@@ -23,14 +23,9 @@ use crate::error::PetriError;
 const EMPTY: u64 = 0;
 /// Initial table capacity (power of two).
 const INITIAL_SLOTS: usize = 16;
-/// Ceiling on what a [`Budget`](crate::budget::Budget) hint may pre-size
-/// the slot table to (2^26 slots = 512 MiB of index).
+/// Ceiling on what a [`SpillStore`] state hint may pre-size the slot
+/// table to (2^26 slots = 512 MiB of index).
 const HINT_SLOTS_CAP: usize = 1 << 26;
-/// Table size at which a pending budget hint is applied in one jump.
-/// Below this a run has not proven it is big, and a tiny exploration
-/// should not fault in a multi-megabyte table; above it, one resize
-/// straight to the hinted size replaces the remaining doubling cascade.
-const HINT_JUMP_SLOTS: usize = 1 << 15;
 
 /// A deduplicating arena of fixed-stride `u32` vectors (markings, or any
 /// packed per-state payload such as the STG kernel's marking+encoding
@@ -63,10 +58,6 @@ pub struct MarkingStore {
     table: Vec<u64>,
     mask: usize,
     len: usize,
-    /// Slot-count target from a finite state budget (0 = no hint): once
-    /// the table outgrows `HINT_JUMP_SLOTS`, the next growth jumps
-    /// straight here instead of doubling through every power of two.
-    hint_slots: usize,
 }
 
 const HIGH_MASK: u64 = 0xFFFF_FFFF_0000_0000;
@@ -87,29 +78,7 @@ impl MarkingStore {
             table: vec![EMPTY; slots],
             mask: slots - 1,
             len: 0,
-            hint_slots: 0,
         }
-    }
-
-    /// An empty store whose slot table growth is pre-planned from a state
-    /// budget: explorations that stay small behave exactly like
-    /// [`MarkingStore::new`], but once the table proves it is on a big
-    /// run (> `HINT_JUMP_SLOTS` slots) the next growth resizes straight
-    /// to a table fitting `max_states` at the 7/8 load ceiling — the
-    /// doubling-and-rehash cascade of a multi-million-state exploration
-    /// collapses into a single jump. An effectively infinite budget
-    /// (`usize::MAX`-ish, as produced by [`crate::budget::Budget`] with
-    /// no state cap) leaves growth untouched.
-    pub fn with_state_budget(stride: usize, max_states: usize) -> Self {
-        let mut store = Self::new(stride);
-        if max_states < usize::MAX / 2 {
-            let capped = max_states.min(HINT_SLOTS_CAP);
-            let want = (capped * 8 / 7 + 1).next_power_of_two().min(HINT_SLOTS_CAP);
-            if want > HINT_JUMP_SLOTS {
-                store.hint_slots = want;
-            }
-        }
-        store
     }
 
     /// The per-marking stride (place count).
@@ -302,12 +271,7 @@ impl MarkingStore {
     /// and never corrupts the index — the caller sees a graceful
     /// [`PetriError::AllocationFailed`] instead of an abort.
     fn grow(&mut self) -> Result<(), PetriError> {
-        let doubled = self.table.len() * 2;
-        let new_slots = if self.hint_slots > doubled && self.table.len() >= HINT_JUMP_SLOTS {
-            self.hint_slots
-        } else {
-            doubled
-        };
+        let new_slots = self.table.len() * 2;
         let mut table = Vec::new();
         table
             .try_reserve_exact(new_slots)
@@ -555,8 +519,8 @@ pub struct SpillStore {
 impl SpillStore {
     /// An empty spillable store over `stride` places.
     ///
-    /// `state_hint` pre-sizes the slot table like
-    /// [`MarkingStore::with_state_budget`]; pass `usize::MAX` for no
+    /// `state_hint` pre-sizes the slot table for that many states at the
+    /// 7/8 load ceiling (capped at 2^26 slots); pass `usize::MAX` for no
     /// hint.
     pub fn new(stride: usize, config: &SpillConfig, state_hint: usize) -> Self {
         let slots = if state_hint < usize::MAX / 2 {
@@ -976,29 +940,6 @@ mod tests {
         (0..stride as u32)
             .map(|p| MarkingStore::mix(u64::from(i) << 16 | u64::from(p)) as u32 % 5)
             .collect()
-    }
-
-    #[test]
-    fn budget_hint_jumps_growth_to_target() {
-        let mut hinted = MarkingStore::with_state_budget(1, 300_000);
-        let mut plain = MarkingStore::new(1);
-        for i in 0..200_000u32 {
-            assert_eq!(hinted.intern(&[i]), plain.intern(&[i]));
-        }
-        // The hint sized the table for 300k states in one jump; the
-        // plain store doubled its way to the same occupancy.
-        assert_eq!(hinted.table.len(), hinted.hint_slots);
-        assert!(hinted.table.len() > plain.table.len());
-        for i in 0..200_000u32 {
-            assert_eq!(hinted.find(&[i]), Some(i));
-        }
-    }
-
-    #[test]
-    fn infinite_budget_means_no_hint() {
-        let s = MarkingStore::with_state_budget(4, usize::MAX);
-        assert_eq!(s.hint_slots, 0);
-        assert_eq!(s.table.len(), INITIAL_SLOTS);
     }
 
     #[test]

@@ -261,6 +261,42 @@ fn deadline_cancellation_mid_steal_terminates() {
 }
 
 #[test]
+fn marking_table_grows_with_states_found_not_with_state_cap() {
+    // 2^15 states fill the slot table past 28,672, the 7/8 load of
+    // 2^15 slots. Its size may depend only on the states found: a
+    // 5,000,000-state cap and no cap at all must give the same graph in
+    // the same resident bytes, in the full and in the stubborn kernel
+    // (watching every place, so it fires every enabled transition).
+    let net = cpn_testkit::sync_pipeline_net(15);
+    let watched: Vec<_> = net.place_ids().collect();
+    let capped = Budget::states(5_000_000);
+    let unbounded = Budget::unlimited();
+    for (what, a, b) in [
+        (
+            "compiled",
+            net.reachability_bounded(&capped),
+            net.reachability_bounded(&unbounded),
+        ),
+        (
+            "stubborn",
+            net.reachability_stubborn_bounded(&capped, &watched),
+            net.reachability_stubborn_bounded(&unbounded, &watched),
+        ),
+    ] {
+        let (Bounded::Complete(a), Bounded::Complete(b)) = (a, b) else {
+            panic!("{what}: exploration stopped under a budget it fits in");
+        };
+        assert_eq!(a.state_count(), 1 << 15, "{what}: state count");
+        assert_eq!(assert_graphs_identical(&a, &b, what), Ok(()));
+        assert_eq!(
+            a.resident_marking_bytes(),
+            b.resident_marking_bytes(),
+            "{what}: resident marking bytes under a cap vs none"
+        );
+    }
+}
+
+#[test]
 fn deadlock_and_membership_queries_agree() {
     check("deadlock_and_membership_queries_agree", &raw_net(), |raw| {
         let net = raw.build_indexed();

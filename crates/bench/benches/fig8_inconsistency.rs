@@ -2,26 +2,26 @@
 //! exhaustive receptiveness checking on the consistent vs. inconsistent
 //! composition, and the dynamic monitor's detection cost.
 
-use cpn_petri::ReachabilityOptions;
+use cpn_petri::Budget;
 use cpn_sim::monitor_composition;
 use cpn_stg::protocol::{sender, sender_inconsistent, translator};
 use cpn_testkit::bench::BenchGroup;
 
 fn main() {
     let mut group = BenchGroup::new("fig8_inconsistency");
-    let opts = ReachabilityOptions::default();
+    let budget = Budget::default();
     let tr = translator();
 
     let good = sender();
     group.bench("exhaustive_consistent", || {
-        let rep = good.check_receptiveness(&tr, &opts).unwrap();
-        assert!(rep.is_receptive());
+        let verdict = good.check_receptiveness(&tr, &budget).unwrap();
+        assert!(verdict.holds());
     });
 
     let bad = sender_inconsistent();
     group.bench("exhaustive_inconsistent", || {
-        let rep = bad.check_receptiveness(&tr, &opts).unwrap();
-        assert!(!rep.is_receptive());
+        let verdict = bad.check_receptiveness(&tr, &budget).unwrap();
+        assert!(verdict.fails());
     });
 
     let mut seed = 0u64;

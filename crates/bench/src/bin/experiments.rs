@@ -77,8 +77,9 @@ use cpn_cip::protocol::{protocol_cip, protocol_cip_restricted};
 use cpn_cip::HandshakeProtocol;
 use cpn_core::{
     check_receptiveness, check_receptiveness_structural_mg, choice, hide_label, parallel,
+    parallel_tracked_common,
 };
-use cpn_petri::{PetriNet, ReachabilityOptions};
+use cpn_petri::{Budget, PetriNet, ReachabilityOptions};
 use cpn_sim::monitor_composition;
 use cpn_stg::protocol::{
     receiver, sender, sender_inconsistent, sender_restricted, translator, RECEIVER_COMMANDS,
@@ -277,24 +278,21 @@ fn fig567() {
 
 fn fig8() {
     header("FIG8", "inconsistent sender detection (Props 5.5/5.6)");
-    let opts = ReachabilityOptions::default();
+    let budget = Budget::default();
     let tr = translator();
-    let good = sender().check_receptiveness(&tr, &opts).unwrap();
-    println!(
-        "consistent sender ‖ translator: receptive = {}",
-        good.is_receptive()
-    );
+    let good = sender().check_receptiveness(&tr, &budget).unwrap();
+    println!("consistent sender ‖ translator: receptive = {good}");
     let bad_stg = sender_inconsistent();
     let t0 = Instant::now();
-    let bad = bad_stg.check_receptiveness(&tr, &opts).unwrap();
+    let bad = bad_stg.check_receptiveness(&tr, &budget).unwrap();
     let static_time = t0.elapsed();
+    let failures = bad.witness().map_or(&[][..], |r| &r.failures);
     println!(
-        "inconsistent sender ‖ translator: receptive = {} ({} failures, {:?})",
-        bad.is_receptive(),
-        bad.failures.len(),
+        "inconsistent sender ‖ translator: receptive = {bad} ({} failures, {:?})",
+        failures.len(),
         static_time
     );
-    let mut labels: Vec<String> = bad.failures.iter().map(|f| f.label.to_string()).collect();
+    let mut labels: Vec<String> = failures.iter().map(|f| f.label.to_string()).collect();
     labels.dedup();
     println!("failing outputs: {labels:?}");
     // Dynamic detection cost.
@@ -386,10 +384,10 @@ fn expansion() {
             analysis.deadlock_free
         );
         let receptive = sys
-            .verify_receptiveness(&opts)
+            .verify_receptiveness(&Budget::states(opts.max_states))
             .unwrap()
             .iter()
-            .all(|(_, r)| r.is_receptive());
+            .all(|(_, v)| v.holds());
         println!("  rendez-vous preserved (every module receptive): {receptive}");
     }
 }
@@ -434,29 +432,33 @@ fn abl1() {
 
 fn abl2() {
     header("ABL2", "structural (Thm 5.7) vs exhaustive receptiveness");
+    let budget = Budget::states(8_000_000);
+    // Both procedures answer the same question on one composition.
+    let row = |size: usize, (p, c, lo, ro): (PetriNet<String>, PetriNet<String>, _, _)| {
+        let comp = parallel_tracked_common(&p, &c).unwrap();
+        let t0 = Instant::now();
+        let s = check_receptiveness_structural_mg(&comp, &lo, &ro, &budget).unwrap();
+        let t_structural = t0.elapsed();
+        let t0 = Instant::now();
+        let e = check_receptiveness(&comp, &lo, &ro, &budget);
+        let t_exhaustive = t0.elapsed();
+        let states = comp
+            .net
+            .reachability_bounded(&budget)
+            .complete()
+            .map_or(0, |rg| rg.state_count());
+        println!(
+            "{size:>7} {states:>12} {t_structural:>14?} {t_exhaustive:>14?} {:>9}",
+            s.is_definite() && e.is_definite() && s.holds() == e.holds()
+        );
+    };
     println!("sequential rings (linear state space):");
     println!(
         "{:>7} {:>12} {:>14} {:>14} {:>9}",
         "stages", "RG states", "structural", "exhaustive", "agree"
     );
-    let opts = ReachabilityOptions::with_max_states(8_000_000);
     for stages in [2usize, 8, 32, 128] {
-        let (p, c, lo, ro) = handshake_ring(stages, 0);
-        let t0 = Instant::now();
-        let s = check_receptiveness_structural_mg(&p, &c, &lo, &ro).unwrap();
-        let t_structural = t0.elapsed();
-        let t0 = Instant::now();
-        let e = check_receptiveness(&p, &c, &lo, &ro, &opts).unwrap();
-        let t_exhaustive = t0.elapsed();
-        let states = parallel(&p, &c)
-            .unwrap()
-            .reachability(&opts)
-            .map(|rg| rg.state_count())
-            .unwrap_or(0);
-        println!(
-            "{stages:>7} {states:>12} {t_structural:>14?} {t_exhaustive:>14?} {:>9}",
-            s.is_receptive() == e.is_receptive()
-        );
+        row(stages, handshake_ring(stages, 0));
     }
     println!("wide concurrent handshakes (exponential state space):");
     println!(
@@ -464,22 +466,7 @@ fn abl2() {
         "width", "RG states", "structural", "exhaustive", "agree"
     );
     for width in [2usize, 4, 6, 8, 9] {
-        let (p, c, lo, ro) = cpn_bench::wide_handshake(width, None);
-        let t0 = Instant::now();
-        let s = check_receptiveness_structural_mg(&p, &c, &lo, &ro).unwrap();
-        let t_structural = t0.elapsed();
-        let t0 = Instant::now();
-        let e = check_receptiveness(&p, &c, &lo, &ro, &opts).unwrap();
-        let t_exhaustive = t0.elapsed();
-        let states = parallel(&p, &c)
-            .unwrap()
-            .reachability(&opts)
-            .map(|rg| rg.state_count())
-            .unwrap_or(0);
-        println!(
-            "{width:>7} {states:>12} {t_structural:>14?} {t_exhaustive:>14?} {:>9}",
-            s.is_receptive() == e.is_receptive()
-        );
+        row(width, cpn_bench::wide_handshake(width, None));
     }
 }
 
@@ -530,8 +517,8 @@ fn ext_arbiter() {
     let env = cpn_stg::arbiter::client(1)
         .compose(&cpn_stg::arbiter::client(2))
         .unwrap();
-    let rec = a.check_receptiveness(&env, &opts).unwrap();
-    println!("arbiter ↔ two clients receptive: {}", rec.is_receptive());
+    let rec = a.check_receptiveness(&env, &Budget::default()).unwrap();
+    println!("arbiter ↔ two clients receptive: {rec}");
 }
 
 fn faults(quick: bool) {

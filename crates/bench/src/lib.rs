@@ -273,8 +273,10 @@ pub fn sync_pipeline(k: usize) -> Vec<PetriNet<String>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cpn_core::parallel;
-    use cpn_petri::ReachabilityOptions;
+    use cpn_core::{
+        check_receptiveness, check_receptiveness_structural_mg, parallel, parallel_tracked_common,
+    };
+    use cpn_petri::{Budget, ReachabilityOptions};
 
     #[test]
     fn cycle_net_loops() {
@@ -297,15 +299,13 @@ mod tests {
 
     #[test]
     fn handshake_ring_receptive_iff_aligned() {
-        let opts = ReachabilityOptions::default();
+        let budget = Budget::default();
         let (p, c, lo, ro) = handshake_ring(2, 0);
-        assert!(cpn_core::check_receptiveness(&p, &c, &lo, &ro, &opts)
-            .unwrap()
-            .is_receptive());
+        let comp = parallel_tracked_common(&p, &c).unwrap();
+        assert!(check_receptiveness(&comp, &lo, &ro, &budget).holds());
         let (p, c, lo, ro) = handshake_ring(2, 1);
-        assert!(!cpn_core::check_receptiveness(&p, &c, &lo, &ro, &opts)
-            .unwrap()
-            .is_receptive());
+        let comp = parallel_tracked_common(&p, &c).unwrap();
+        assert!(check_receptiveness(&comp, &lo, &ro, &budget).fails());
     }
 
     #[test]
@@ -313,18 +313,18 @@ mod tests {
         let (p, c, lo, ro) = wide_handshake(3, None);
         let composed = parallel(&p, &c).unwrap();
         assert!(composed.structural().is_marked_graph);
-        let opts = ReachabilityOptions::default();
-        assert!(cpn_core::check_receptiveness(&p, &c, &lo, &ro, &opts)
-            .unwrap()
-            .is_receptive());
-        let st = cpn_core::check_receptiveness_structural_mg(&p, &c, &lo, &ro).unwrap();
-        assert!(st.is_receptive());
+        let budget = Budget::default();
+        let comp = parallel_tracked_common(&p, &c).unwrap();
+        assert!(check_receptiveness(&comp, &lo, &ro, &budget).holds());
+        let st = check_receptiveness_structural_mg(&comp, &lo, &ro, &budget).unwrap();
+        assert!(st.holds());
 
         let (p, c, lo, ro) = wide_handshake(3, Some(1));
-        let ex = cpn_core::check_receptiveness(&p, &c, &lo, &ro, &opts).unwrap();
-        let st = cpn_core::check_receptiveness_structural_mg(&p, &c, &lo, &ro).unwrap();
-        assert!(!ex.is_receptive());
-        assert!(!st.is_receptive());
+        let comp = parallel_tracked_common(&p, &c).unwrap();
+        let ex = check_receptiveness(&comp, &lo, &ro, &budget);
+        let st = check_receptiveness_structural_mg(&comp, &lo, &ro, &budget).unwrap();
+        assert!(ex.fails());
+        assert!(st.fails());
     }
 
     #[test]

@@ -119,57 +119,21 @@ impl ExpandedSystem {
     }
 
     /// Pairwise receptiveness verification (Propositions 5.5/5.6): each
-    /// module is checked against the composition of all the others.
+    /// module is checked against the composition of all the others,
+    /// under `budget` ([`Stg::check_receptiveness`]).
     ///
-    /// Returns, per module, the failures in which that module is the
-    /// producer. An empty report everywhere means the expanded system is
-    /// consistent.
-    ///
-    /// # Errors
-    ///
-    /// Reachability budget and composition errors.
-    pub fn verify_receptiveness(
-        &self,
-        options: &ReachabilityOptions,
-    ) -> Result<Vec<(String, cpn_core::ReceptivenessReport<StgLabel>)>, CipError> {
-        let budget = Budget::states(options.max_states);
-        let mut out = Vec::new();
-        for (name, verdict) in self.verify_receptiveness_bounded(&budget)? {
-            match verdict {
-                Verdict::Holds => out.push((
-                    name,
-                    cpn_core::ReceptivenessReport {
-                        failures: Vec::new(),
-                    },
-                )),
-                Verdict::Fails(report) => out.push((name, report)),
-                Verdict::Unknown(info) => {
-                    return Err(CipError::Inner(Box::new(
-                        cpn_petri::PetriError::StateBudgetExceeded {
-                            budget: info.budget.max_states,
-                        },
-                    )))
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// Budget-aware pairwise receptiveness: like
-    /// [`verify_receptiveness`](Self::verify_receptiveness), but instead
-    /// of failing hard when the composed state space outgrows the
-    /// budget, the affected module gets [`Verdict::Unknown`] carrying
-    /// the partial exploration statistics; every other module still gets
-    /// its definite verdict.
+    /// Returns, per module, its verdict; a failure report lists the
+    /// failures in which that module is the producer. `Holds` everywhere
+    /// means the expanded system is consistent. When the composed state
+    /// space outgrows the budget, the affected module gets
+    /// [`Verdict::Unknown`] carrying the partial exploration statistics;
+    /// every other module still gets its definite verdict.
     ///
     /// # Errors
     ///
     /// Composition errors only — budget exhaustion is a verdict, not an
     /// error.
-    pub fn verify_receptiveness_bounded(
-        &self,
-        budget: &Budget,
-    ) -> Result<ModuleVerdicts, CipError> {
+    pub fn verify_receptiveness(&self, budget: &Budget) -> Result<ModuleVerdicts, CipError> {
         let mut out = Vec::new();
         for i in 0..self.stgs.len() {
             let module = &self.stgs[i];
@@ -184,31 +148,10 @@ impl ExpandedSystem {
                     Some(acc) => acc.compose(stg).map_err(inner)?,
                 });
             }
-            let Some(rest) = rest else {
-                out.push((self.names[i].clone(), Verdict::Holds));
-                continue;
+            let verdict = match rest {
+                Some(rest) => module.check_receptiveness(&rest, budget).map_err(inner)?,
+                None => Verdict::Holds,
             };
-            let outs = |stg: &Stg| -> BTreeSet<StgLabel> {
-                stg.net()
-                    .alphabet()
-                    .iter()
-                    .filter(|l| {
-                        l.signal_name().is_some_and(|s| {
-                            stg.signals().get(s).copied().unwrap_or(SignalDir::Input)
-                                != SignalDir::Input
-                        })
-                    })
-                    .cloned()
-                    .collect()
-            };
-            let verdict = cpn_core::check_receptiveness_bounded(
-                module.net(),
-                rest.net(),
-                &outs(module),
-                &outs(&rest),
-                budget,
-            )
-            .map_err(inner)?;
             out.push((self.names[i].clone(), verdict));
         }
         Ok(out)
@@ -880,11 +823,9 @@ mod tests {
     #[test]
     fn expanded_system_is_receptive() {
         let sys = control_pair().expand(HandshakeProtocol::FourPhase).unwrap();
-        let reports = sys
-            .verify_receptiveness(&ReachabilityOptions::default())
-            .unwrap();
-        for (name, rep) in &reports {
-            assert!(rep.is_receptive(), "module {name}: {:?}", rep.failures);
+        let verdicts = sys.verify_receptiveness(&Budget::default()).unwrap();
+        for (name, verdict) in &verdicts {
+            assert!(verdict.holds(), "module {name}: {verdict:?}");
         }
     }
 

@@ -176,7 +176,7 @@ pub fn protocol_cip_restricted() -> Result<CipGraph, CipError> {
 mod tests {
     use super::*;
     use crate::expand::HandshakeProtocol;
-    use cpn_petri::ReachabilityOptions;
+    use cpn_petri::{Budget, ReachabilityOptions};
 
     #[test]
     fn cip_graph_validates() {
@@ -231,15 +231,9 @@ mod tests {
             .unwrap()
             .expand(HandshakeProtocol::FourPhase)
             .unwrap();
-        let reports = sys
-            .verify_receptiveness(&ReachabilityOptions::default())
-            .unwrap();
-        for (name, rep) in &reports {
-            assert!(
-                rep.is_receptive(),
-                "module {name} failures: {:?}",
-                rep.failures
-            );
+        let verdicts = sys.verify_receptiveness(&Budget::default()).unwrap();
+        for (name, verdict) in &verdicts {
+            assert!(verdict.holds(), "module {name}: {verdict:?}");
         }
     }
 }

@@ -15,7 +15,6 @@
 //! (Prop 5.4).
 
 use crate::contract::NetEditor;
-use crate::hide::project;
 use crate::parallel::parallel;
 use cpn_petri::{
     dead_transitions_rg, remove_dead, Bounded, Budget, Exhausted, Label, Meter, PetriError,
@@ -37,24 +36,50 @@ pub struct Reduction<L: Label> {
 }
 
 /// Reduces `module` against a known environment (Section 5.2):
-/// `hide(module ‖ env, A_env \ A_module)`, then dead-transition removal.
+/// `hide(module ‖ env, A_env \ A_module)`, with dead transitions removed.
 ///
 /// The composition step restricts the module's behaviour to what the
 /// environment can actually drive (Theorem 5.1:
 /// `project(L(M1‖M2), A1) ⊆ L(M1)`), so downstream synthesis sees fewer
-/// cases. Dead-transition removal is performed **before** hiding: the
-/// dead duplicates come from the synchronization cross-product, and
-/// contracting them away first keeps the hiding step small.
+/// cases. The pipeline runs on one [`NetEditor`]: the dead duplicates of
+/// the synchronization cross-product are removed **before** hiding, which
+/// keeps the hiding step small, and the structural reduction rules
+/// ([`NetEditor::reduce`]) run between hidden labels to stop
+/// product-place accretion. Hiding can strand further transitions, so a
+/// second reachability pass removes those — skipped outright when hiding
+/// and reduction changed nothing since the pruning (the editor's edit
+/// counter says so). The reduction rules may remove structurally dead or
+/// duplicated elements, so the net can be smaller than a plain
+/// compose/prune/hide chain would leave it, never behaviorally different.
+///
+/// The full [`Budget`] lattice applies to both reachability passes and
+/// between hidden labels — state caps, wall-clock deadlines and
+/// cooperative cancellation. A budget stop ends the pipeline, and the
+/// partial result, flagged [`Bounded::Exhausted`], is a sound
+/// intermediate of it:
+///
+/// * If the composition's reachability pass stops early, the partial
+///   result is the composition itself, with nothing pruned or hidden (a
+///   transition is only removable when the *whole* graph proves it dead).
+/// * If a deadline or cancellation interrupts between hidden labels, the
+///   labels not yet hidden stay visible.
+/// * If the post-hiding cleanup pass stops early, its dead transitions
+///   stay in the net; this only costs minimality.
+///
+/// Each hidden label gets its own `hide_budget` of contractions.
 ///
 /// # Errors
 ///
-/// Propagates reachability budget errors and hiding errors (divergence).
+/// Propagates composition errors and hiding divergence
+/// ([`PetriError::HideSelfLoop`]), and a [`PetriError::Precondition`]
+/// when a label does not hide within `hide_budget` contractions; running
+/// out of `budget` is **not** an error.
 ///
 /// # Example
 ///
 /// ```
 /// use cpn_core::reduce_against_environment;
-/// use cpn_petri::{PetriNet, ReachabilityOptions};
+/// use cpn_petri::{Budget, PetriNet};
 ///
 /// # fn main() -> Result<(), cpn_petri::PetriError> {
 /// // A module offering two services; an environment that declares both
@@ -77,152 +102,13 @@ pub struct Reduction<L: Label> {
 /// env.declare_label("done2");
 /// env.set_initial(e, 1);
 ///
-/// let red = reduce_against_environment(
-///     &m, &env, &ReachabilityOptions::default(), 1_000,
-/// )?;
-/// assert!(red.net.transition_count() < m.transition_count());
+/// let red = reduce_against_environment(&m, &env, &Budget::default(), 1_000)?;
+/// assert!(red.is_complete());
+/// assert!(red.value().net.transition_count() < m.transition_count());
 /// # Ok(())
 /// # }
 /// ```
 pub fn reduce_against_environment<L: Label>(
-    module: &PetriNet<L>,
-    env: &PetriNet<L>,
-    options: &ReachabilityOptions,
-    hide_budget: usize,
-) -> Result<Reduction<L>, PetriError> {
-    let composed = parallel(module, env)?;
-    let composed_transitions = composed.transition_count();
-    let rg = composed.reachability(options)?;
-    let dead = dead_transitions_rg(&composed, &rg);
-    let dead_removed = dead.len();
-    let pruned = remove_dead(&composed, &dead);
-    let keep: BTreeSet<L> = module.alphabet().clone();
-    let net = project(&pruned, &keep, hide_budget)?;
-    if net.same_structure(&pruned) {
-        // Projection was a no-op (nothing to hide, or hiding only shrank
-        // the alphabet): the reachability graph is unchanged, so the
-        // second dead-removal pass cannot find anything new.
-        return Ok(Reduction {
-            net,
-            dead_removed,
-            composed_transitions,
-        });
-    }
-    // Projection can strand further transitions; one more cleanup pass.
-    let rg2 = net.reachability(options)?;
-    let dead2 = dead_transitions_rg(&net, &rg2);
-    let net = remove_dead(&net, &dead2);
-    Ok(Reduction {
-        net,
-        dead_removed: dead_removed + dead2.len(),
-        composed_transitions,
-    })
-}
-
-/// Single-pass, engine-fused variant of [`reduce_against_environment`]:
-/// dead-transition removal and projection run interleaved on one
-/// [`NetEditor`], so the pipeline materializes exactly one intermediate
-/// net (the composition) instead of one per stage, and the structural
-/// reduction rules ([`NetEditor::reduce`]) run between labels to stop
-/// product-place accretion. The compiled-kernel reachability pass is
-/// reused from the composition; the second pass is skipped outright when
-/// projection (plus reduction) changed nothing after pruning.
-///
-/// Semantically equivalent to the staged pipeline up to trace language —
-/// the interleaved reduction rules can remove structurally dead or
-/// duplicated elements the staged pipeline keeps, so the resulting net
-/// may be *smaller*, never behaviorally different.
-///
-/// # Errors
-///
-/// Propagates reachability budget errors and hiding errors (divergence),
-/// exactly as [`reduce_against_environment`] does; each hidden label
-/// gets its own `hide_budget` of contractions.
-pub fn reduce_against_environment_fused<L: Label>(
-    module: &PetriNet<L>,
-    env: &PetriNet<L>,
-    options: &ReachabilityOptions,
-    hide_budget: usize,
-) -> Result<Reduction<L>, PetriError> {
-    let composed = parallel(module, env)?;
-    let composed_transitions = composed.transition_count();
-    let rg = composed.reachability(options)?;
-    let dead = dead_transitions_rg(&composed, &rg);
-    let dead_removed = dead.len();
-
-    let mut editor = NetEditor::from_net(&composed);
-    // Original transition ids are still valid arena slots here (the
-    // editor has performed no contraction yet).
-    editor.remove_transitions(&dead);
-    let edits_after_prune = editor.edits();
-
-    let keep: BTreeSet<L> = module.alphabet().clone();
-    let hidden: BTreeSet<L> = composed
-        .alphabet()
-        .iter()
-        .filter(|l| !keep.contains(l))
-        .cloned()
-        .collect();
-    let per_label = Budget::new(usize::MAX, hide_budget);
-    for l in &hidden {
-        let mut meter = Meter::new(&per_label);
-        if !editor.hide_label(l, &mut meter)? {
-            return Err(PetriError::Precondition(format!(
-                "hiding of {l} did not converge within {hide_budget} contractions"
-            )));
-        }
-        // Interleaved structural cleanup: keeps the worklist small for
-        // the next label instead of letting product places accrete.
-        editor.reduce();
-    }
-
-    let net = editor.finish()?;
-    if editor.edits() == edits_after_prune {
-        // Neither projection nor reduction touched the pruned net: its
-        // reachability graph is the one already computed.
-        return Ok(Reduction {
-            net,
-            dead_removed,
-            composed_transitions,
-        });
-    }
-    let rg2 = net.reachability(options)?;
-    let dead2 = dead_transitions_rg(&net, &rg2);
-    let net = remove_dead(&net, &dead2);
-    Ok(Reduction {
-        net,
-        dead_removed: dead_removed + dead2.len(),
-        composed_transitions,
-    })
-}
-
-/// Budgeted variant of [`reduce_against_environment_fused`], degrading
-/// gracefully instead of erroring when the budget runs out.
-///
-/// The full [`Budget`] lattice applies — state caps, wall-clock
-/// deadlines, and cooperative cancellation — which is what a serving
-/// path needs: an explosive composition comes back as a sound partial
-/// artifact on time instead of a hard error. Degradation is
-/// conservative in the safe direction:
-///
-/// * If the composition's reachability pass stops early, **no** dead
-///   transitions are pruned (a transition is only removable when the
-///   *whole* graph proves it dead); hiding and structural reduction
-///   still run, so the result is a correct — just less minimized —
-///   reduced module.
-/// * If the budget interrupts between hidden labels, the remaining
-///   labels stay visible. The returned net is a sound intermediate of
-///   the pipeline (hiding is applied label-by-label), flagged
-///   [`Bounded::Exhausted`].
-/// * The post-hiding cleanup pass is skipped when the budget is
-///   already spent; again this only costs minimality.
-///
-/// # Errors
-///
-/// Propagates composition errors and hiding divergence
-/// ([`PetriError::HideSelfLoop`]) exactly as the unbounded variant;
-/// running out of budget is **not** an error.
-pub fn reduce_against_environment_fused_bounded<L: Label>(
     module: &PetriNet<L>,
     env: &PetriNet<L>,
     budget: &Budget,
@@ -236,6 +122,8 @@ pub fn reduce_against_environment_fused_bounded<L: Label>(
 
     let mut editor = NetEditor::from_net(&composed);
     if let Bounded::Complete(rg) = &built {
+        // Original transition ids are still valid arena slots here (the
+        // editor has performed no contraction yet).
         let dead = dead_transitions_rg(&composed, rg);
         dead_removed = dead.len();
         editor.remove_transitions(&dead);
@@ -270,6 +158,8 @@ pub fn reduce_against_environment_fused_bounded<L: Label>(
                 "hiding of {l} did not converge within {hide_budget} contractions"
             )));
         }
+        // Interleaved structural cleanup: keeps the worklist small for
+        // the next label instead of letting product places accrete.
         editor.reduce();
     }
 
@@ -402,6 +292,15 @@ mod tests {
         net
     }
 
+    /// The reduction under the default budget, which these small nets
+    /// never exhaust.
+    fn reduce(m: &PetriNet<&'static str>, env: &PetriNet<&'static str>) -> Reduction<&'static str> {
+        reduce_against_environment(m, env, &Budget::default(), 1000)
+            .unwrap()
+            .complete()
+            .expect("the default budget completes the reduction")
+    }
+
     fn env_using_only_req1() -> PetriNet<&'static str> {
         let mut net = PetriNet::new();
         let e0 = net.add_place("e0");
@@ -423,8 +322,7 @@ mod tests {
     fn reduction_drops_unused_service() {
         let m = two_service_module();
         let env = env_using_only_req1();
-        let red =
-            reduce_against_environment(&m, &env, &ReachabilityOptions::default(), 1000).unwrap();
+        let red = reduce(&m, &env);
         // req2/done2 are never driven: they disappear entirely.
         let l = Language::from_net(&red.net, 4, 100_000).unwrap();
         assert!(l.contains(&["req1", "done1", "req1", "done1"]));
@@ -438,8 +336,7 @@ mod tests {
     fn theorem_5_1_trace_containment() {
         let m = two_service_module();
         let env = env_using_only_req1();
-        let red =
-            reduce_against_environment(&m, &env, &ReachabilityOptions::default(), 1000).unwrap();
+        let red = reduce(&m, &env);
         let reduced_lang = Language::from_net(&red.net, 5, 100_000).unwrap();
         let module_lang = Language::from_net(&m, 5, 100_000).unwrap();
         assert!(
@@ -482,8 +379,7 @@ mod tests {
         // module does: the reduction must not lose behaviour.
         let m = cycle("a", "b");
         let env = cycle("a", "x");
-        let red =
-            reduce_against_environment(&m, &env, &ReachabilityOptions::default(), 1000).unwrap();
+        let red = reduce(&m, &env);
         let lm = Language::from_net(&m, 4, 100_000).unwrap();
         let lr = Language::from_net(&red.net, 4, 100_000).unwrap();
         assert!(lr.eq_up_to(&lm, 4), "reduced {lr} vs module {lm}");
@@ -496,11 +392,35 @@ mod tests {
         // operator must reject rather than mask (Section 4.4).
         let m = cycle("a", "b");
         let env = cycle("x", "y");
-        let err = reduce_against_environment(&m, &env, &ReachabilityOptions::default(), 1000)
-            .unwrap_err();
+        let err = reduce_against_environment(&m, &env, &Budget::default(), 1000).unwrap_err();
         assert!(
             matches!(err, PetriError::HideSelfLoop(_)),
             "expected divergence, got {err}"
         );
+    }
+
+    #[test]
+    fn budget_stop_ends_the_reduction_before_hiding() {
+        // `c` is private to the environment, so a completed reduction
+        // hides it; a state budget the composition's reachability pass
+        // cannot meet ends the pipeline with the composition itself.
+        let m = cycle("a", "b");
+        let env = cycle("a", "c");
+        let composed = parallel(&m, &env).unwrap();
+
+        let stopped = reduce_against_environment(&m, &env, &Budget::states(1), 1000).unwrap();
+        let Bounded::Exhausted { partial, .. } = stopped else {
+            panic!("one state cannot cover the composition");
+        };
+        assert!(partial.net.alphabet().contains(&"c"), "nothing was hidden");
+        assert_eq!(partial.dead_removed, 0, "nothing was pruned");
+        assert!(partial.net.same_structure(&composed));
+
+        let done = reduce_against_environment(&m, &env, &Budget::states(1000), 1000).unwrap();
+        let Bounded::Complete(red) = done else {
+            panic!("1000 states cover the composition");
+        };
+        assert!(!red.net.alphabet().contains(&"c"), "c is hidden");
+        assert!(red.net.alphabet().contains(&"a") && red.net.alphabet().contains(&"b"));
     }
 }

@@ -9,21 +9,26 @@
 //! *producer's* preset part of a fused transition is fully marked while
 //! the *consumer's* part is not.
 //!
-//! Two checks are provided:
+//! Three checks are provided, one per decision procedure. Each takes a
+//! tracked [`Composition`] (built once by
+//! [`parallel_tracked_common`](crate::parallel_tracked_common)), the
+//! output labels of each side and a [`Budget`], and answers a
+//! [`Verdict`]:
 //!
 //! * [`check_receptiveness`] — exhaustive, on the reachability graph of
 //!   the composition (exact for bounded nets);
+//! * [`check_receptiveness_stubborn`] — the same search on a
+//!   stubborn-set reduced graph: the same verdict and failing labels,
+//!   typically from a fraction of the states;
 //! * [`check_receptiveness_structural_mg`] — the polynomial structural
 //!   check of Theorem 5.7 for live-safe strongly-connected **marked
 //!   graphs**, via the marked-graph state equation reduced to difference
-//!   constraints (Bellman–Ford, no state space).
+//!   constraints (Bellman–Ford, no state space). It is the only check
+//!   that can fail: the composition must be a marked graph.
 
-use crate::parallel::{parallel_tracked_common, Composition};
+use crate::parallel::Composition;
 use cpn_petri::graph::{solve_difference_constraints, DiffConstraint};
-use cpn_petri::{
-    AlphaSet, Budget, Label, Marking, Meter, PetriError, PetriNet, PlaceId, ReachabilityOptions,
-    Sym, Verdict,
-};
+use cpn_petri::{AlphaSet, Budget, Label, Marking, Meter, PlaceId, Sym, Verdict};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -60,19 +65,12 @@ pub struct ReceptivenessFailure<L: Label> {
     pub witness: Option<Marking>,
 }
 
-/// Result of a receptiveness check.
+/// The failures behind a [`Verdict::Fails`] receptiveness verdict
+/// (Proposition 5.6: the composition is receptive iff there are none).
 #[derive(Clone, Debug)]
 pub struct ReceptivenessReport<L: Label> {
-    /// All failures found (empty ⇒ the composition is receptive,
-    /// Proposition 5.6).
+    /// All failures found; never empty inside `Verdict::Fails`.
     pub failures: Vec<ReceptivenessFailure<L>>,
-}
-
-impl<L: Label> ReceptivenessReport<L> {
-    /// Whether the composition is receptive (no failure possible).
-    pub fn is_receptive(&self) -> bool {
-        self.failures.is_empty()
-    }
 }
 
 /// One checkable obligation: a producer-side transition (its preset part
@@ -146,24 +144,30 @@ fn obligations<L: Label>(
 
 /// Exhaustive receptiveness check (Propositions 5.5/5.6).
 ///
-/// Composes `n1 ‖ n2` on their common alphabet and searches the
-/// reachability graph for a marking in which, for some fused transition
-/// whose label is an output of one side (`left_outputs` /
-/// `right_outputs`), the producer's preset part is fully marked but the
-/// consumer's is not.
+/// Searches the reachability graph of the composition `comp` for a
+/// marking in which, for some fused transition whose label is an output
+/// of one side (`left_outputs` / `right_outputs`), the producer's preset
+/// part is fully marked but no consumer alternative's is.
 ///
 /// Labels that are outputs of neither side (pure synchronization between
 /// two inputs) are not checked — no side can autonomously commit to them.
 ///
-/// # Errors
+/// Exploration runs under `budget`, and the answer is a tri-state
+/// [`Verdict`]:
 ///
-/// Returns the reachability errors of the composed net (state budget).
+/// * `Fails(report)` — a violation was found; witnesses live on the
+///   *explored prefix* of the state space, so they are definite even
+///   when exploration was cut short.
+/// * `Holds` — the full state space was explored and no violation
+///   exists.
+/// * `Unknown(stats)` — the budget ran out with no violation on the
+///   explored prefix; a larger budget could answer either way.
 ///
 /// # Example
 ///
 /// ```
-/// use cpn_core::check_receptiveness;
-/// use cpn_petri::{PetriNet, ReachabilityOptions};
+/// use cpn_core::{check_receptiveness, parallel_tracked_common};
+/// use cpn_petri::{Budget, PetriNet};
 ///
 /// # fn main() -> Result<(), cpn_petri::PetriError> {
 /// // A producer that can push `req` twice against a strict alternator.
@@ -183,89 +187,15 @@ fn obligations<L: Label>(
 /// strict.add_transition([b1], "ack", [b0])?;
 /// strict.set_initial(b0, 1);
 ///
-/// let report = check_receptiveness(
-///     &fast, &strict, &["req"].into(), &["ack"].into(),
-///     &ReachabilityOptions::default(),
-/// )?;
-/// assert!(!report.is_receptive()); // the second req finds no listener
+/// let comp = parallel_tracked_common(&fast, &strict)?;
+/// let verdict = check_receptiveness(
+///     &comp, &["req"].into(), &["ack"].into(), &Budget::default(),
+/// );
+/// assert!(verdict.fails()); // the second req finds no listener
 /// # Ok(())
 /// # }
 /// ```
 pub fn check_receptiveness<L: Label>(
-    n1: &PetriNet<L>,
-    n2: &PetriNet<L>,
-    left_outputs: &BTreeSet<L>,
-    right_outputs: &BTreeSet<L>,
-    options: &ReachabilityOptions,
-) -> Result<ReceptivenessReport<L>, PetriError> {
-    let comp = parallel_tracked_common(n1, n2)?;
-    check_receptiveness_composed(&comp, left_outputs, right_outputs, options)
-}
-
-/// The exhaustive check on an already-built tracked composition.
-///
-/// # Errors
-///
-/// Returns the reachability errors of the composed net (state budget).
-pub fn check_receptiveness_composed<L: Label>(
-    comp: &Composition<L>,
-    left_outputs: &BTreeSet<L>,
-    right_outputs: &BTreeSet<L>,
-    options: &ReachabilityOptions,
-) -> Result<ReceptivenessReport<L>, PetriError> {
-    match check_receptiveness_composed_bounded(
-        comp,
-        left_outputs,
-        right_outputs,
-        &Budget::states(options.max_states),
-    ) {
-        Verdict::Holds => Ok(ReceptivenessReport {
-            failures: Vec::new(),
-        }),
-        Verdict::Fails(report) => Ok(report),
-        Verdict::Unknown(_) => Err(PetriError::StateBudgetExceeded {
-            budget: options.max_states,
-        }),
-    }
-}
-
-/// Budgeted exhaustive receptiveness check (Propositions 5.5/5.6),
-/// degrading gracefully.
-///
-/// Explores the composition's reachability graph under `budget` and
-/// returns a tri-state [`Verdict`]:
-///
-/// * `Fails(report)` — a violation was found; witnesses live on the
-///   *explored prefix* of the state space, so they are definite even
-///   when exploration was cut short.
-/// * `Holds` — the full state space was explored and no violation
-///   exists.
-/// * `Unknown(stats)` — the budget ran out with no violation on the
-///   explored prefix; a larger budget could answer either way.
-///
-/// # Errors
-///
-/// Propagates [`PetriError`] from composing the operands (impossible for
-/// well-formed nets).
-pub fn check_receptiveness_bounded<L: Label>(
-    n1: &PetriNet<L>,
-    n2: &PetriNet<L>,
-    left_outputs: &BTreeSet<L>,
-    right_outputs: &BTreeSet<L>,
-    budget: &Budget,
-) -> Result<Verdict<ReceptivenessReport<L>>, PetriError> {
-    let comp = parallel_tracked_common(n1, n2)?;
-    Ok(check_receptiveness_composed_bounded(
-        &comp,
-        left_outputs,
-        right_outputs,
-        budget,
-    ))
-}
-
-/// The budgeted exhaustive check on an already-built tracked
-/// composition; see [`check_receptiveness_bounded`].
-pub fn check_receptiveness_composed_bounded<L: Label>(
     comp: &Composition<L>,
     left_outputs: &BTreeSet<L>,
     right_outputs: &BTreeSet<L>,
@@ -276,43 +206,20 @@ pub fn check_receptiveness_composed_bounded<L: Label>(
     scan_obligations(comp, &obs, built)
 }
 
-/// Stubborn-set variant of [`check_receptiveness_bounded`]: same
-/// tri-state verdict, typically a fraction of the states.
+/// Stubborn-set variant of [`check_receptiveness`]: same tri-state
+/// verdict, typically a fraction of the states.
 ///
 /// The composition is explored with partial-order reduction
-/// ([`PetriNet::reachability_stubborn_bounded`]), watching exactly the
-/// places the obligations read (every producer and consumer preset).
-/// Every transition touching a watched place is forced into each
-/// stubborn set, so the reduced graph reaches the same set of watched
-/// valuations as the full graph — `Holds`/`Fails` answers and the
+/// ([`PetriNet::reachability_stubborn_bounded`](cpn_petri::PetriNet::reachability_stubborn_bounded)),
+/// watching exactly the places the obligations read (every producer and
+/// consumer preset). Every transition touching a watched place is forced
+/// into each stubborn set, so the reduced graph reaches the same set of
+/// watched valuations as the full graph — `Holds`/`Fails` answers and the
 /// failing label set agree with the exhaustive check exactly. Witness
 /// markings are genuine reachable failure states but may differ from the
 /// full explorer's, and `Unknown` budgets are not comparable
 /// state-for-state between the two explorers.
-///
-/// # Errors
-///
-/// Propagates [`PetriError`] from composing the operands (impossible for
-/// well-formed nets).
-pub fn check_receptiveness_stubborn_bounded<L: Label>(
-    n1: &PetriNet<L>,
-    n2: &PetriNet<L>,
-    left_outputs: &BTreeSet<L>,
-    right_outputs: &BTreeSet<L>,
-    budget: &Budget,
-) -> Result<Verdict<ReceptivenessReport<L>>, PetriError> {
-    let comp = parallel_tracked_common(n1, n2)?;
-    Ok(check_receptiveness_composed_stubborn_bounded(
-        &comp,
-        left_outputs,
-        right_outputs,
-        budget,
-    ))
-}
-
-/// The stubborn-set check on an already-built tracked composition; see
-/// [`check_receptiveness_stubborn_bounded`].
-pub fn check_receptiveness_composed_stubborn_bounded<L: Label>(
+pub fn check_receptiveness_stubborn<L: Label>(
     comp: &Composition<L>,
     left_outputs: &BTreeSet<L>,
     right_outputs: &BTreeSet<L>,
@@ -391,35 +298,29 @@ fn scan_obligations<L: Label>(
 /// failure that liveness would mask); the paper's Proposition 5.6 reads
 /// failures the same way — "a failure is guaranteed to be *possible*".
 ///
+/// An obligation with several consumer alternatives needs one solve per
+/// combination of starved consumer places. Each solve is metered against
+/// `budget.max_states` (and polls its deadline and cancellation); when
+/// the budget runs out the answer is `Unknown(stats)`. Failures found
+/// before that are definite.
+///
 /// # Errors
 ///
-/// * [`PetriError::NotMarkedGraph`] if the composed net is not a marked
-///   graph.
+/// [`PetriError::NotMarkedGraph`](cpn_petri::PetriError::NotMarkedGraph)
+/// (wrapped in [`CoreError`](crate::CoreError)) if the composition is
+/// not a marked graph — that is a precondition violation, not a budget
+/// problem.
 pub fn check_receptiveness_structural_mg<L: Label>(
-    n1: &PetriNet<L>,
-    n2: &PetriNet<L>,
-    left_outputs: &BTreeSet<L>,
-    right_outputs: &BTreeSet<L>,
-) -> Result<ReceptivenessReport<L>, PetriError> {
-    let comp = parallel_tracked_common(n1, n2)?;
-    check_receptiveness_structural_mg_composed(&comp, left_outputs, right_outputs)
-}
-
-/// The structural check on an already-built tracked composition.
-///
-/// # Errors
-///
-/// * [`PetriError::NotMarkedGraph`] if the composed net is not a marked
-///   graph.
-pub fn check_receptiveness_structural_mg_composed<L: Label>(
     comp: &Composition<L>,
     left_outputs: &BTreeSet<L>,
     right_outputs: &BTreeSet<L>,
-) -> Result<ReceptivenessReport<L>, PetriError> {
+    budget: &Budget,
+) -> Result<Verdict<ReceptivenessReport<L>>, crate::CoreError> {
     let net = &comp.net;
     let flows = net.marked_graph_flows()?;
     let m0 = net.initial_marking();
     let n_vars = net.transition_count();
+    let mut meter = Meter::new(budget);
 
     // Base constraints: M(p) ≥ 0 for every place.
     let base: Vec<DiffConstraint> = flows
@@ -433,7 +334,7 @@ pub fn check_receptiveness_structural_mg_composed<L: Label>(
         .collect();
 
     let mut failures = Vec::new();
-    for ob in obligations(comp, left_outputs, right_outputs) {
+    'obligations: for ob in obligations(comp, left_outputs, right_outputs) {
         // A failure marking must starve *every* consumer alternative:
         // pick one empty place per consumer preset (places the producer
         // needs marked are excluded — a consumer whose preset lies inside
@@ -452,17 +353,13 @@ pub fn check_receptiveness_structural_mg_composed<L: Label>(
             // Some consumer is ready whenever the producer is: receptive.
             continue;
         }
-        let combos: usize = choice_sets.iter().map(Vec::len).product();
-        if combos > 4096 {
-            return Err(PetriError::Precondition(format!(
-                "receptiveness obligation for {} needs {combos} starvation \
-                 combinations; beyond the structural check's budget",
-                comp.net.resolve(ob.sym)
-            )));
-        }
         let mut found = false;
         let mut pick = vec![0usize; choice_sets.len()];
         'combos: loop {
+            // Each combination costs one difference-constraint solve.
+            if !meter.take_state() {
+                break 'obligations;
+            }
             let mut cs = base.clone();
             for &p in &ob.producer_pre {
                 let (prod, cons) = flows[p.index()];
@@ -503,124 +400,6 @@ pub fn check_receptiveness_structural_mg_composed<L: Label>(
             failures.push(ob.fail(comp, None));
         }
     }
-    Ok(ReceptivenessReport { failures })
-}
-
-/// Budgeted structural receptiveness check (Theorem 5.7), degrading
-/// gracefully.
-///
-/// Where [`check_receptiveness_structural_mg`] hard-errors when an
-/// obligation needs too many starvation combinations, this variant
-/// meters each difference-constraint solve against `budget.max_states`
-/// and answers `Unknown(stats)` when the budget runs out. Failures found
-/// before exhaustion are definite.
-///
-/// # Errors
-///
-/// [`PetriError::NotMarkedGraph`] (wrapped in
-/// [`CoreError`](crate::CoreError)) if the composition is not a marked
-/// graph — that is a precondition violation, not a budget problem.
-pub fn check_receptiveness_structural_mg_bounded<L: Label>(
-    n1: &PetriNet<L>,
-    n2: &PetriNet<L>,
-    left_outputs: &BTreeSet<L>,
-    right_outputs: &BTreeSet<L>,
-    budget: &Budget,
-) -> Result<Verdict<ReceptivenessReport<L>>, crate::CoreError> {
-    let comp = parallel_tracked_common(n1, n2).map_err(crate::CoreError::Net)?;
-    check_receptiveness_structural_mg_composed_bounded(&comp, left_outputs, right_outputs, budget)
-}
-
-/// The budgeted structural check on an already-built tracked
-/// composition; see [`check_receptiveness_structural_mg_bounded`].
-///
-/// # Errors
-///
-/// [`PetriError::NotMarkedGraph`] wrapped in
-/// [`CoreError`](crate::CoreError).
-pub fn check_receptiveness_structural_mg_composed_bounded<L: Label>(
-    comp: &Composition<L>,
-    left_outputs: &BTreeSet<L>,
-    right_outputs: &BTreeSet<L>,
-    budget: &Budget,
-) -> Result<Verdict<ReceptivenessReport<L>>, crate::CoreError> {
-    let net = &comp.net;
-    let flows = net.marked_graph_flows()?;
-    let m0 = net.initial_marking();
-    let n_vars = net.transition_count();
-    let mut meter = Meter::new(budget);
-
-    let base: Vec<DiffConstraint> = flows
-        .iter()
-        .enumerate()
-        .map(|(p, &(prod, cons))| DiffConstraint {
-            a: cons.index(),
-            b: prod.index(),
-            w: i64::from(m0.as_slice()[p]),
-        })
-        .collect();
-
-    let mut failures = Vec::new();
-    'obligations: for ob in obligations(comp, left_outputs, right_outputs) {
-        let choice_sets: Vec<Vec<PlaceId>> = ob
-            .consumer_pres
-            .iter()
-            .map(|cpre| {
-                cpre.iter()
-                    .copied()
-                    .filter(|p| !ob.producer_pre.contains(p))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        if choice_sets.iter().any(Vec::is_empty) {
-            continue;
-        }
-        let mut found = false;
-        let mut pick = vec![0usize; choice_sets.len()];
-        'combos: loop {
-            // Each combination costs one difference-constraint solve.
-            if !meter.take_state() {
-                break 'obligations;
-            }
-            let mut cs = base.clone();
-            for &p in &ob.producer_pre {
-                let (prod, cons) = flows[p.index()];
-                cs.push(DiffConstraint {
-                    a: cons.index(),
-                    b: prod.index(),
-                    w: i64::from(m0.tokens(p)) - 1,
-                });
-            }
-            for (ci, &k) in pick.iter().enumerate() {
-                let p0 = choice_sets[ci][k];
-                let (prod0, cons0) = flows[p0.index()];
-                cs.push(DiffConstraint {
-                    a: prod0.index(),
-                    b: cons0.index(),
-                    w: -i64::from(m0.tokens(p0)),
-                });
-            }
-            if solve_difference_constraints(n_vars, &cs).is_some() {
-                found = true;
-                break 'combos;
-            }
-            let mut i = 0;
-            loop {
-                if i == pick.len() {
-                    break 'combos;
-                }
-                pick[i] += 1;
-                if pick[i] < choice_sets[i].len() {
-                    break;
-                }
-                pick[i] = 0;
-                i += 1;
-            }
-        }
-        if found {
-            failures.push(ob.fail(comp, None));
-        }
-    }
 
     Ok(if !failures.is_empty() {
         Verdict::Fails(ReceptivenessReport { failures })
@@ -636,6 +415,8 @@ pub fn check_receptiveness_structural_mg_composed_bounded<L: Label>(
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+    use crate::parallel::parallel_tracked_common;
+    use cpn_petri::{PetriError, PetriNet};
 
     /// A well-behaved handshake: producer emits `req`, waits for `ack`;
     /// consumer waits for `req`, emits `ack`. Receptive by construction.
@@ -678,32 +459,26 @@ mod tests {
         (prod, cons)
     }
 
+    fn compose<L: Label>((p, c): (PetriNet<L>, PetriNet<L>)) -> Composition<L> {
+        parallel_tracked_common(&p, &c).unwrap()
+    }
+
     #[test]
     fn receptive_handshake_passes_exhaustive() {
-        let (p, c) = handshake();
-        let report = check_receptiveness(
-            &p,
-            &c,
-            &["req"].into(),
-            &["ack"].into(),
-            &ReachabilityOptions::default(),
-        )
-        .unwrap();
-        assert!(report.is_receptive(), "{:?}", report.failures);
+        let comp = compose(handshake());
+        let verdict =
+            check_receptiveness(&comp, &["req"].into(), &["ack"].into(), &Budget::default());
+        assert!(verdict.holds(), "{verdict:?}");
     }
 
     #[test]
     fn broken_pair_fails_exhaustive() {
-        let (p, c) = broken();
-        let report = check_receptiveness(
-            &p,
-            &c,
-            &["req"].into(),
-            &["ack"].into(),
-            &ReachabilityOptions::default(),
-        )
-        .unwrap();
-        assert!(!report.is_receptive());
+        let comp = compose(broken());
+        let verdict =
+            check_receptiveness(&comp, &["req"].into(), &["ack"].into(), &Budget::default());
+        let Verdict::Fails(report) = verdict else {
+            panic!("broken pair judged {verdict:?}");
+        };
         // The producer's early second `req` is the primary failure; the
         // consumer's `ack` offered to an unready producer is also found.
         let req_failure = report
@@ -717,10 +492,15 @@ mod tests {
 
     #[test]
     fn receptive_handshake_passes_structural() {
-        let (p, c) = handshake();
-        let report =
-            check_receptiveness_structural_mg(&p, &c, &["req"].into(), &["ack"].into()).unwrap();
-        assert!(report.is_receptive(), "{:?}", report.failures);
+        let comp = compose(handshake());
+        let verdict = check_receptiveness_structural_mg(
+            &comp,
+            &["req"].into(),
+            &["ack"].into(),
+            &Budget::default(),
+        )
+        .unwrap();
+        assert!(verdict.holds(), "{verdict:?}");
     }
 
     /// A marked-graph mismatch: the consumer starts half a handshake
@@ -746,21 +526,17 @@ mod tests {
 
     #[test]
     fn broken_pair_fails_structural() {
-        let (p, c) = broken_mg();
-        let report =
-            check_receptiveness_structural_mg(&p, &c, &["req"].into(), &["ack"].into()).unwrap();
-        assert!(!report.is_receptive());
+        let comp = compose(broken_mg());
+        let (louts, routs) = (["req"].into(), ["ack"].into());
+        let verdict =
+            check_receptiveness_structural_mg(&comp, &louts, &routs, &Budget::default()).unwrap();
+        let Verdict::Fails(report) = verdict else {
+            panic!("phase-shifted pair judged {verdict:?}");
+        };
         assert!(report.failures.iter().any(|f| f.label == "req"));
         // The exhaustive check agrees.
-        let ex = check_receptiveness(
-            &p,
-            &c,
-            &["req"].into(),
-            &["ack"].into(),
-            &ReachabilityOptions::default(),
-        )
-        .unwrap();
-        assert!(!ex.is_receptive());
+        let ex = check_receptiveness(&comp, &louts, &routs, &Budget::default());
+        assert!(ex.fails());
     }
 
     #[test]
@@ -770,24 +546,28 @@ mod tests {
         let extra = p.add_place("extra");
         let a0 = cpn_petri::PlaceId::from_index(0);
         p.add_transition([a0], "req", [extra]).unwrap();
-        let err = check_receptiveness_structural_mg(&p, &c, &["req"].into(), &["ack"].into())
-            .unwrap_err();
-        assert_eq!(err, PetriError::NotMarkedGraph);
+        let comp = compose((p, c));
+        let err = check_receptiveness_structural_mg(
+            &comp,
+            &["req"].into(),
+            &["ack"].into(),
+            &Budget::default(),
+        )
+        .unwrap_err();
+        assert_eq!(err, crate::CoreError::Net(PetriError::NotMarkedGraph));
     }
 
     #[test]
     fn unchecked_labels_are_ignored() {
         // "req" declared as output of neither side: nothing to verify.
-        let (p, c) = broken();
-        let report = check_receptiveness(
-            &p,
-            &c,
+        let comp = compose(broken());
+        let verdict = check_receptiveness(
+            &comp,
             &BTreeSet::new(),
             &BTreeSet::new(),
-            &ReachabilityOptions::default(),
-        )
-        .unwrap();
-        assert!(report.is_receptive());
+            &Budget::default(),
+        );
+        assert!(verdict.holds());
     }
 
     #[test]
@@ -816,21 +596,15 @@ mod tests {
 
             let louts: BTreeSet<String> = ["req0".to_string(), "req1".to_string()].into();
             let routs: BTreeSet<String> = ["ack0".to_string(), "ack1".to_string()].into();
-            let ex = check_receptiveness(
-                &prod,
-                &cons,
-                &louts,
-                &routs,
-                &ReachabilityOptions::default(),
-            )
-            .unwrap();
-            let st = check_receptiveness_structural_mg(&prod, &cons, &louts, &routs).unwrap();
+            let comp = compose((prod, cons));
+            let ex = check_receptiveness(&comp, &louts, &routs, &Budget::default());
+            let st = check_receptiveness_structural_mg(&comp, &louts, &routs, &Budget::default())
+                .unwrap();
+            assert!(ex.is_definite() && st.is_definite());
             assert_eq!(
-                ex.is_receptive(),
-                st.is_receptive(),
-                "slack {slack}: exhaustive {:?} vs structural {:?}",
-                ex.failures,
-                st.failures
+                ex.holds(),
+                st.holds(),
+                "slack {slack}: exhaustive {ex:?} vs structural {st:?}"
             );
         }
     }

@@ -6,8 +6,11 @@
 //! Driven by the deterministic `cpn-testkit` harness at ≥100 cases:
 //! failures print a case seed, replayable via `CPN_TESTKIT_SEED=<seed>`.
 
-use cpn_core::{check_receptiveness, check_receptiveness_structural_mg};
-use cpn_petri::{PetriNet, ReachabilityOptions};
+use cpn_core::{
+    check_receptiveness, check_receptiveness_structural_mg, parallel_tracked_common,
+    ReceptivenessReport,
+};
+use cpn_petri::{Budget, PetriNet, Verdict};
 use cpn_testkit::{any_bool, check_with, prop_assert, prop_assert_eq, usize_in, Config};
 use std::collections::BTreeSet;
 
@@ -45,6 +48,13 @@ fn outputs(stages: usize, kind: &str) -> BTreeSet<String> {
     (0..stages).map(|i| format!("{kind}{i}")).collect()
 }
 
+/// The labels a verdict blames (empty unless it `Fails`).
+fn failing_labels(v: &Verdict<ReceptivenessReport<String>>) -> BTreeSet<&String> {
+    v.witness()
+        .map(|r| r.failures.iter().map(|f| &f.label).collect())
+        .unwrap_or_default()
+}
+
 /// Both operands start at a random phase and the operand order is
 /// itself randomized, so the oracle sees producer-side and
 /// consumer-side mismatches in either argument position.
@@ -68,28 +78,31 @@ fn structural_check_agrees_with_state_graph_on_live_safe_mgs() {
             } else {
                 (&req_side, &ack_side, &reqs, &acks)
             };
-            let opts = ReachabilityOptions::with_max_states(200_000);
-            let exhaustive = check_receptiveness(n1, n2, louts, routs, &opts).unwrap();
-            let structural = check_receptiveness_structural_mg(n1, n2, louts, routs).unwrap();
+            let comp = parallel_tracked_common(n1, n2).unwrap();
+            let exhaustive = check_receptiveness(&comp, louts, routs, &Budget::states(200_000));
+            let structural =
+                check_receptiveness_structural_mg(&comp, louts, routs, &Budget::default()).unwrap();
+            prop_assert!(
+                exhaustive.is_definite() && structural.is_definite(),
+                "the budgets decide every ring pair"
+            );
             prop_assert_eq!(
-                exhaustive.is_receptive(),
-                structural.is_receptive(),
+                exhaustive.holds(),
+                structural.holds(),
                 "stages={} starts=({},{}) swap={}: exhaustive {:?} vs structural {:?}",
                 stages,
                 left_start,
                 right_start,
                 swap,
-                exhaustive.failures,
-                structural.failures
+                exhaustive,
+                structural
             );
             // When both find failures, they must blame a common action:
             // the structural certificate names a label whose mis-firing
             // the state graph also witnesses.
-            if !exhaustive.is_receptive() {
-                let ex_labels: BTreeSet<&String> =
-                    exhaustive.failures.iter().map(|f| &f.label).collect();
-                let st_labels: BTreeSet<&String> =
-                    structural.failures.iter().map(|f| &f.label).collect();
+            if exhaustive.fails() {
+                let ex_labels = failing_labels(&exhaustive);
+                let st_labels = failing_labels(&structural);
                 prop_assert!(
                     ex_labels.intersection(&st_labels).next().is_some(),
                     "disjoint blame: exhaustive {:?} vs structural {:?}",
@@ -113,19 +126,53 @@ fn aligned_phases_receptive_for_all_sizes() {
             let c = ring(stages, 2 * shift, "b");
             let louts = outputs(stages, "req");
             let routs = outputs(stages, "ack");
-            let opts = ReachabilityOptions::default();
+            let comp = parallel_tracked_common(&p, &c).unwrap();
             assert!(
-                check_receptiveness(&p, &c, &louts, &routs, &opts)
-                    .unwrap()
-                    .is_receptive(),
+                check_receptiveness(&comp, &louts, &routs, &Budget::default()).holds(),
                 "stages={stages} shift={shift} exhaustive"
             );
             assert!(
-                check_receptiveness_structural_mg(&p, &c, &louts, &routs)
+                check_receptiveness_structural_mg(&comp, &louts, &routs, &Budget::default())
                     .unwrap()
-                    .is_receptive(),
+                    .holds(),
                 "stages={stages} shift={shift} structural"
             );
         }
     }
+}
+
+/// The metered structural check under tiny budgets: each starvation
+/// combination costs one state, so small budgets stop it part-way. A
+/// stopped check answers `Unknown`, and no verdict at any budget may
+/// contradict the exhaustive one.
+#[test]
+fn structural_budget_sweep_agrees_with_exhaustive() {
+    let mut unknowns = 0usize;
+    for stages in 1..6 {
+        for right_start in 0..2 * stages {
+            let p = ring(stages, 0, "a");
+            let c = ring(stages, right_start, "b");
+            let louts = outputs(stages, "req");
+            let routs = outputs(stages, "ack");
+            let comp = parallel_tracked_common(&p, &c).unwrap();
+            let exhaustive = check_receptiveness(&comp, &louts, &routs, &Budget::default());
+            assert!(exhaustive.is_definite());
+            for states in [0usize, 1, 2, 5] {
+                let structural = check_receptiveness_structural_mg(
+                    &comp,
+                    &louts,
+                    &routs,
+                    &Budget::states(states),
+                )
+                .unwrap();
+                assert!(
+                    structural.agrees_with(&exhaustive),
+                    "stages={stages} start={right_start} budget={states}: \
+                     structural {structural} vs exhaustive {exhaustive}"
+                );
+                unknowns += usize::from(structural.is_unknown());
+            }
+        }
+    }
+    assert!(unknowns > 0, "no budget stopped the structural check");
 }

@@ -25,11 +25,7 @@
 use crate::alphabet::Sym;
 use crate::label::Label;
 use crate::net::PetriNet;
-use crate::netid::NetId;
 use crate::store::MarkingStore;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Sentinel token count standing for ω (unbounded) in the Karp–Miller
 /// construction. Finite counts are clamped to `OMEGA - 1`, so a plain
@@ -487,116 +483,6 @@ impl<L: Label> PetriNet<L> {
     }
 }
 
-/// Hit/miss/size counters of a [`CompiledStore`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CompiledStoreStats {
-    /// Lookups answered from the store without compiling.
-    pub hits: u64,
-    /// Lookups that had to lower the net to CSR form.
-    pub misses: u64,
-    /// Number of distinct [`NetId`]s currently stored.
-    pub len: usize,
-}
-
-/// A thread-safe cache of [`CompiledNet`]s keyed on [`NetId`].
-///
-/// Structurally equal nets — regardless of construction order, interner
-/// order, or place names — share one compiled entry. The incremental
-/// pipelines (the derivation store of `cpn-core`, the bench harness, the
-/// `cpn-serve` document cache) key compilation here so recomposing a
-/// large module stack recompiles only the nets whose structure changed;
-/// the hit/miss counters are how the incremental-recompile smoke test
-/// asserts that untouched modules were *not* recompiled.
-///
-/// # Sharing caveat
-///
-/// A cached [`CompiledNet`] keeps the place/transition arena numbering
-/// and the interned [`Sym`]s of whichever net compiled it *first*.
-/// Canonical-form equality guarantees a structure-preserving bijection,
-/// so every isomorphism-invariant answer (state counts, boundedness,
-/// deadlock verdicts, label-sequence languages) is identical — but raw
-/// ids in the compiled arrays must not be mapped back through a
-/// *different* net's arenas or interner.
-pub struct CompiledStore {
-    inner: Mutex<HashMap<NetId, Arc<CompiledNet>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl Default for CompiledStore {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl CompiledStore {
-    /// An empty store.
-    #[must_use]
-    pub fn new() -> Self {
-        CompiledStore {
-            inner: Mutex::new(HashMap::new()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-
-    /// A poison-tolerant lock: compiling never leaves the map in a
-    /// half-written state, so a panicked holder's data is still valid.
-    fn lock(&self) -> MutexGuard<'_, HashMap<NetId, Arc<CompiledNet>>> {
-        match self.inner.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
-    /// Returns the compiled form of `net`, computing and canonicalizing
-    /// its [`NetId`] first. Use
-    /// [`get_or_compile_keyed`](Self::get_or_compile_keyed) when the id
-    /// is already known.
-    pub fn get_or_compile<L: Label>(&self, net: &PetriNet<L>) -> (NetId, Arc<CompiledNet>) {
-        let id = net.net_id();
-        let compiled = self.get_or_compile_keyed(id, net);
-        (id, compiled)
-    }
-
-    /// Returns the compiled form for an already-computed [`NetId`].
-    ///
-    /// Compilation runs outside the lock; when two threads miss on the
-    /// same id concurrently, the first insert wins and the loser's
-    /// compile is discarded (both results are equivalent).
-    pub fn get_or_compile_keyed<L: Label>(&self, id: NetId, net: &PetriNet<L>) -> Arc<CompiledNet> {
-        if let Some(hit) = self.lock().get(&id) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(hit);
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let compiled = Arc::new(net.compile());
-        Arc::clone(self.lock().entry(id).or_insert(compiled))
-    }
-
-    /// The compiled entry for `id`, if present. Does not touch the
-    /// hit/miss counters.
-    #[must_use]
-    pub fn peek(&self, id: NetId) -> Option<Arc<CompiledNet>> {
-        self.lock().get(&id).map(Arc::clone)
-    }
-
-    /// Current counters and entry count.
-    #[must_use]
-    pub fn stats(&self) -> CompiledStoreStats {
-        CompiledStoreStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            len: self.lock().len(),
-        }
-    }
-
-    /// Drops every cached entry; counters are preserved.
-    pub fn clear(&self) {
-        self.lock().clear();
-    }
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
@@ -763,32 +649,5 @@ mod tests {
             let expect: Vec<u32> = net.consumers(p).iter().map(|t| t.index() as u32).collect();
             assert_eq!(c.consumers_of(p.index() as u32), expect.as_slice());
         }
-    }
-
-    #[test]
-    fn store_shares_compiled_entries_across_equal_nets() {
-        let store = CompiledStore::new();
-        let (id1, c1) = store.get_or_compile(&fig_like());
-        let (id2, c2) = store.get_or_compile(&fig_like());
-        assert_eq!(id1, id2);
-        assert!(Arc::ptr_eq(&c1, &c2), "second lookup must reuse the Arc");
-        let stats = store.stats();
-        assert_eq!((stats.hits, stats.misses, stats.len), (1, 1, 1));
-        assert!(store.peek(id1).is_some());
-    }
-
-    #[test]
-    fn store_misses_on_structural_change() {
-        let store = CompiledStore::new();
-        let (id1, _) = store.get_or_compile(&fig_like());
-        let mut changed = fig_like();
-        let extra = changed.add_place("extra");
-        changed.set_initial(extra, 1);
-        let (id2, _) = store.get_or_compile(&changed);
-        assert_ne!(id1, id2);
-        let stats = store.stats();
-        assert_eq!((stats.hits, stats.misses, stats.len), (0, 2, 2));
-        store.clear();
-        assert_eq!(store.stats().len, 0);
     }
 }

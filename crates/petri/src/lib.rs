@@ -23,8 +23,7 @@
 //! * [`store`] — the interned flat-arena [`MarkingStore`] with its
 //!   open-addressing hash index (the exploration kernel's state storage).
 //! * [`compiled`] — the CSR-compiled firing rule ([`CompiledNet`]) with
-//!   place→consumer candidate generation, and the [`NetId`]-keyed
-//!   [`CompiledStore`].
+//!   place→consumer candidate generation.
 //! * [`hash`] — the shared deterministic content-hash primitives
 //!   (FNV-1a 64/128, SplitMix64 finalizer).
 //! * [`netid`] — content-addressed structural identity: canonical form
@@ -90,9 +89,7 @@ pub use budget::{
     Bounded, Budget, CancelScope, CancelToken, Deadline, Exhausted, Meter, Resource, Verdict,
     DEFAULT_MAX_STATES, DEFAULT_MAX_TRANSITIONS, POLL_INTERVAL,
 };
-pub use compiled::{
-    CandidateScratch, CompiledNet, CompiledStore, CompiledStoreStats, StubbornScratch, OMEGA,
-};
+pub use compiled::{CandidateScratch, CompiledNet, StubbornScratch, OMEGA};
 pub use coverability::{CoverabilityOutcome, CoverabilityTree};
 pub use dead::{dead_transitions_rg, dead_transitions_structural_mg, remove_dead};
 pub use error::PetriError;

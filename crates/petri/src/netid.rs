@@ -11,10 +11,8 @@
 //!
 //! The id is the universal cache key of the workspace: the hash-consed
 //! derivation store in `cpn-core` memoizes algebra operations on child
-//! ids, the [`CompiledStore`](crate::compiled::CompiledStore) keys
-//! compiled firing rules on it, and the `cpn-serve` document cache uses
-//! it to recognize structurally equivalent submissions behind different
-//! byte streams.
+//! ids, and the `cpn-serve` document cache uses it to recognize
+//! structurally equivalent submissions behind different byte streams.
 //!
 //! # Canonicalization
 //!

@@ -17,12 +17,13 @@
 //!    re-tests transitions whose preset touches a marked place instead of
 //!    scanning all of `transition_ids()`.
 //! 3. An opt-in deterministic **lock-free parallel explorer**
-//!    ([`ReachabilityOptions::threads`]): one shared open-addressing
-//!    index claimed slot-by-slot with atomic CAS, per-worker deques with
-//!    work stealing (no rounds, no barriers), cooperative termination
-//!    via a global in-flight counter, and a canonical renumbering pass
-//!    that makes the graph **bit-identical for every thread count** (and
-//!    to the sequential explorer). See DESIGN.md §5f.
+//!    ([`PetriNet::reachability_bounded_parallel`]): one shared
+//!    open-addressing index claimed slot-by-slot with atomic CAS,
+//!    per-worker deques with work stealing (no rounds, no barriers),
+//!    cooperative termination via a global in-flight counter, and a
+//!    canonical renumbering pass that makes the graph **bit-identical for
+//!    every thread count** (and to the sequential explorer). See
+//!    DESIGN.md §5f.
 //!
 //! For state spaces whose resident marking set outgrows RAM there is a
 //! fourth layer: [`reachability_bounded_spilled`] runs the sequential
@@ -104,61 +105,29 @@ pub struct ReachabilityOptions {
     /// [`crate::budget::DEFAULT_MAX_STATES`], the workspace-wide state
     /// budget shared with [`Budget`].
     pub max_states: usize,
-    /// Number of exploration worker threads. `0` and `1` both mean
-    /// sequential; larger values opt into the sharded parallel BFS, whose
-    /// output is bit-identical to the sequential explorer's for every
-    /// thread count. Defaults to `1`.
-    pub threads: usize,
-    /// Opt into stubborn-set partial-order reduction. The reduced graph
-    /// contains **every deadlock marking** of the full graph but in
-    /// general fewer states and interleavings, so it is valid for
-    /// deadlock-style queries only — language, liveness, and safety must
-    /// explore unreduced. Forces sequential exploration (the sharded BFS
-    /// never runs reduced). Defaults to `false`.
-    pub stubborn: bool,
 }
 
 impl Default for ReachabilityOptions {
     fn default() -> Self {
         ReachabilityOptions {
             max_states: crate::budget::DEFAULT_MAX_STATES,
-            threads: 1,
-            stubborn: false,
         }
     }
 }
 
 impl ReachabilityOptions {
-    /// Options with an explicit state budget (sequential).
+    /// Options with an explicit state budget.
     pub fn with_max_states(max_states: usize) -> Self {
-        ReachabilityOptions {
-            max_states,
-            threads: 1,
-            stubborn: false,
-        }
-    }
-
-    /// Returns the options with the worker-thread count replaced.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// Returns the options with stubborn-set reduction toggled.
-    pub fn with_stubborn(mut self, stubborn: bool) -> Self {
-        self.stubborn = stubborn;
-        self
+        ReachabilityOptions { max_states }
     }
 }
 
 impl From<Budget> for ReachabilityOptions {
     /// Projects a [`Budget`] onto the options type (only the state cap is
-    /// representable; exploration stays sequential and unreduced).
+    /// representable).
     fn from(b: Budget) -> Self {
         ReachabilityOptions {
             max_states: b.max_states,
-            threads: 1,
-            stubborn: false,
         }
     }
 }
@@ -309,10 +278,8 @@ impl ReachabilityGraph {
 }
 
 impl<L: Label> PetriNet<L> {
-    /// Builds the reachability graph of the net breadth-first.
-    ///
-    /// With `options.threads > 1` the sharded parallel explorer is used;
-    /// its result is bit-identical to the sequential one.
+    /// Builds the reachability graph of the net breadth-first with the
+    /// sequential kernel.
     ///
     /// # Errors
     ///
@@ -325,15 +292,7 @@ impl<L: Label> PetriNet<L> {
         &self,
         options: &ReachabilityOptions,
     ) -> Result<ReachabilityGraph, PetriError> {
-        let budget = Budget::states(options.max_states);
-        let built = if options.stubborn {
-            self.reachability_stubborn_bounded(&budget, &[])
-        } else if options.threads > 1 {
-            self.reachability_bounded_parallel(&budget, options.threads)
-        } else {
-            self.reachability_bounded(&budget)
-        };
-        match built {
+        match self.reachability_bounded(&Budget::states(options.max_states)) {
             Bounded::Complete(rg) => Ok(rg),
             Bounded::Exhausted { .. } => Err(PetriError::StateBudgetExceeded {
                 budget: options.max_states,
@@ -1640,13 +1599,10 @@ mod tests {
 
     #[test]
     fn options_builders_compose() {
-        let o = ReachabilityOptions::with_max_states(10).with_threads(4);
+        let o = ReachabilityOptions::with_max_states(10);
         assert_eq!(o.max_states, 10);
-        assert_eq!(o.threads, 4);
-        assert_eq!(ReachabilityOptions::default().threads, 1);
         let from_budget = ReachabilityOptions::from(Budget::states(7));
         assert_eq!(from_budget.max_states, 7);
-        assert_eq!(from_budget.threads, 1);
     }
 
     #[test]

@@ -126,9 +126,8 @@ pub enum Request {
     },
     /// The paper pipeline server-side (v2): compose `module ‖ env`,
     /// check receptiveness of the composition
-    /// (`cpn_core::check_receptiveness_bounded`), and reduce the
-    /// module against the environment
-    /// (`cpn_core::reduce_against_environment_fused_bounded` — dead
+    /// (`cpn_core::check_receptiveness`), and reduce the module against
+    /// the environment (`cpn_core::reduce_against_environment` — dead
     /// pruning, hiding of the environment-internal labels, structural
     /// reduction).
     Verify {

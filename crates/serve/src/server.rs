@@ -61,10 +61,7 @@ use crate::proto::{
     Request, Response, StatsReply, VerifySummary,
 };
 use crate::transport::{Conn, Endpoint, Listener};
-use cpn_core::{
-    check_receptiveness_composed_bounded, parallel_tracked_common,
-    reduce_against_environment_fused_bounded,
-};
+use cpn_core::{check_receptiveness, parallel_tracked_common, reduce_against_environment};
 use cpn_format::ParseLimits;
 use cpn_petri::{
     reachability_bounded_parallel_compiled, Bounded, Budget, CancelScope, CoverabilityOutcome,
@@ -1436,7 +1433,7 @@ fn handle_verify(
     }
 
     // Stage 2: receptiveness of the composition (Propositions 5.5/5.6).
-    let verdict = check_receptiveness_composed_bounded(&comp, &louts, &routs, &budget);
+    let verdict = check_receptiveness(&comp, &louts, &routs, &budget);
     let (receptive, failures, states, edges, mut stopped) = match verdict {
         Verdict::Holds => (Receptive::Yes, Vec::new(), 0, 0, None),
         Verdict::Fails(report) => {
@@ -1461,12 +1458,7 @@ fn handle_verify(
     let mut reduced_transitions = None;
     let mut dead_removed = 0;
     if budget.interrupted().is_none() && stopped.is_none() {
-        match reduce_against_environment_fused_bounded(
-            &module_net.net,
-            &env_net.net,
-            &budget,
-            *hide_budget,
-        ) {
+        match reduce_against_environment(&module_net.net, &env_net.net, &budget, *hide_budget) {
             Ok(Bounded::Complete(red)) => {
                 reduced_transitions = Some(red.net.transition_count());
                 dead_removed = red.dead_removed;

@@ -968,14 +968,9 @@ pub fn detect_stg_inconsistency(mutant: &Stg) -> Option<(&'static str, String)> 
 /// `Fails` on the explored prefix is definite; `Unknown` is not counted
 /// as a detection.
 pub fn detect_nonreceptive(mutant: &Stg, env: &Stg) -> Option<(&'static str, String)> {
-    let verdict = cpn_core::check_receptiveness_bounded(
-        mutant.net(),
-        env.net(),
-        &mutant.output_labels(),
-        &env.output_labels(),
-        &Budget::states(EXPLORE_BUDGET),
-    )
-    .ok()?;
+    let verdict = mutant
+        .check_receptiveness(env, &Budget::states(EXPLORE_BUDGET))
+        .ok()?;
     match verdict {
         Verdict::Fails(report) => {
             let first = report

@@ -174,8 +174,10 @@ mod tests {
         let opts = ReachabilityOptions::default();
         let a = arbiter();
         let system_env = client(1).compose(&client(2)).unwrap();
-        let report = a.check_receptiveness(&system_env, &opts).unwrap();
-        assert!(report.is_receptive(), "{:?}", report.failures);
+        let verdict = a
+            .check_receptiveness(&system_env, &cpn_petri::Budget::default())
+            .unwrap();
+        assert!(verdict.holds(), "{verdict:?}");
 
         let system = a.compose(&system_env).unwrap();
         let rg = system.net().reachability(&opts).unwrap();

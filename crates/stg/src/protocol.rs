@@ -431,7 +431,7 @@ fn try_receiver() -> Result<Stg, StgError> {
 mod tests {
     use super::*;
     use crate::signal::StgLabel;
-    use cpn_petri::ReachabilityOptions;
+    use cpn_petri::{Budget, ReachabilityOptions, Verdict};
 
     #[test]
     fn sender_is_classical() {
@@ -540,14 +540,16 @@ mod tests {
     fn receptiveness_separates_fig5_from_fig8() {
         let tr = translator();
         let good = sender()
-            .check_receptiveness(&tr, &ReachabilityOptions::default())
+            .check_receptiveness(&tr, &Budget::default())
             .unwrap();
-        assert!(good.is_receptive(), "consistent spec: {:?}", good.failures);
+        assert!(good.holds(), "consistent spec: {good:?}");
 
         let bad = sender_inconsistent()
-            .check_receptiveness(&tr, &ReachabilityOptions::default())
+            .check_receptiveness(&tr, &Budget::default())
             .unwrap();
-        assert!(!bad.is_receptive(), "Figure 8 must be detected");
+        let Verdict::Fails(bad) = bad else {
+            panic!("Figure 8 must be detected: {bad:?}");
+        };
         // The failing outputs are the premature wire falls of the sender.
         assert!(bad.failures.iter().any(|f| {
             f.producer == cpn_core::Side::Left

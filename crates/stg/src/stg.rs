@@ -6,6 +6,7 @@ use crate::signal::{Edge, Signal, SignalDir, StgLabel};
 use cpn_core::{hide_labels, parallel_with_sync, NetEditor};
 use cpn_petri::{
     AlphaSet, Budget, Meter, PetriError, PetriNet, PlaceId, ReachabilityOptions, TransitionId,
+    Verdict,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::error::Error;
@@ -646,25 +647,27 @@ impl Stg {
     }
 
     /// Receptiveness check against a peer STG (Propositions 5.5/5.6):
-    /// composes the two nets on their shared signal labels and searches
-    /// the reachability graph for a state in which one side can commit
-    /// to an output no peer alternative is ready to accept.
+    /// composes the two nets on their common alphabet and searches the
+    /// reachability graph, under `budget`, for a state in which one side
+    /// can commit to an output no peer alternative is ready to accept.
+    /// See [`cpn_core::check_receptiveness`] for the verdict's meaning.
     ///
     /// # Errors
     ///
-    /// Reachability budget errors.
+    /// Composition errors only — budget exhaustion is a verdict, not an
+    /// error.
     pub fn check_receptiveness(
         &self,
         other: &Stg,
-        options: &ReachabilityOptions,
-    ) -> Result<cpn_core::ReceptivenessReport<StgLabel>, StgError> {
+        budget: &Budget,
+    ) -> Result<Verdict<cpn_core::ReceptivenessReport<StgLabel>>, StgError> {
+        let comp = cpn_core::parallel_tracked_common(&self.net, &other.net)?;
         Ok(cpn_core::check_receptiveness(
-            &self.net,
-            &other.net,
+            &comp,
             &self.output_labels(),
             &other.output_labels(),
-            options,
-        )?)
+            budget,
+        ))
     }
 
     /// Compositional synthesis against a known environment (Section 5.2

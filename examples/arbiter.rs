@@ -9,7 +9,7 @@
 //!
 //! Run with `cargo run --example arbiter`.
 
-use cpn::petri::{semiflows_p, ReachabilityOptions};
+use cpn::petri::{semiflows_p, Budget, ReachabilityOptions};
 use cpn::stg::arbiter::{arbiter, client, critical_section_places};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -56,8 +56,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Behavioural certificate on the full system with two clients.
     let env = client(1).compose(&client(2))?;
-    let receptive = a.check_receptiveness(&env, &opts)?;
-    println!("arbiter ↔ clients receptive: {}", receptive.is_receptive());
+    let receptive = a.check_receptiveness(&env, &Budget::default())?;
+    println!("arbiter ↔ clients receptive: {receptive}");
 
     let system = a.compose(&env)?;
     let rg = system.net().reachability(&opts)?;

@@ -10,7 +10,7 @@
 
 use cpn::cip::protocol::{protocol_cip, CMD_VALUES, OUT_VALUES};
 use cpn::cip::{ChannelSpec, CipGraph, DataEncoding, HandshakeProtocol, Module};
-use cpn::petri::ReachabilityOptions;
+use cpn::petri::{Budget, ReachabilityOptions};
 use cpn::stg::StgLabel;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -84,10 +84,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Rendez-vous correctness is by construction (Section 3): every
     // module is receptive against the rest of the system.
-    let reports = sys.verify_receptiveness(&opts)?;
-    for (name, rep) in &reports {
-        println!("  {name}: receptive = {}", rep.is_receptive());
-        assert!(rep.is_receptive());
+    let verdicts = sys.verify_receptiveness(&Budget::states(opts.max_states))?;
+    for (name, verdict) in &verdicts {
+        println!("  {name}: receptive = {verdict}");
+        assert!(verdict.holds());
     }
     Ok(())
 }

@@ -12,8 +12,8 @@
 //!
 //! Run with `cargo run --example inconsistent_sender`.
 
-use cpn::core::check_receptiveness_structural_mg;
-use cpn::petri::{PetriNet, ReachabilityOptions};
+use cpn::core::{check_receptiveness_structural_mg, parallel_tracked_common};
+use cpn::petri::{Budget, PetriNet, ReachabilityOptions};
 use cpn::sim::monitor_composition;
 use cpn::stg::protocol::{sender, sender_inconsistent, translator};
 
@@ -34,18 +34,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // 1. Static, exhaustive (Prop 5.5).
-    let good = sender().check_receptiveness(&tr, &opts)?;
-    let bad = sender_inconsistent().check_receptiveness(&tr, &opts)?;
+    let budget = Budget::default();
+    let good = sender().check_receptiveness(&tr, &budget)?;
+    let bad = sender_inconsistent().check_receptiveness(&tr, &budget)?;
     println!("\nexhaustive check:");
-    println!(
-        "  consistent sender ‖ translator  : receptive = {}",
-        good.is_receptive()
-    );
-    println!(
-        "  inconsistent sender ‖ translator: receptive = {}",
-        bad.is_receptive()
-    );
-    for f in bad.failures.iter().take(4) {
+    println!("  consistent sender ‖ translator  : receptive = {good}");
+    println!("  inconsistent sender ‖ translator: receptive = {bad}");
+    for f in bad
+        .witness()
+        .map_or(&[][..], |r| &r.failures)
+        .iter()
+        .take(4)
+    {
         println!(
             "    failure: {} produced by the {} side",
             f.label, f.producer
@@ -83,12 +83,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     slow.set_initial(cpn::petri::PlaceId::from_index(0), 0);
     slow.set_initial(cpn::petri::PlaceId::from_index(1), 1);
 
+    let comp = parallel_tracked_common(&fast, &slow)?;
     let verdict =
-        check_receptiveness_structural_mg(&fast, &slow, &["req"].into(), &["ack"].into())?;
+        check_receptiveness_structural_mg(&comp, &["req"].into(), &["ack"].into(), &budget)?;
     println!(
-        "\nstructural (Thm 5.7) on the phase-shifted handshake: receptive = {} \
-         (no state space was built)",
-        verdict.is_receptive()
+        "\nstructural (Thm 5.7) on the phase-shifted handshake: receptive = {verdict} \
+         (no state space was built)"
     );
     Ok(())
 }

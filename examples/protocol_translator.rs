@@ -5,7 +5,7 @@
 //!
 //! Run with `cargo run --example protocol_translator`.
 
-use cpn::petri::ReachabilityOptions;
+use cpn::petri::{Budget, ReachabilityOptions};
 use cpn::stg::protocol::{receiver, sender, translator, SENDER_COMMANDS};
 use cpn::stg::{derive_logic, Signal, StateGraph};
 use std::collections::BTreeMap;
@@ -76,10 +76,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Pairwise consistency (receptiveness) of the composition.
-    let report = sender().check_receptiveness(&translator(), &opts)?;
-    println!("sender ↔ translator receptive: {}", report.is_receptive());
-    let report = translator().check_receptiveness(&receiver(), &opts)?;
-    println!("translator ↔ receiver receptive: {}", report.is_receptive());
+    let budget = Budget::default();
+    let verdict = sender().check_receptiveness(&translator(), &budget)?;
+    println!("sender ↔ translator receptive: {verdict}");
+    let verdict = translator().check_receptiveness(&receiver(), &budget)?;
+    println!("translator ↔ receiver receptive: {verdict}");
 
     // Persist the models in the .cpn interchange format.
     let text = [

@@ -3,7 +3,7 @@
 
 use cpn::cip::protocol::{protocol_cip, protocol_cip_restricted};
 use cpn::cip::{ChannelSpec, CipGraph, DataEncoding, HandshakeProtocol, Module};
-use cpn::petri::ReachabilityOptions;
+use cpn::petri::{Budget, ReachabilityOptions};
 use cpn::stg::{Edge, StgLabel};
 
 fn ring_pair(encoding: DataEncoding, values: &[usize]) -> CipGraph {
@@ -230,19 +230,19 @@ fn four_stage_relay_pipeline_expands_and_verifies() {
     let analysis = composed.net().analysis(&rg);
     assert!(analysis.live, "relay pipeline live end to end");
     assert!(analysis.safe);
-    for (name, rep) in sys.verify_receptiveness(&opts).unwrap() {
-        assert!(rep.is_receptive(), "{name}: {:?}", rep.failures);
+    for (name, verdict) in sys.verify_receptiveness(&Budget::states(500_000)).unwrap() {
+        assert!(verdict.holds(), "{name}: {verdict:?}");
     }
 }
 
 #[test]
 fn expanded_cip_verifies_receptive_end_to_end() {
-    let opts = ReachabilityOptions::default();
+    let budget = Budget::default();
     let sys = protocol_cip_restricted()
         .unwrap()
         .expand(HandshakeProtocol::FourPhase)
         .unwrap();
-    for (name, rep) in sys.verify_receptiveness(&opts).unwrap() {
-        assert!(rep.is_receptive(), "{name}: {:?}", rep.failures);
+    for (name, verdict) in sys.verify_receptiveness(&budget).unwrap() {
+        assert!(verdict.holds(), "{name}: {verdict:?}");
     }
 }

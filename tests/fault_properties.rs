@@ -129,23 +129,20 @@ fn tiny_budget_verdicts_never_contradict_large_ones() {
         &strategy,
         |&(stages, offset, tiny)| {
             let (p, c) = ring_pair(stages, offset);
+            let comp = cpn::core::parallel_tracked_common(&p, &c).unwrap();
             let outputs: BTreeSet<String> = (0..stages).map(|i| format!("x{i}")).collect();
-            let small = cpn::core::check_receptiveness_bounded(
-                &p,
-                &c,
+            let small = cpn::core::check_receptiveness(
+                &comp,
                 &outputs,
                 &BTreeSet::new(),
                 &Budget::states(tiny),
-            )
-            .unwrap();
-            let large = cpn::core::check_receptiveness_bounded(
-                &p,
-                &c,
+            );
+            let large = cpn::core::check_receptiveness(
+                &comp,
                 &outputs,
                 &BTreeSet::new(),
                 &Budget::default(),
-            )
-            .unwrap();
+            );
             prop_assert!(
                 small.agrees_with(&large),
                 "verdict flipped: tiny budget {tiny} said {small}, full budget said {large}"
@@ -299,15 +296,10 @@ fn unknown_verdict_reports_spent_budget() {
     // Exhaustion statistics are part of the degradation contract: an
     // Unknown must say how much was explored and which cap was hit.
     let (p, c) = ring_pair(6, 0);
+    let comp = cpn::core::parallel_tracked_common(&p, &c).unwrap();
     let outputs: BTreeSet<String> = (0..6).map(|i| format!("x{i}")).collect();
-    let verdict = cpn::core::check_receptiveness_bounded(
-        &p,
-        &c,
-        &outputs,
-        &BTreeSet::new(),
-        &Budget::states(2),
-    )
-    .unwrap();
+    let verdict =
+        cpn::core::check_receptiveness(&comp, &outputs, &BTreeSet::new(), &Budget::states(2));
     let Verdict::Unknown(info) = verdict else {
         panic!("budget of 2 states cannot decide a 6-stage ring: {verdict}");
     };

@@ -2,7 +2,7 @@
 //! modeling, composition, verification, reduction, logic, and
 //! serialization of the protocol-translation system.
 
-use cpn::petri::ReachabilityOptions;
+use cpn::petri::{Budget, ReachabilityOptions};
 use cpn::stg::protocol::{
     receiver, sender, sender_inconsistent, sender_restricted, translator, RECEIVER_COMMANDS,
     SENDER_COMMANDS,
@@ -118,16 +118,16 @@ fn full_system_runs_the_whole_command_set() {
 
 #[test]
 fn fig8_detected_fig5_clean_with_full_system() {
-    let opts = ReachabilityOptions::default();
+    let budget = Budget::default();
     // Checking against translator ‖ receiver (the module's real
     // environment) rather than the translator alone.
     let env = translator().compose(&receiver()).unwrap();
-    let clean = sender().check_receptiveness(&env, &opts).unwrap();
-    assert!(clean.is_receptive(), "{:?}", clean.failures);
+    let clean = sender().check_receptiveness(&env, &budget).unwrap();
+    assert!(clean.holds(), "{clean:?}");
     let broken = sender_inconsistent()
-        .check_receptiveness(&env, &opts)
+        .check_receptiveness(&env, &budget)
         .unwrap();
-    assert!(!broken.is_receptive());
+    assert!(broken.fails());
 }
 
 #[test]

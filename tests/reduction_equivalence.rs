@@ -15,7 +15,9 @@
 //!
 //! All randomized cases replay under `CPN_TESTKIT_SEED`.
 
-use cpn::core::reduce_for_analysis;
+use cpn::core::{
+    check_receptiveness, check_receptiveness_stubborn, parallel_tracked_common, reduce_for_analysis,
+};
 use cpn::petri::{Bounded, Budget, PetriNet, ReachabilityGraph, Verdict};
 use cpn::trace::Language;
 use cpn_testkit::{check_with, prop_assert, prop_assume, Config, NetStrategy, PropResult, RawNet};
@@ -352,22 +354,10 @@ fn stubborn_receptiveness_matches_full_exploration() {
         for offset in 0..stages {
             let (p, c) = ring_pair(stages, offset);
             let outputs: BTreeSet<String> = (0..stages).map(|i| format!("x{i}")).collect();
-            let full = cpn::core::check_receptiveness_bounded(
-                &p,
-                &c,
-                &outputs,
-                &BTreeSet::new(),
-                &Budget::default(),
-            )
-            .expect("full check");
-            let stub = cpn::core::check_receptiveness_stubborn_bounded(
-                &p,
-                &c,
-                &outputs,
-                &BTreeSet::new(),
-                &Budget::default(),
-            )
-            .expect("stubborn check");
+            let comp = parallel_tracked_common(&p, &c).expect("composition");
+            let full = check_receptiveness(&comp, &outputs, &BTreeSet::new(), &Budget::default());
+            let stub =
+                check_receptiveness_stubborn(&comp, &outputs, &BTreeSet::new(), &Budget::default());
             assert!(
                 !full.is_unknown() && !stub.is_unknown(),
                 "default budget must decide a {stages}-stage ring pair"
@@ -386,14 +376,12 @@ fn stubborn_receptiveness_matches_full_exploration() {
             // Budget sweep: a definite tiny-budget stubborn verdict may
             // never contradict the full-exploration reference.
             for tiny in [1usize, 2, 5, 17] {
-                let small = cpn::core::check_receptiveness_stubborn_bounded(
-                    &p,
-                    &c,
+                let small = check_receptiveness_stubborn(
+                    &comp,
                     &outputs,
                     &BTreeSet::new(),
                     &Budget::states(tiny),
-                )
-                .expect("tiny stubborn check");
+                );
                 assert!(
                     small.agrees_with(&full),
                     "stubborn verdict flipped under budget {tiny} at stages={stages} offset={offset}: {small} vs {full}"
@@ -413,6 +401,7 @@ fn verdicts_agree_along_the_deadline_axis() {
     use std::time::Duration;
 
     let (p, c) = ring_pair(5, 0);
+    let comp = parallel_tracked_common(&p, &c).expect("composition");
     let outputs: BTreeSet<String> = (0..5).map(|i| format!("x{i}")).collect();
     let deadlines = [
         Some(Duration::ZERO),
@@ -427,8 +416,7 @@ fn verdicts_agree_along_the_deadline_axis() {
             if let Some(d) = d {
                 budget = budget.with_deadline(*d);
             }
-            cpn::core::check_receptiveness_bounded(&p, &c, &outputs, &BTreeSet::new(), &budget)
-                .expect("receptiveness check")
+            check_receptiveness(&comp, &outputs, &BTreeSet::new(), &budget)
         })
         .collect();
 

@@ -6,10 +6,8 @@
 //! Driven by the deterministic `cpn-testkit` harness: failures print a
 //! case seed, replayable via `CPN_TESTKIT_SEED=<seed>`.
 
-use cpn::core::{check_receptiveness, check_receptiveness_structural_mg};
-use cpn::petri::{
-    semiflows_p, CoverabilityOutcome, CoverabilityTree, PetriNet, ReachabilityOptions,
-};
+use cpn::core::{check_receptiveness, check_receptiveness_structural_mg, parallel_tracked_common};
+use cpn::petri::{semiflows_p, Budget, CoverabilityOutcome, CoverabilityTree, PetriNet, Verdict};
 use cpn::sim::monitor_composition;
 use cpn_testkit::{check_with, prop_assert, prop_assert_eq, u32_in, usize_in, Config};
 use std::collections::BTreeSet;
@@ -60,18 +58,22 @@ fn detectors_agree_on_handshake_rings() {
             let consumer = ring(stages, offset, "b");
             let louts = outputs(stages, "req");
             let routs = outputs(stages, "ack");
-            let opts = ReachabilityOptions::with_max_states(200_000);
+            let comp = parallel_tracked_common(&producer, &consumer).unwrap();
 
-            let exhaustive =
-                check_receptiveness(&producer, &consumer, &louts, &routs, &opts).unwrap();
+            let exhaustive = check_receptiveness(&comp, &louts, &routs, &Budget::states(200_000));
             let structural =
-                check_receptiveness_structural_mg(&producer, &consumer, &louts, &routs).unwrap();
+                check_receptiveness_structural_mg(&comp, &louts, &routs, &Budget::default())
+                    .unwrap();
+            prop_assert!(
+                exhaustive.is_definite() && structural.is_definite(),
+                "the budgets decide every ring pair"
+            );
             prop_assert_eq!(
-                exhaustive.is_receptive(),
-                structural.is_receptive(),
+                exhaustive.holds(),
+                structural.holds(),
                 "exhaustive {:?} vs structural {:?} at stages={} offset={}",
-                exhaustive.failures,
-                structural.failures,
+                exhaustive,
+                structural,
                 stages,
                 offset
             );
@@ -80,15 +82,17 @@ fn detectors_agree_on_handshake_rings() {
             // it makes must correspond to a statically confirmed failure.
             let obs = monitor_composition(&producer, &consumer, &louts, &routs, 7, 2_000);
             if obs.is_some() {
-                prop_assert!(!exhaustive.is_receptive());
+                prop_assert!(exhaustive.fails());
             }
             // On failing compositions where the initial state is already
             // broken, the monitor must see it.
-            if !exhaustive.is_receptive() && offset % (2 * stages) != 0 {
-                // (offset 0 is the aligned, receptive case)
-                prop_assert!(
-                    obs.is_some() || exhaustive.failures.iter().all(|f| f.witness.is_some())
-                );
+            if let Verdict::Fails(report) = &exhaustive {
+                if offset % (2 * stages) != 0 {
+                    // (offset 0 is the aligned, receptive case)
+                    prop_assert!(
+                        obs.is_some() || report.failures.iter().all(|f| f.witness.is_some())
+                    );
+                }
             }
             Ok(())
         },
@@ -134,7 +138,7 @@ fn hide_prime_abstraction_preserves_the_receptiveness_verdict() {
     use cpn::stg::protocol::{sender, sender_inconsistent, translator};
     use cpn::stg::Signal;
 
-    let opts = ReachabilityOptions::default();
+    let budget = Budget::default();
     let tr = translator();
     let mut abstracted = tr.clone();
     for s in ["p0", "p1", "q0", "q1", "r", "DATA", "STROBE"] {
@@ -151,14 +155,14 @@ fn hide_prime_abstraction_preserves_the_receptiveness_verdict() {
         ("consistent", sender(), true),
         ("inconsistent", sender_inconsistent(), false),
     ] {
-        let full = s.check_receptiveness(&tr, &opts).unwrap();
-        let abst = s.check_receptiveness(&abstracted, &opts).unwrap();
-        assert_eq!(full.is_receptive(), expect_receptive, "{name} vs full");
+        let full = s.check_receptiveness(&tr, &budget).unwrap();
+        let abst = s.check_receptiveness(&abstracted, &budget).unwrap();
+        assert!(full.is_definite() && abst.is_definite(), "{name} decided");
+        assert_eq!(full.holds(), expect_receptive, "{name} vs full");
         assert_eq!(
-            abst.is_receptive(),
+            abst.holds(),
             expect_receptive,
-            "{name} vs hide'-abstracted: {:?}",
-            abst.failures
+            "{name} vs hide'-abstracted: {abst:?}"
         );
     }
 }
@@ -169,16 +173,12 @@ fn aligned_ring_is_receptive_all_ways() {
     let consumer = ring(2, 0, "b");
     let louts = outputs(2, "req");
     let routs = outputs(2, "ack");
-    let opts = ReachabilityOptions::default();
+    let comp = parallel_tracked_common(&producer, &consumer).unwrap();
+    assert!(check_receptiveness(&comp, &louts, &routs, &Budget::default()).holds());
     assert!(
-        check_receptiveness(&producer, &consumer, &louts, &routs, &opts)
+        check_receptiveness_structural_mg(&comp, &louts, &routs, &Budget::default())
             .unwrap()
-            .is_receptive()
-    );
-    assert!(
-        check_receptiveness_structural_mg(&producer, &consumer, &louts, &routs)
-            .unwrap()
-            .is_receptive()
+            .holds()
     );
     assert!(monitor_composition(&producer, &consumer, &louts, &routs, 3, 20_000).is_none());
 }

@@ -7,7 +7,7 @@
 //! vs explicit state-space construction cost makes the claim measurable.
 
 use cpn_core::parallel;
-use cpn_petri::{PetriNet, ReachabilityOptions};
+use cpn_petri::{Budget, PetriNet};
 use cpn_testkit::bench::BenchGroup;
 
 fn independent_cycles(k: usize) -> Vec<PetriNet<String>> {
@@ -40,7 +40,8 @@ fn main() {
         let composed = compose_all(&nets);
         group.bench(format!("state_space_build/{k}"), || {
             let rg = composed
-                .reachability(&ReachabilityOptions::with_max_states(1 << 22))
+                .reachability_bounded(&Budget::states(1 << 22))
+                .complete()
                 .unwrap();
             assert_eq!(rg.state_count(), 1usize << k);
             rg.state_count()

@@ -2,7 +2,7 @@
 //! (sender, translator, receiver): classical STG checks (Definition 2.3)
 //! and state-graph construction with consistency checking.
 
-use cpn_petri::ReachabilityOptions;
+use cpn_petri::Budget;
 use cpn_stg::protocol::{receiver, sender, translator};
 use cpn_stg::StateGraph;
 use cpn_testkit::bench::BenchGroup;
@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 
 fn main() {
     let mut group = BenchGroup::new("fig5to7_protocol");
-    let opts = ReachabilityOptions::default();
+    let budget = Budget::default();
 
     group.bench("fig5_sender_build", sender);
     group.bench("fig6_receiver_build", receiver);
@@ -22,10 +22,12 @@ fn main() {
         ("fig7_translator", translator()),
     ] {
         group.bench(format!("{name}_classical_check"), || {
-            stg.classical_report(&opts).unwrap()
+            stg.classical_report(&budget).complete().unwrap()
         });
         group.bench(format!("{name}_state_graph"), || {
-            let sg = StateGraph::build(&stg, &BTreeMap::new(), 1_000_000).unwrap();
+            let sg = StateGraph::build_bounded(&stg, &BTreeMap::new(), &Budget::states(1_000_000))
+                .complete()
+                .unwrap();
             assert!(sg.is_consistent());
             sg.state_count()
         });
@@ -37,9 +39,14 @@ fn main() {
             .unwrap()
             .compose(&receiver())
             .unwrap()
-            .remove_dead(&opts)
+            .remove_dead(&budget)
+            .complete()
             .unwrap();
-        let rg = system.net().reachability(&opts).unwrap();
+        let rg = system
+            .net()
+            .reachability_bounded(&budget)
+            .complete()
+            .unwrap();
         system.net().analysis(&rg).safe
     });
     group.finish();

@@ -2,24 +2,33 @@
 //! simplified translator and receiver from the restricted sender, and
 //! the trace-containment (Theorem 5.1) certification.
 
-use cpn_petri::ReachabilityOptions;
+use cpn_petri::Budget;
 use cpn_stg::protocol::{receiver, sender_restricted, translator};
 use cpn_testkit::bench::BenchGroup;
 
 fn main() {
     let mut group = BenchGroup::new("fig9_reduction");
-    let opts = ReachabilityOptions::default();
+    let budget = Budget::default();
 
     let tr = translator();
     let env = sender_restricted();
     group.bench("reduce_translator", || {
-        tr.reduce_against(&env, &opts, 10_000).unwrap()
+        tr.reduce_against(&env, &budget, 10_000)
+            .unwrap()
+            .complete()
+            .unwrap()
     });
 
-    let tr_red = tr.reduce_against(&env, &opts, 10_000).unwrap();
+    let tr_red = tr
+        .reduce_against(&env, &budget, 10_000)
+        .unwrap()
+        .complete()
+        .unwrap();
     let rx = receiver();
     group.bench("prune_receiver", || {
-        rx.prune_against(&tr_red, &ReachabilityOptions::default())
+        rx.prune_against(&tr_red, &budget)
+            .unwrap()
+            .complete()
             .unwrap()
     });
 

@@ -79,7 +79,7 @@ use cpn_core::{
     check_receptiveness, check_receptiveness_structural_mg, choice, hide_label, parallel,
     parallel_tracked_common,
 };
-use cpn_petri::{Budget, PetriNet, ReachabilityOptions};
+use cpn_petri::{Bounded, Budget, PetriNet, ReachabilityGraph};
 use cpn_sim::monitor_composition;
 use cpn_stg::protocol::{
     receiver, sender, sender_inconsistent, sender_restricted, translator, RECEIVER_COMMANDS,
@@ -96,11 +96,20 @@ fn header(id: &str, title: &str) {
     println!("==================================================================");
 }
 
-fn stg_stats(stg: &Stg, opts: &ReachabilityOptions) -> (usize, usize, usize) {
-    let rg = stg
-        .net()
-        .reachability(opts)
-        .expect("protocol nets are bounded");
+/// A structure built within its budget, as every net of the paper is.
+fn done<T>(built: Bounded<T>) -> T {
+    built
+        .complete()
+        .expect("paper nets explore within their budget")
+}
+
+/// The complete reachability graph of a net the paper keeps small.
+fn reach<L: Label>(net: &PetriNet<L>) -> ReachabilityGraph {
+    done(net.reachability_bounded(&Budget::default()))
+}
+
+fn stg_stats(stg: &Stg) -> (usize, usize, usize) {
+    let rg = reach(stg.net());
     (
         stg.net().place_count(),
         stg.net().transition_count(),
@@ -142,9 +151,7 @@ fn fig2() {
     let l = fig2_left();
     let r = fig2_right();
     let composed = parallel(&l, &r).unwrap();
-    let rg = composed
-        .reachability(&ReachabilityOptions::default())
-        .unwrap();
+    let rg = reach(&composed);
     println!(
         "left {}p/{}t, right {}p/{}t -> composed {}p/{}t, {} states",
         l.place_count(),
@@ -174,9 +181,8 @@ fn fig3() {
     for taus in [1usize, 4, 16] {
         let net = tau_chain(taus);
         let hidden = hide_label(&net, &"tau".to_owned(), 100_000).unwrap();
-        let opts = ReachabilityOptions::default();
-        let states_before = net.reachability(&opts).unwrap().state_count();
-        let states_after = hidden.reachability(&opts).unwrap().state_count();
+        let states_before = reach(&net).state_count();
+        let states_after = reach(&hidden).state_count();
         println!(
             "chain with {taus:>2} hidden transitions: {}p/{}t/{} states -> \
              {}p/{}t/{} states after contraction (ε states gone)",
@@ -237,18 +243,19 @@ fn fig4() {
 }
 
 fn fig567() {
-    let opts = ReachabilityOptions::default();
+    let budget = Budget::default();
     for (id, name, stg) in [
         ("FIG5", "sender protocol", sender()),
         ("FIG6", "receiver protocol", receiver()),
         ("FIG7", "protocol translator", translator()),
     ] {
         header(id, name);
-        let (p, t, s) = stg_stats(&stg, &opts);
-        let rep = stg.classical_report(&opts).unwrap();
-        let rg = stg.net().reachability(&opts).unwrap();
+        let (p, t, s) = stg_stats(&stg);
+        let rep = done(stg.classical_report(&budget));
+        let rg = reach(stg.net());
         let analysis = stg.net().analysis(&rg);
-        let sg = StateGraph::build(&stg, &BTreeMap::new(), 1_000_000).unwrap();
+        let sg = StateGraph::build_bounded(&stg, &BTreeMap::new(), &Budget::states(1_000_000));
+        let sg = done(sg);
         println!("size: {p} places, {t} transitions, {s} reachable states");
         println!(
             "strongly-connected: {}, live: {}, safe: {}, consistent encoding: {}",
@@ -321,13 +328,12 @@ fn fig9() {
         "FIG9",
         "compositional synthesis: simplified translator & receiver",
     );
-    let opts = ReachabilityOptions::default();
+    let budget = Budget::default();
     let tr = translator();
-    let tr_red = tr
-        .reduce_against(&sender_restricted(), &opts, 10_000)
-        .unwrap();
-    let (p0, t0, s0) = stg_stats(&tr, &opts);
-    let (p1, t1, s1) = stg_stats(&tr_red, &opts);
+    let tr_red = tr.reduce_against(&sender_restricted(), &budget, 10_000);
+    let tr_red = done(tr_red.unwrap());
+    let (p0, t0, s0) = stg_stats(&tr);
+    let (p1, t1, s1) = stg_stats(&tr_red);
     println!("translator (Fig 7):      {p0:>3} places {t0:>3} transitions {s0:>4} states");
     println!("simplified (Fig 9b):     {p1:>3} places {t1:>3} transitions {s1:>4} states");
     println!(
@@ -345,11 +351,9 @@ fn fig9() {
     );
 
     let rx = receiver();
-    let rx_red = rx
-        .prune_against(&tr_red, &ReachabilityOptions::default())
-        .unwrap();
-    let (p0, t0, s0) = stg_stats(&rx, &opts);
-    let (p1, t1, s1) = stg_stats(&rx_red, &opts);
+    let rx_red = done(rx.prune_against(&tr_red, &budget).unwrap());
+    let (p0, t0, s0) = stg_stats(&rx);
+    let (p1, t1, s1) = stg_stats(&rx_red);
     println!("receiver (Fig 6):        {p0:>3} places {t0:>3} transitions {s0:>4} states");
     println!("simplified (Fig 9c):     {p1:>3} places {t1:>3} transitions {s1:>4} states");
     println!(
@@ -360,7 +364,7 @@ fn fig9() {
 
 fn expansion() {
     header("EXP3", "abstract channel expansion (Section 3)");
-    let opts = ReachabilityOptions::default();
+    let budget = Budget::default();
     for (name, g) in [
         ("full CIP", protocol_cip().unwrap()),
         ("restricted CIP", protocol_cip_restricted().unwrap()),
@@ -374,8 +378,8 @@ fn expansion() {
                 stg.net().transition_count()
             );
         }
-        let composed = sys.compose_all().unwrap().remove_dead(&opts).unwrap();
-        let rg = composed.net().reachability(&opts).unwrap();
+        let composed = done(sys.compose_all().unwrap().remove_dead(&budget));
+        let rg = reach(composed.net());
         let analysis = composed.net().analysis(&rg);
         println!(
             "\n  composed: {} states, safe={}, deadlock-free={}",
@@ -384,7 +388,7 @@ fn expansion() {
             analysis.deadlock_free
         );
         let receptive = sys
-            .verify_receptiveness(&Budget::states(opts.max_states))
+            .verify_receptiveness(&budget)
             .unwrap()
             .iter()
             .all(|(_, v)| v.holds());
@@ -418,9 +422,7 @@ fn abl1() {
             acc = parallel(&acc, n).unwrap();
         }
         let t0 = Instant::now();
-        let rg = acc
-            .reachability(&ReachabilityOptions::with_max_states(1 << 22))
-            .unwrap();
+        let rg = done(acc.reachability_bounded(&Budget::states(1 << 22)));
         println!(
             "{k:>3} {:>10} {:>12} {:>12?}",
             acc.place_count() + acc.transition_count(),
@@ -472,12 +474,12 @@ fn abl2() {
 
 fn props() {
     header("PROPS", "closure properties 5.2–5.4");
-    let opts = ReachabilityOptions::default();
+    let budget = Budget::default();
     // Safe nets closed under composition; liveness not (Props 5.2/5.3):
     // two live safe cycles that wait for each other in opposite order.
     let n1 = cycle_net(&["a", "b"]);
     let n2 = cycle_net(&["b", "a"]);
-    let rep = cpn_core::closure_report(&n1, &n2, &opts).unwrap();
+    let rep = done(cpn_core::closure_report(&n1, &n2, &budget).unwrap());
     println!("(a.b)* ‖ (b.a)*:  {rep}");
     println!("  -> Prop 5.2 (safety closed): {}", rep.composition_safe);
     println!(
@@ -487,7 +489,7 @@ fn props() {
     // Marked graphs closed under composition (Prop 5.4).
     let n3 = cycle_net(&["a", "b"]);
     let n4 = cycle_net(&["b", "c"]);
-    let rep = cpn_core::closure_report(&n3, &n4, &opts).unwrap();
+    let rep = done(cpn_core::closure_report(&n3, &n4, &budget).unwrap());
     println!("(a.b)* ‖ (b.c)*:  {rep}");
     println!(
         "  -> Prop 5.4 (marked graphs closed under ‖): {}",
@@ -500,14 +502,14 @@ fn ext_arbiter() {
         "EXT1",
         "general-net arbiter (Section 5.1: \"arbiters cannot be modeled in these subclasses\")",
     );
-    let opts = ReachabilityOptions::default();
+    let budget = Budget::default();
     let a = cpn_stg::arbiter::arbiter();
     let rep = a.net().structural();
     println!(
         "class: {} (free-choice: {}, marked graph: {})",
         rep.class, rep.is_free_choice, rep.is_marked_graph
     );
-    let cls = a.classical_report(&opts).unwrap();
+    let cls = done(a.classical_report(&budget));
     println!("live: {}, safe: {}", cls.live, cls.safe);
     let flows = cpn_petri::semiflows_p(a.net(), 100_000).unwrap();
     println!(

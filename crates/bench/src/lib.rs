@@ -276,13 +276,16 @@ mod tests {
     use cpn_core::{
         check_receptiveness, check_receptiveness_structural_mg, parallel, parallel_tracked_common,
     };
-    use cpn_petri::{Budget, ReachabilityOptions};
+    use cpn_petri::Budget;
 
     #[test]
     fn cycle_net_loops() {
         let net = cycle_net(&["a", "b", "c"]);
         assert_eq!(net.transition_count(), 3);
-        let rg = net.reachability(&ReachabilityOptions::default()).unwrap();
+        let rg = net
+            .reachability_bounded(&Budget::default())
+            .complete()
+            .unwrap();
         assert_eq!(rg.state_count(), 3);
         assert!(net.analysis(&rg).live);
     }

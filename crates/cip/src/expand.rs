@@ -24,7 +24,7 @@
 use crate::graph::{CipError, CipGraph, Link};
 use crate::label::{ChanOp, Channel, CipLabel};
 use crate::module::Module;
-use cpn_petri::{Bounded, Budget, Meter, PlaceId, ReachabilityOptions, Sym, Verdict};
+use cpn_petri::{Bounded, Budget, Meter, PlaceId, Sym, Verdict};
 use cpn_stg::{Edge, Signal, SignalDir, Stg, StgError, StgLabel};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -135,20 +135,8 @@ impl ExpandedSystem {
     /// error.
     pub fn verify_receptiveness(&self, budget: &Budget) -> Result<ModuleVerdicts, CipError> {
         let mut out = Vec::new();
-        for i in 0..self.stgs.len() {
-            let module = &self.stgs[i];
-            // Compose the rest.
-            let mut rest: Option<Stg> = None;
-            for (j, stg) in self.stgs.iter().enumerate() {
-                if j == i {
-                    continue;
-                }
-                rest = Some(match rest {
-                    None => stg.clone(),
-                    Some(acc) => acc.compose(stg).map_err(inner)?,
-                });
-            }
-            let verdict = match rest {
+        for (i, module) in self.stgs.iter().enumerate() {
+            let verdict = match self.compose_rest(i)? {
                 Some(rest) => module.check_receptiveness(&rest, budget).map_err(inner)?,
                 None => Verdict::Holds,
             };
@@ -165,20 +153,37 @@ impl ExpandedSystem {
     /// engine projection onto the module's own signals, cleanup — so the
     /// whole derivation executes on the contraction engine.
     ///
+    /// Both dead-transition passes explore under `budget`; an
+    /// [`Bounded::Exhausted`] partial is the intermediate
+    /// [`Stg::reduce_against`] documents (the composition when the first
+    /// pass stops).
+    ///
     /// # Errors
     ///
-    /// [`CipError::UnknownModule`] for an out-of-range index;
-    /// composition, reachability-budget and hiding (divergence) errors
-    /// via [`CipError::Inner`].
+    /// [`CipError::UnknownModule`] for an out-of-range index; composition
+    /// and hiding (divergence) errors via [`CipError::Inner`]. Running out
+    /// of `budget` is **not** an error.
     pub fn reduce_module_against_rest(
         &self,
         i: usize,
-        options: &ReachabilityOptions,
+        budget: &Budget,
         hide_budget: usize,
-    ) -> Result<Stg, CipError> {
+    ) -> Result<Bounded<Stg>, CipError> {
         let Some(module) = self.stgs.get(i) else {
             return Err(CipError::UnknownModule(i));
         };
+        let Some(rest) = self.compose_rest(i)? else {
+            // Nothing to reduce against: the module is the whole system.
+            return Ok(Bounded::Complete(module.clone()));
+        };
+        module
+            .reduce_against(&rest, budget, hide_budget)
+            .map_err(inner)
+    }
+
+    /// The composition of every module STG except the `i`-th, or `None`
+    /// when there is no other module.
+    fn compose_rest(&self, i: usize) -> Result<Option<Stg>, CipError> {
         let mut rest: Option<Stg> = None;
         for (j, stg) in self.stgs.iter().enumerate() {
             if j == i {
@@ -189,13 +194,7 @@ impl ExpandedSystem {
                 Some(acc) => acc.compose(stg).map_err(inner)?,
             });
         }
-        let Some(rest) = rest else {
-            // Nothing to reduce against: the module is the whole system.
-            return Ok(module.clone());
-        };
-        module
-            .reduce_against(&rest, options, hide_budget)
-            .map_err(inner)
+        Ok(rest)
     }
 }
 
@@ -700,7 +699,10 @@ mod tests {
     fn four_phase_control_channel_is_live_and_safe() {
         let sys = control_pair().expand(HandshakeProtocol::FourPhase).unwrap();
         let composed = sys.compose_all().unwrap();
-        let rep = composed.classical_report(&Default::default()).unwrap();
+        let rep = composed
+            .classical_report(&Default::default())
+            .complete()
+            .unwrap();
         assert!(
             rep.live,
             "expanded handshake must be live:\n{}",
@@ -736,7 +738,10 @@ mod tests {
                 StgLabel::signal("go_ack", Edge::Toggle),
             ][..]
         ));
-        let rep = composed.classical_report(&Default::default()).unwrap();
+        let rep = composed
+            .classical_report(&Default::default())
+            .complete()
+            .unwrap();
         assert!(rep.live && rep.safe);
     }
 
@@ -780,8 +785,12 @@ mod tests {
             .compose_all()
             .unwrap()
             .remove_dead(&Default::default())
+            .complete()
             .unwrap();
-        let rep = composed.classical_report(&Default::default()).unwrap();
+        let rep = composed
+            .classical_report(&Default::default())
+            .complete()
+            .unwrap();
         assert!(rep.live, "dual-rail transaction loop must be live");
         assert!(rep.safe);
         // Value 1 raises the true rail first.
@@ -807,8 +816,12 @@ mod tests {
             .compose_all()
             .unwrap()
             .remove_dead(&Default::default())
+            .complete()
             .unwrap();
-        let rep = composed.classical_report(&Default::default()).unwrap();
+        let rep = composed
+            .classical_report(&Default::default())
+            .complete()
+            .unwrap();
         assert!(rep.live, "selective receive in phase with sender is live");
     }
 

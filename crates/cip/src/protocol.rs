@@ -176,7 +176,7 @@ pub fn protocol_cip_restricted() -> Result<CipGraph, CipError> {
 mod tests {
     use super::*;
     use crate::expand::HandshakeProtocol;
-    use cpn_petri::{Budget, ReachabilityOptions};
+    use cpn_petri::Budget;
 
     #[test]
     fn cip_graph_validates() {
@@ -207,11 +207,13 @@ mod tests {
         let composed = sys
             .compose_all()
             .unwrap()
-            .remove_dead(&ReachabilityOptions::default())
+            .remove_dead(&Budget::default())
+            .complete()
             .unwrap();
         let rg = composed
             .net()
-            .reachability(&ReachabilityOptions::default())
+            .reachability_bounded(&Budget::default())
+            .complete()
             .unwrap();
         let an = composed.net().analysis(&rg);
         assert!(an.safe, "expanded CIP protocol must be safe");

@@ -18,7 +18,7 @@ use crate::contract::NetEditor;
 use crate::parallel::parallel;
 use cpn_petri::{
     dead_transitions_rg, remove_dead, Bounded, Budget, Exhausted, Label, Meter, PetriError,
-    PetriNet, ReachabilityOptions,
+    PetriNet,
 };
 use std::collections::BTreeSet;
 use std::fmt;
@@ -238,27 +238,49 @@ impl fmt::Display for ClosureReport {
     }
 }
 
-/// Builds a [`ClosureReport`] for `n1 ‖ n2`.
+/// Builds a [`ClosureReport`] for `n1 ‖ n2`, exploring each operand and
+/// the composition under `budget`.
+///
+/// If any of the three explorations stops early the report is
+/// [`Bounded::Exhausted`], carrying the first stop, and only some of its
+/// fields are definite: the structural ones (`*_marked_graph`), and a
+/// `false` in `operands_safe` or `composition_safe` (the explored prefix
+/// already holds an unsafe marking). The liveness fields of a partial
+/// report mean nothing.
 ///
 /// # Errors
 ///
-/// Propagates reachability budget errors (all three nets are explored).
+/// Propagates composition errors; running out of `budget` is **not** an
+/// error.
 pub fn closure_report<L: Label>(
     n1: &PetriNet<L>,
     n2: &PetriNet<L>,
-    options: &ReachabilityOptions,
-) -> Result<ClosureReport, PetriError> {
-    let a1 = n1.analysis(&n1.reachability(options)?);
-    let a2 = n2.analysis(&n2.reachability(options)?);
+    budget: &Budget,
+) -> Result<Bounded<ClosureReport>, PetriError> {
+    let mut stop = None;
+    let mut analyse = |net: &PetriNet<L>| {
+        let built = net.reachability_bounded(budget);
+        stop = stop.or(built.exhausted().copied());
+        net.analysis(built.value())
+    };
+    let a1 = analyse(n1);
+    let a2 = analyse(n2);
     let composed = parallel(n1, n2)?;
-    let ac = composed.analysis(&composed.reachability(options)?);
-    Ok(ClosureReport {
+    let ac = analyse(&composed);
+    let report = ClosureReport {
         operands_safe: a1.safe && a2.safe,
         operands_live: a1.live && a2.live,
         operands_marked_graph: n1.structural().is_marked_graph && n2.structural().is_marked_graph,
         composition_safe: ac.safe,
         composition_live: ac.live,
         composition_marked_graph: composed.structural().is_marked_graph,
+    };
+    Ok(match stop {
+        None => Bounded::Complete(report),
+        Some(info) => Bounded::Exhausted {
+            partial: report,
+            info,
+        },
     })
 }
 
@@ -351,7 +373,10 @@ mod tests {
         // marked graph here.
         let n1 = cycle("a", "b");
         let n2 = cycle("b", "c");
-        let rep = closure_report(&n1, &n2, &ReachabilityOptions::default()).unwrap();
+        let rep = closure_report(&n1, &n2, &Budget::default())
+            .unwrap()
+            .complete()
+            .unwrap();
         assert!(rep.operands_safe && rep.composition_safe, "Prop 5.2");
         assert!(
             rep.operands_marked_graph && rep.composition_marked_graph,
@@ -366,7 +391,10 @@ mod tests {
         // the composition — the paper's caveat in Prop 5.3.
         let n1 = cycle("a", "b");
         let n2 = cycle("b", "a");
-        let rep = closure_report(&n1, &n2, &ReachabilityOptions::default()).unwrap();
+        let rep = closure_report(&n1, &n2, &Budget::default())
+            .unwrap()
+            .complete()
+            .unwrap();
         assert!(rep.operands_live);
         assert!(!rep.composition_live, "{rep}");
         // Safety still holds (Prop 5.2).

@@ -15,7 +15,7 @@
 //! `laws.proptest-regressions`) exercise the identical code path.
 
 use cpn_core::{choice, choice_general, hide_label, hide_transition, parallel, prefix, rename};
-use cpn_petri::{PetriNet, ReachabilityOptions, TransitionId};
+use cpn_petri::{Budget, PetriNet, TransitionId};
 use cpn_testkit::{
     check, prop_assert, prop_assume, u32_in, vec_of, NetStrategy, PropFail, PropResult, RawNet,
     RawTransition,
@@ -173,9 +173,11 @@ fn law_4_6_hide_order_independence(raw: &RawNet) -> PropResult {
 fn law_5_2_safety_closure(raw1: &RawNet, raw2: &RawNet) -> PropResult {
     let n1 = build(raw1);
     let n2 = build(raw2);
-    let opts = ReachabilityOptions::with_max_states(20_000);
+    let budget = Budget::states(20_000);
     let safe = |n: &PetriNet<&'static str>| -> Option<bool> {
-        n.reachability(&opts).ok().map(|rg| n.analysis(&rg).safe)
+        n.reachability_bounded(&budget)
+            .complete()
+            .map(|rg| n.analysis(&rg).safe)
     };
     prop_assume!(safe(&n1) == Some(true) && safe(&n2) == Some(true));
 

@@ -68,7 +68,7 @@ impl Analysis {
 impl<L: Label> PetriNet<L> {
     /// Computes behavioural properties from a (complete) reachability
     /// graph previously built with
-    /// [`reachability`](PetriNet::reachability).
+    /// [`reachability_bounded`](PetriNet::reachability_bounded).
     ///
     /// Liveness uses the terminal-SCC characterization: a transition is
     /// live iff every terminal strongly-connected component of the
@@ -145,10 +145,13 @@ impl<L: Label> PetriNet<L> {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use crate::reachability::ReachabilityOptions;
+    use crate::budget::Budget;
 
     fn analyze(net: &PetriNet<&'static str>) -> Analysis {
-        let rg = net.reachability(&ReachabilityOptions::default()).unwrap();
+        let rg = net
+            .reachability_bounded(&Budget::default())
+            .complete()
+            .unwrap();
         net.analysis(&rg)
     }
 

@@ -20,7 +20,7 @@ use std::collections::BTreeSet;
 /// # Example
 ///
 /// ```
-/// use cpn_petri::{dead_transitions_rg, PetriNet, ReachabilityOptions};
+/// use cpn_petri::{dead_transitions_rg, Budget, PetriNet};
 ///
 /// # fn main() -> Result<(), cpn_petri::PetriError> {
 /// let mut net: PetriNet<&str> = PetriNet::new();
@@ -30,8 +30,9 @@ use std::collections::BTreeSet;
 /// net.add_transition([p], "a", [q])?;
 /// let dead = net.add_transition([r], "never", [q])?;
 /// net.set_initial(p, 1);
-/// let rg = net.reachability(&ReachabilityOptions::default())?;
-/// assert_eq!(dead_transitions_rg(&net, &rg), [dead].into());
+/// let rg = net.reachability_bounded(&Budget::default());
+/// assert!(rg.is_complete());
+/// assert_eq!(dead_transitions_rg(&net, rg.value()), [dead].into());
 /// # Ok(())
 /// # }
 /// ```
@@ -131,7 +132,7 @@ pub fn remove_dead<L: Label>(net: &PetriNet<L>, dead: &BTreeSet<TransitionId>) -
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use crate::reachability::ReachabilityOptions;
+    use crate::budget::Budget;
 
     #[test]
     fn token_free_cycle_is_dead() {
@@ -150,7 +151,10 @@ mod tests {
         let dead = dead_transitions_structural_mg(&net).unwrap();
         assert_eq!(dead, BTreeSet::from([c, d]));
 
-        let rg = net.reachability(&ReachabilityOptions::default()).unwrap();
+        let rg = net
+            .reachability_bounded(&Budget::default())
+            .complete()
+            .unwrap();
         assert_eq!(dead_transitions_rg(&net, &rg), dead);
     }
 
@@ -240,7 +244,10 @@ mod tests {
                 }
             }
             let structural = dead_transitions_structural_mg(&net).unwrap();
-            let rg = net.reachability(&ReachabilityOptions::default()).unwrap();
+            let rg = net
+                .reachability_bounded(&Budget::default())
+                .complete()
+                .unwrap();
             let exact = dead_transitions_rg(&net, &rg);
             assert_eq!(structural, exact, "seed {seed}, marked={any}");
         }

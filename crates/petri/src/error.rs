@@ -13,11 +13,6 @@ pub enum PetriError {
     UnknownTransition(u32),
     /// A transition was declared with an empty preset *and* empty postset.
     DegenerateTransition,
-    /// State-space exploration exceeded the configured state budget.
-    StateBudgetExceeded {
-        /// The budget that was exceeded.
-        budget: usize,
-    },
     /// The net was found (or proven) unbounded during exploration.
     Unbounded {
         /// A place witnessing the unboundedness, if identified.
@@ -82,9 +77,6 @@ impl fmt::Display for PetriError {
             PetriError::DegenerateTransition => {
                 write!(f, "transition has empty preset and postset")
             }
-            PetriError::StateBudgetExceeded { budget } => {
-                write!(f, "state budget of {budget} states exceeded")
-            }
             PetriError::Unbounded { witness: Some(p) } => {
                 write!(f, "net is unbounded (witness place {p})")
             }
@@ -135,8 +127,6 @@ mod tests {
         assert_eq!(e.to_string(), "unknown place id 3");
         let e = PetriError::Unbounded { witness: Some(1) };
         assert!(e.to_string().contains("witness place 1"));
-        let e = PetriError::StateBudgetExceeded { budget: 10 };
-        assert!(e.to_string().contains("10"));
         let e = PetriError::TokenUnderflow { place: 4 };
         assert!(e.to_string().contains("underflow at place 4"));
         let e = PetriError::MarkingLengthMismatch { left: 2, right: 3 };

@@ -43,7 +43,7 @@
 //! # Example
 //!
 //! ```
-//! use cpn_petri::{PetriNet, ReachabilityOptions};
+//! use cpn_petri::{Budget, PetriNet};
 //!
 //! # fn main() -> Result<(), cpn_petri::PetriError> {
 //! // A two-place cycle: a fires, then b, forever.
@@ -54,9 +54,10 @@
 //! net.add_transition([q], "b", [p])?;
 //! net.set_initial(p, 1);
 //!
-//! let rg = net.reachability(&ReachabilityOptions::default())?;
-//! assert_eq!(rg.state_count(), 2);
-//! assert!(net.analysis(&rg).live);
+//! let rg = net.reachability_bounded(&Budget::default());
+//! assert!(rg.is_complete());
+//! assert_eq!(rg.value().state_count(), 2);
+//! assert!(net.analysis(rg.value()).live);
 //! # Ok(())
 //! # }
 //! ```
@@ -101,8 +102,7 @@ pub use net::{PetriNet, Place, PlaceId, Transition, TransitionId};
 pub use netid::{canonical_form, canonical_order, CanonicalOrder, NetId};
 pub use reachability::{
     reachability_bounded_compiled, reachability_bounded_parallel_compiled,
-    reachability_bounded_spilled, ReachabilityGraph, ReachabilityOptions, SpilledReachability,
-    StateId,
+    reachability_bounded_spilled, ReachabilityGraph, SpilledReachability, StateId,
 };
 pub use siphon::{commoner_live, is_siphon, is_trap, max_siphon_in, max_trap_in, minimal_siphons};
 pub use store::{MarkingStore, SpillConfig, SpillStats, SpillStore};

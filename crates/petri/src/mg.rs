@@ -160,7 +160,7 @@ pub fn mg_safe_structural<L: Label>(net: &PetriNet<L>) -> Result<bool, PetriErro
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use crate::reachability::ReachabilityOptions;
+    use crate::budget::Budget;
 
     fn ring(tokens: &[u32]) -> PetriNet<String> {
         let mut net: PetriNet<String> = PetriNet::new();
@@ -214,7 +214,10 @@ mod tests {
             let tokens: Vec<u32> = (0..n).map(|i| ((seed >> i) & 1) as u32).collect();
             let net = ring(&tokens);
             let live_struct = mg_live_structural(&net).unwrap();
-            let rg = net.reachability(&ReachabilityOptions::default()).unwrap();
+            let rg = net
+                .reachability_bounded(&Budget::default())
+                .complete()
+                .unwrap();
             let analysis = net.analysis(&rg);
             assert_eq!(live_struct, analysis.live, "seed {seed}");
             if live_struct {

@@ -97,47 +97,6 @@ impl fmt::Display for StateId {
     }
 }
 
-/// Options controlling reachability exploration.
-#[derive(Clone, Debug)]
-pub struct ReachabilityOptions {
-    /// Maximum number of distinct states to discover before giving up with
-    /// [`PetriError::StateBudgetExceeded`]. Defaults to
-    /// [`crate::budget::DEFAULT_MAX_STATES`], the workspace-wide state
-    /// budget shared with [`Budget`].
-    pub max_states: usize,
-}
-
-impl Default for ReachabilityOptions {
-    fn default() -> Self {
-        ReachabilityOptions {
-            max_states: crate::budget::DEFAULT_MAX_STATES,
-        }
-    }
-}
-
-impl ReachabilityOptions {
-    /// Options with an explicit state budget.
-    pub fn with_max_states(max_states: usize) -> Self {
-        ReachabilityOptions { max_states }
-    }
-}
-
-impl From<Budget> for ReachabilityOptions {
-    /// Projects a [`Budget`] onto the options type (only the state cap is
-    /// representable).
-    fn from(b: Budget) -> Self {
-        ReachabilityOptions {
-            max_states: b.max_states,
-        }
-    }
-}
-
-impl From<&Budget> for ReachabilityOptions {
-    fn from(b: &Budget) -> Self {
-        ReachabilityOptions::from(*b)
-    }
-}
-
 /// The reachability graph of a net: every reachable marking plus the
 /// labeled next-state edges between them.
 ///
@@ -149,7 +108,7 @@ impl From<&Budget> for ReachabilityOptions {
 /// # Example
 ///
 /// ```
-/// use cpn_petri::{PetriNet, ReachabilityOptions};
+/// use cpn_petri::{Budget, PetriNet};
 ///
 /// # fn main() -> Result<(), cpn_petri::PetriError> {
 /// let mut net: PetriNet<&str> = PetriNet::new();
@@ -159,7 +118,9 @@ impl From<&Budget> for ReachabilityOptions {
 /// net.add_transition([p], "a", [q])?;
 /// net.add_transition([p], "b", [r])?;
 /// net.set_initial(p, 1);
-/// let rg = net.reachability(&ReachabilityOptions::default())?;
+/// let rg = net.reachability_bounded(&Budget::default());
+/// assert!(rg.is_complete());
+/// let rg = rg.value();
 /// assert_eq!(rg.state_count(), 3);
 /// assert_eq!(rg.edges(rg.initial_state()).len(), 2);
 /// # Ok(())
@@ -278,37 +239,17 @@ impl ReachabilityGraph {
 }
 
 impl<L: Label> PetriNet<L> {
-    /// Builds the reachability graph of the net breadth-first with the
-    /// sequential kernel.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PetriError::StateBudgetExceeded`] when more than
-    /// `options.max_states` distinct markings are discovered — either the
-    /// net is unbounded (use
-    /// [`coverability`](crate::coverability::CoverabilityTree) to decide)
-    /// or the budget is too small for its finite state space.
-    pub fn reachability(
-        &self,
-        options: &ReachabilityOptions,
-    ) -> Result<ReachabilityGraph, PetriError> {
-        match self.reachability_bounded(&Budget::states(options.max_states)) {
-            Bounded::Complete(rg) => Ok(rg),
-            Bounded::Exhausted { .. } => Err(PetriError::StateBudgetExceeded {
-                budget: options.max_states,
-            }),
-        }
-    }
-
-    /// Builds the reachability graph breadth-first under a [`Budget`],
-    /// degrading gracefully instead of erroring.
+    /// Builds the reachability graph breadth-first with the sequential
+    /// kernel under a [`Budget`].
     ///
     /// When the budget runs out, exploration stops immediately and the
     /// partial graph discovered so far is returned in
     /// [`Bounded::Exhausted`] together with exploration statistics. The
     /// partial graph is a sound prefix: every state and edge in it is
     /// genuinely reachable, but states on the unexpanded frontier may be
-    /// missing outgoing edges.
+    /// missing outgoing edges. An unbounded net always exhausts its state
+    /// cap; use [`coverability`](crate::coverability::CoverabilityTree)
+    /// to decide boundedness.
     pub fn reachability_bounded(&self, budget: &Budget) -> Bounded<ReachabilityGraph> {
         explore_compiled(&self.compile(), self.initial_marking().as_slice(), budget)
     }
@@ -1404,6 +1345,7 @@ fn merge_lockfree(arenas: &[WorkerArena], logs: &[WorkerLog], stride: usize) -> 
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+    use crate::budget::Resource;
 
     fn diamond() -> PetriNet<&'static str> {
         // Fork into two concurrent tokens, then join: 4 states.
@@ -1433,7 +1375,8 @@ mod tests {
     #[test]
     fn diamond_has_interleaved_states() {
         let rg = diamond()
-            .reachability(&ReachabilityOptions::default())
+            .reachability_bounded(&Budget::default())
+            .complete()
             .unwrap();
         // p0; {pa,pb}; {pa2,pb}; {pa,pb2}; {pa2,pb2}; end
         assert_eq!(rg.state_count(), 6);
@@ -1445,7 +1388,10 @@ mod tests {
     #[test]
     fn initial_state_has_initial_marking() {
         let net = diamond();
-        let rg = net.reachability(&ReachabilityOptions::default()).unwrap();
+        let rg = net
+            .reachability_bounded(&Budget::default())
+            .complete()
+            .unwrap();
         assert_eq!(rg.marking(rg.initial_state()), net.initial_marking());
         assert_eq!(
             rg.find_state(&net.initial_marking()),
@@ -1456,7 +1402,8 @@ mod tests {
     #[test]
     fn find_state_locates_every_state_and_rejects_unreachable() {
         let rg = diamond()
-            .reachability(&ReachabilityOptions::default())
+            .reachability_bounded(&Budget::default())
+            .complete()
             .unwrap();
         for s in rg.state_ids() {
             assert_eq!(rg.find_state(&rg.marking(s)), Some(s));
@@ -1476,10 +1423,11 @@ mod tests {
         let sink = net.add_place("sink");
         net.add_transition([p], "pump", [p, sink]).unwrap();
         net.set_initial(p, 1);
-        let err = net
-            .reachability(&ReachabilityOptions::with_max_states(100))
-            .unwrap_err();
-        assert_eq!(err, PetriError::StateBudgetExceeded { budget: 100 });
+        let built = net.reachability_bounded(&Budget::states(100));
+        assert_eq!(
+            built.exhausted().map(|e| (e.resource, e.budget.max_states)),
+            Some((Resource::States, 100))
+        );
     }
 
     #[test]
@@ -1491,7 +1439,10 @@ mod tests {
         net.add_transition([p], "a", [q]).unwrap();
         net.add_transition([q], "b", [p]).unwrap();
         net.set_initial(p, 2);
-        let rg = net.reachability(&ReachabilityOptions::default()).unwrap();
+        let rg = net
+            .reachability_bounded(&Budget::default())
+            .complete()
+            .unwrap();
         // (2,0), (1,1), (0,2)
         assert_eq!(rg.state_count(), 3);
         assert_eq!(rg.token_bound(), 2);
@@ -1500,7 +1451,8 @@ mod tests {
     #[test]
     fn all_edges_enumerates_everything() {
         let rg = diamond()
-            .reachability(&ReachabilityOptions::default())
+            .reachability_bounded(&Budget::default())
+            .complete()
             .unwrap();
         assert_eq!(rg.all_edges().count(), rg.edge_count());
     }
@@ -1508,7 +1460,8 @@ mod tests {
     #[test]
     fn as_digraph_mirrors_edges() {
         let rg = diamond()
-            .reachability(&ReachabilityOptions::default())
+            .reachability_bounded(&Budget::default())
+            .complete()
             .unwrap();
         let g = rg.as_digraph();
         assert_eq!(g.node_count(), rg.state_count());
@@ -1591,18 +1544,11 @@ mod tests {
     #[test]
     fn edge_count_is_cached_and_consistent() {
         let rg = diamond()
-            .reachability(&ReachabilityOptions::default())
+            .reachability_bounded(&Budget::default())
+            .complete()
             .unwrap();
         let summed: usize = rg.state_ids().map(|s| rg.edges(s).len()).sum();
         assert_eq!(rg.edge_count(), summed);
-    }
-
-    #[test]
-    fn options_builders_compose() {
-        let o = ReachabilityOptions::with_max_states(10);
-        assert_eq!(o.max_states, 10);
-        let from_budget = ReachabilityOptions::from(Budget::states(7));
-        assert_eq!(from_budget.max_states, 7);
     }
 
     #[test]
@@ -1614,7 +1560,8 @@ mod tests {
     #[test]
     fn resident_bytes_reported() {
         let rg = diamond()
-            .reachability(&ReachabilityOptions::default())
+            .reachability_bounded(&Budget::default())
+            .complete()
             .unwrap();
         assert!(rg.resident_marking_bytes() > 0);
     }

@@ -7,7 +7,7 @@
 //! Driven by the deterministic `cpn-testkit` harness at ≥100 cases:
 //! failures print a case seed, replayable via `CPN_TESTKIT_SEED=<seed>`.
 
-use cpn_petri::{ReachabilityOptions, TransitionId};
+use cpn_petri::{Budget, TransitionId};
 use cpn_sim::Simulator;
 use cpn_testkit::{check_with, prop_assert, prop_assert_eq, Config, NetStrategy};
 use std::collections::BTreeSet;
@@ -37,9 +37,8 @@ fn enabled_sets_and_successors_agree_at_every_state() {
         &raw_net(),
         |raw| {
             let net = raw.build_indexed();
-            let rg = match net.reachability(&ReachabilityOptions::with_max_states(50_000)) {
-                Ok(rg) => rg,
-                Err(_) => return Err(cpn_testkit::PropFail::Discard),
+            let Some(rg) = net.reachability_bounded(&Budget::states(50_000)).complete() else {
+                return Err(cpn_testkit::PropFail::Discard);
             };
             for s in rg.state_ids() {
                 let m = rg.marking(s);
@@ -70,9 +69,8 @@ fn random_walks_stay_inside_the_reachability_graph() {
         &raw_net(),
         |raw| {
             let net = raw.build_indexed();
-            let rg = match net.reachability(&ReachabilityOptions::with_max_states(50_000)) {
-                Ok(rg) => rg,
-                Err(_) => return Err(cpn_testkit::PropFail::Discard),
+            let Some(rg) = net.reachability_bounded(&Budget::states(50_000)).complete() else {
+                return Err(cpn_testkit::PropFail::Discard);
             };
             let mut sim = Simulator::new(&net, 0xD1FF);
             let mut state = rg

@@ -107,7 +107,7 @@ pub fn critical_section_places(stg: &Stg) -> Vec<PlaceId> {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use cpn_petri::{semiflows_p, NetClass, ReachabilityOptions};
+    use cpn_petri::{semiflows_p, Budget, NetClass, PetriError};
 
     #[test]
     fn arbiter_is_a_general_net() {
@@ -122,7 +122,7 @@ mod tests {
     #[test]
     fn arbiter_is_live_and_safe() {
         let a = arbiter();
-        let rep = a.classical_report(&ReachabilityOptions::default()).unwrap();
+        let rep = a.classical_report(&Budget::default()).complete().unwrap();
         assert!(rep.live && rep.safe);
     }
 
@@ -131,7 +131,8 @@ mod tests {
         let a = arbiter();
         let rg = a
             .net()
-            .reachability(&ReachabilityOptions::default())
+            .reachability_bounded(&Budget::default())
+            .complete()
             .unwrap();
         let granted: Vec<_> = a
             .net()
@@ -166,21 +167,24 @@ mod tests {
         // Commoner's condition is exact for free-choice nets only; the
         // arbiter is the counterexample class the paper warns about.
         let a = arbiter();
-        assert!(cpn_petri::commoner_live(a.net(), 100_000).is_err());
+        assert!(matches!(
+            cpn_petri::commoner_live(a.net(), &Budget::states(100_000)),
+            Err(PetriError::Precondition(_))
+        ));
     }
 
     #[test]
     fn arbiter_with_two_clients_is_receptive_and_exclusive() {
-        let opts = ReachabilityOptions::default();
+        let opts = Budget::default();
         let a = arbiter();
         let system_env = client(1).compose(&client(2)).unwrap();
         let verdict = a
-            .check_receptiveness(&system_env, &cpn_petri::Budget::default())
+            .check_receptiveness(&system_env, &Budget::default())
             .unwrap();
         assert!(verdict.holds(), "{verdict:?}");
 
         let system = a.compose(&system_env).unwrap();
-        let rg = system.net().reachability(&opts).unwrap();
+        let rg = system.net().reachability_bounded(&opts).complete().unwrap();
         let analysis = system.net().analysis(&rg);
         assert!(analysis.live && analysis.safe);
         // use1~ and use2~ never concurrent: no marking enables both.
@@ -207,11 +211,12 @@ mod tests {
     fn n_user_arbiter_scales_and_stays_exclusive() {
         for n in [1usize, 3, 4] {
             let a = arbiter_n(n);
-            let rep = a.classical_report(&ReachabilityOptions::default()).unwrap();
+            let rep = a.classical_report(&Budget::default()).complete().unwrap();
             assert!(rep.live && rep.safe, "n = {n}");
             let rg = a
                 .net()
-                .reachability(&ReachabilityOptions::default())
+                .reachability_bounded(&Budget::default())
+                .complete()
                 .unwrap();
             let cs: Vec<_> = a
                 .net()
@@ -236,7 +241,7 @@ mod tests {
     #[test]
     fn client_alone_is_classical() {
         let c = client(1);
-        let rep = c.classical_report(&ReachabilityOptions::default()).unwrap();
+        let rep = c.classical_report(&Budget::default()).complete().unwrap();
         assert!(rep.is_classical());
     }
 }

@@ -42,8 +42,9 @@
 //! stg.add_signal_transition([p3], (ack, Edge::Fall), [p0])?;
 //! stg.set_initial(p0, 1);
 //!
-//! let report = stg.classical_report(&Default::default())?;
-//! assert!(report.is_classical()); // strongly connected, live, safe
+//! let report = stg.classical_report(&cpn_petri::Budget::default());
+//! assert!(report.is_complete());
+//! assert!(report.value().is_classical()); // strongly connected, live, safe
 //! # Ok(())
 //! # }
 //! ```
@@ -61,5 +62,5 @@ pub mod stg;
 
 pub use logic::{derive_logic, Cube, LogicError, NextStateFunction};
 pub use signal::{Edge, Signal, SignalDir, StgLabel};
-pub use state_graph::{ConsistencyViolation, CscViolation, StateGraph, StateGraphError};
+pub use state_graph::{ConsistencyViolation, CscViolation, StateGraph};
 pub use stg::{ClassicalReport, Guard, Stg, StgError};

@@ -18,7 +18,7 @@
 use crate::signal::{Edge, Signal, SignalDir, StgLabel};
 use crate::state_graph::StateGraph;
 use crate::stg::Stg;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::error::Error;
 use std::fmt;
 
@@ -286,27 +286,12 @@ pub fn render_equations(functions: &[NextStateFunction], signals: &[Signal]) -> 
     lines.join("\n")
 }
 
-/// Derives logic for every non-input signal using a map of initial
-/// values, building the state graph internally (one-stop helper).
-///
-/// # Errors
-///
-/// State-graph budget errors are mapped to `None` cover (reported as an
-/// error string) — callers wanting detail should build the graph
-/// themselves.
-pub fn derive_logic_from_stg(
-    stg: &Stg,
-    initial_values: &BTreeMap<Signal, bool>,
-    budget: usize,
-) -> Result<Vec<NextStateFunction>, Box<dyn Error>> {
-    let sg = StateGraph::build(stg, initial_values, budget)?;
-    Ok(derive_logic(stg, &sg)?)
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+    use cpn_petri::Budget;
+    use std::collections::BTreeMap;
 
     fn four_phase() -> Stg {
         let mut stg = Stg::new();
@@ -328,7 +313,9 @@ mod tests {
     #[test]
     fn ack_follows_req_in_four_phase() {
         let stg = four_phase();
-        let sg = StateGraph::build(&stg, &BTreeMap::new(), 1000).unwrap();
+        let sg = StateGraph::build_bounded(&stg, &BTreeMap::new(), &Budget::states(1000))
+            .complete()
+            .unwrap();
         let fns = derive_logic(&stg, &sg).unwrap();
         assert_eq!(fns.len(), 1);
         let f = &fns[0];
@@ -351,7 +338,9 @@ mod tests {
         stg.add_signal_transition([p1], (x.clone(), Edge::Rise), [p2])
             .unwrap();
         stg.set_initial(p0, 1);
-        let sg = StateGraph::build(&stg, &BTreeMap::new(), 1000).unwrap();
+        let sg = StateGraph::build_bounded(&stg, &BTreeMap::new(), &Budget::states(1000))
+            .complete()
+            .unwrap();
         let err = derive_logic(&stg, &sg).unwrap_err();
         assert!(matches!(err, LogicError::CscConflict { signal, .. } if signal == x));
     }
@@ -380,7 +369,9 @@ mod tests {
         stg.add_signal_transition([p0], (x, Edge::Rise), [p1])
             .unwrap();
         stg.set_initial(p0, 1);
-        let sg = StateGraph::build(&stg, &BTreeMap::new(), 1000).unwrap();
+        let sg = StateGraph::build_bounded(&stg, &BTreeMap::new(), &Budget::states(1000))
+            .complete()
+            .unwrap();
         let fns = derive_logic(&stg, &sg).unwrap();
         assert_eq!(fns[0].cover.len(), 1);
         assert_eq!(fns[0].cover[0].render(sg.signals()), "1");
@@ -389,7 +380,9 @@ mod tests {
     #[test]
     fn render_equations_format() {
         let stg = four_phase();
-        let sg = StateGraph::build(&stg, &BTreeMap::new(), 1000).unwrap();
+        let sg = StateGraph::build_bounded(&stg, &BTreeMap::new(), &Budget::states(1000))
+            .complete()
+            .unwrap();
         let fns = derive_logic(&stg, &sg).unwrap();
         let eq = render_equations(&fns, sg.signals());
         assert_eq!(eq, "ack = req");
@@ -403,7 +396,9 @@ mod tests {
         stg.add_signal_transition([p], (x, Edge::Toggle), [p])
             .unwrap();
         stg.set_initial(p, 1);
-        let sg = StateGraph::build(&stg, &BTreeMap::new(), 1000).unwrap();
+        let sg = StateGraph::build_bounded(&stg, &BTreeMap::new(), &Budget::states(1000))
+            .complete()
+            .unwrap();
         // F_x: at x=0 excited up → on; at x=1 excited down → off.
         let fns = derive_logic(&stg, &sg).unwrap();
         assert_eq!(fns[0].on_set_size, 1);

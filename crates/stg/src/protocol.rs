@@ -431,12 +431,12 @@ fn try_receiver() -> Result<Stg, StgError> {
 mod tests {
     use super::*;
     use crate::signal::StgLabel;
-    use cpn_petri::{Budget, ReachabilityOptions, Verdict};
+    use cpn_petri::{Budget, Verdict};
 
     #[test]
     fn sender_is_classical() {
         let s = sender();
-        let rep = s.classical_report(&ReachabilityOptions::default()).unwrap();
+        let rep = s.classical_report(&Budget::default()).complete().unwrap();
         assert!(rep.live, "sender live");
         assert!(rep.safe, "sender safe");
         assert!(rep.strongly_connected, "sender strongly connected");
@@ -445,7 +445,7 @@ mod tests {
     #[test]
     fn receiver_is_classical() {
         let r = receiver();
-        let rep = r.classical_report(&ReachabilityOptions::default()).unwrap();
+        let rep = r.classical_report(&Budget::default()).complete().unwrap();
         assert!(rep.live && rep.safe && rep.strongly_connected);
     }
 
@@ -459,7 +459,8 @@ mod tests {
         let t = translator();
         let rg = t
             .net()
-            .reachability(&ReachabilityOptions::default())
+            .reachability_bounded(&Budget::default())
+            .complete()
             .unwrap();
         let an = t.net().analysis(&rg);
         assert!(an.safe, "translator safe");
@@ -487,11 +488,13 @@ mod tests {
             .unwrap()
             .compose(&receiver())
             .unwrap()
-            .remove_dead(&ReachabilityOptions::default())
+            .remove_dead(&Budget::default())
+            .complete()
             .unwrap();
         let rg = system
             .net()
-            .reachability(&ReachabilityOptions::default())
+            .reachability_bounded(&Budget::default())
+            .complete()
             .unwrap();
         let an = system.net().analysis(&rg);
         // Section 6 claim: the composition of the consistent STGs works —
@@ -527,7 +530,7 @@ mod tests {
     #[test]
     fn inconsistent_sender_builds() {
         let s = sender_inconsistent();
-        let rep = s.classical_report(&ReachabilityOptions::default()).unwrap();
+        let rep = s.classical_report(&Budget::default()).complete().unwrap();
         assert!(
             rep.live && rep.safe,
             "the inconsistent sender is fine alone"
@@ -563,11 +566,9 @@ mod tests {
     fn fig9_simplified_translator() {
         let tr = translator();
         let reduced = tr
-            .reduce_against(
-                &sender_restricted(),
-                &ReachabilityOptions::default(),
-                10_000,
-            )
+            .reduce_against(&sender_restricted(), &Budget::default(), 10_000)
+            .unwrap()
+            .complete()
             .unwrap();
         assert!(
             reduced.net().transition_count() < tr.net().transition_count(),
@@ -602,15 +603,15 @@ mod tests {
     #[test]
     fn fig9_simplified_receiver() {
         let tr_reduced = translator()
-            .reduce_against(
-                &sender_restricted(),
-                &ReachabilityOptions::default(),
-                10_000,
-            )
+            .reduce_against(&sender_restricted(), &Budget::default(), 10_000)
+            .unwrap()
+            .complete()
             .unwrap();
         let rx = receiver();
         let rx_reduced = rx
-            .prune_against(&tr_reduced, &ReachabilityOptions::default())
+            .prune_against(&tr_reduced, &Budget::default())
+            .unwrap()
+            .complete()
             .unwrap();
         assert!(
             rx_reduced.net().transition_count() < rx.net().transition_count(),

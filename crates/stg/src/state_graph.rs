@@ -17,8 +17,6 @@ use cpn_petri::{
     Bounded, Budget, CandidateScratch, Marking, MarkingStore, Meter, StubbornScratch, TransitionId,
 };
 use std::collections::{BTreeMap, BTreeSet};
-use std::error::Error;
-use std::fmt;
 
 /// A binary signal valuation (encoding), ordered like the STG's signal
 /// declaration order.
@@ -51,29 +49,6 @@ pub struct CscViolation {
     /// conflict that does not violate CSC).
     pub conflicting_outputs: BTreeSet<Signal>,
 }
-
-/// Errors from state graph construction.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum StateGraphError {
-    /// More states than the budget allows.
-    BudgetExceeded {
-        /// The exceeded budget.
-        budget: usize,
-    },
-}
-
-impl fmt::Display for StateGraphError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            StateGraphError::BudgetExceeded { budget } => {
-                write!(f, "state graph budget of {budget} states exceeded")
-            }
-        }
-    }
-}
-
-impl Error for StateGraphError {}
 
 /// The encoded state graph.
 ///
@@ -113,36 +88,19 @@ fn decode_bits(words: &[u32], n: usize) -> Encoding {
 }
 
 impl StateGraph {
-    /// Builds the state graph from the STG's initial marking and the
-    /// given initial signal values (unlisted signals start at 0).
+    /// Builds the state graph under `budget` from the STG's initial
+    /// marking and the given initial signal values (unlisted signals
+    /// start at 0).
     ///
     /// Guarded transitions fire only in states satisfying their guard.
     /// Consistency violations do not abort construction — the offending
     /// firing is *recorded* and skipped, so the report lists every
     /// violation reachable through consistent prefixes.
     ///
-    /// # Errors
-    ///
-    /// [`StateGraphError::BudgetExceeded`] when more than `budget` states
-    /// appear.
-    pub fn build(
-        stg: &Stg,
-        initial_values: &BTreeMap<Signal, bool>,
-        budget: usize,
-    ) -> Result<StateGraph, StateGraphError> {
-        match Self::build_bounded(stg, initial_values, &Budget::states(budget)) {
-            Bounded::Complete(sg) => Ok(sg),
-            Bounded::Exhausted { .. } => Err(StateGraphError::BudgetExceeded { budget }),
-        }
-    }
-
-    /// Budgeted state-graph construction, degrading gracefully.
-    ///
-    /// Where [`StateGraph::build`] hard-errors when the budget runs out,
-    /// this variant returns the *explored prefix* together with the
-    /// exhaustion statistics ([`Bounded::Exhausted`]). Consistency
-    /// violations recorded on the prefix are definite; their absence is
-    /// only conclusive when construction completed.
+    /// When the budget runs out, the [`Bounded::Exhausted`] partial is
+    /// the explored prefix. Consistency violations recorded on it are
+    /// definite; their absence is only conclusive when construction
+    /// completed.
     pub fn build_bounded(
         stg: &Stg,
         initial_values: &BTreeMap<Signal, bool>,
@@ -450,7 +408,9 @@ mod tests {
     #[test]
     fn four_phase_state_graph() {
         let stg = four_phase();
-        let sg = StateGraph::build(&stg, &BTreeMap::new(), 1000).unwrap();
+        let sg = StateGraph::build_bounded(&stg, &BTreeMap::new(), &Budget::states(1000))
+            .complete()
+            .unwrap();
         assert_eq!(sg.state_count(), 4);
         assert!(sg.is_consistent());
         // Encodings cycle 00 → 10(req) → 11 → 01 → 00.
@@ -472,7 +432,9 @@ mod tests {
         stg.add_signal_transition([p1], (x, Edge::Rise), [p2])
             .unwrap();
         stg.set_initial(p0, 1);
-        let sg = StateGraph::build(&stg, &BTreeMap::new(), 1000).unwrap();
+        let sg = StateGraph::build_bounded(&stg, &BTreeMap::new(), &Budget::states(1000))
+            .complete()
+            .unwrap();
         assert!(!sg.is_consistent());
         assert_eq!(sg.consistency_violations().len(), 1);
         assert!(sg.consistency_violations()[0].value);
@@ -486,7 +448,9 @@ mod tests {
         stg.add_signal_transition([p], (x, Edge::Toggle), [p])
             .unwrap();
         stg.set_initial(p, 1);
-        let sg = StateGraph::build(&stg, &BTreeMap::new(), 1000).unwrap();
+        let sg = StateGraph::build_bounded(&stg, &BTreeMap::new(), &Budget::states(1000))
+            .complete()
+            .unwrap();
         // Same marking, two encodings.
         assert_eq!(sg.state_count(), 2);
         assert!(sg.is_consistent());
@@ -512,10 +476,15 @@ mod tests {
         stg.set_initial(p, 1);
 
         // DATA starts low: only `lo` fires.
-        let sg = StateGraph::build(&stg, &BTreeMap::new(), 1000).unwrap();
+        let sg = StateGraph::build_bounded(&stg, &BTreeMap::new(), &Budget::states(1000))
+            .complete()
+            .unwrap();
         assert_eq!(sg.edges(0).len(), 1);
         // DATA starts high: only `hi` fires.
-        let sg = StateGraph::build(&stg, &BTreeMap::from([(data, true)]), 1000).unwrap();
+        let sg =
+            StateGraph::build_bounded(&stg, &BTreeMap::from([(data, true)]), &Budget::states(1000))
+                .complete()
+                .unwrap();
         assert_eq!(sg.edges(0).len(), 1);
     }
 
@@ -531,7 +500,9 @@ mod tests {
         stg.add_signal_transition([p1], (x.clone(), Edge::Rise), [p2])
             .unwrap();
         stg.set_initial(p0, 1);
-        let sg = StateGraph::build(&stg, &BTreeMap::new(), 1000).unwrap();
+        let sg = StateGraph::build_bounded(&stg, &BTreeMap::new(), &Budget::states(1000))
+            .complete()
+            .unwrap();
         let usc = sg.usc_violations();
         assert_eq!(usc.len(), 1, "p0 and p1 share encoding 0");
         // CSC: p0 has no output excitation, p1 excites x: violation.
@@ -545,7 +516,9 @@ mod tests {
         // Every transition is signal-labeled, so every transition seeds
         // the stubborn set and the builds coincide exactly.
         let stg = four_phase();
-        let full = StateGraph::build(&stg, &BTreeMap::new(), 1000).unwrap();
+        let full = StateGraph::build_bounded(&stg, &BTreeMap::new(), &Budget::states(1000))
+            .complete()
+            .unwrap();
         let Bounded::Complete(stub) =
             StateGraph::build_stubborn_bounded(&stg, &BTreeMap::new(), &Budget::states(1000))
         else {
@@ -572,7 +545,9 @@ mod tests {
         stg.set_initial(a0, 1);
         stg.set_initial(b0, 1);
 
-        let full = StateGraph::build(&stg, &BTreeMap::new(), 1000).unwrap();
+        let full = StateGraph::build_bounded(&stg, &BTreeMap::new(), &Budget::states(1000))
+            .complete()
+            .unwrap();
         assert_eq!(full.state_count(), 4);
         let Bounded::Complete(stub) =
             StateGraph::build_stubborn_bounded(&stg, &BTreeMap::new(), &Budget::states(1000))
@@ -611,7 +586,10 @@ mod tests {
     #[test]
     fn budget_enforced() {
         let stg = four_phase();
-        let err = StateGraph::build(&stg, &BTreeMap::new(), 2).unwrap_err();
-        assert_eq!(err, StateGraphError::BudgetExceeded { budget: 2 });
+        let built = StateGraph::build_bounded(&stg, &BTreeMap::new(), &Budget::states(2));
+        assert_eq!(
+            built.exhausted().map(|e| (e.resource, e.budget.max_states)),
+            Some((cpn_petri::Resource::States, 2))
+        );
     }
 }

@@ -5,8 +5,7 @@
 use crate::signal::{Edge, Signal, SignalDir, StgLabel};
 use cpn_core::{hide_labels, parallel_with_sync, NetEditor};
 use cpn_petri::{
-    AlphaSet, Budget, Meter, PetriError, PetriNet, PlaceId, ReachabilityOptions, TransitionId,
-    Verdict,
+    AlphaSet, Bounded, Budget, Meter, PetriError, PetriNet, PlaceId, TransitionId, Verdict,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::error::Error;
@@ -356,23 +355,23 @@ impl Stg {
     // ------------------------------------------------------------------
 
     /// Checks the classical STG requirements (Definition 2.3):
-    /// strongly-connected, live, safe. The consistency slot is left
-    /// `None`; fill it via [`crate::StateGraph`].
+    /// strongly-connected, live, safe, on the reachability graph explored
+    /// under `budget`. The consistency slot is left `None`; fill it via
+    /// [`crate::StateGraph`].
     ///
-    /// # Errors
-    ///
-    /// Propagates reachability budget errors.
-    pub fn classical_report(
-        &self,
-        options: &ReachabilityOptions,
-    ) -> Result<ClassicalReport, StgError> {
-        let rg = self.net.reachability(options)?;
-        let analysis = self.net.analysis(&rg);
-        Ok(ClassicalReport {
-            strongly_connected: self.net.structural().strongly_connected,
-            live: analysis.live,
-            safe: analysis.safe,
-            consistent: None,
+    /// A [`Bounded::Exhausted`] report was read off a partial graph: only
+    /// `strongly_connected` (structural) and a `false` in `safe` (the
+    /// explored prefix already holds an unsafe marking) are definite;
+    /// `live` means nothing.
+    pub fn classical_report(&self, budget: &Budget) -> Bounded<ClassicalReport> {
+        self.net.reachability_bounded(budget).map(|rg| {
+            let analysis = self.net.analysis(&rg);
+            ClassicalReport {
+                strongly_connected: self.net.structural().strongly_connected,
+                live: analysis.live,
+                safe: analysis.safe,
+                consistent: None,
+            }
         })
     }
 
@@ -595,23 +594,36 @@ impl Stg {
         })
     }
 
-    /// Removes dead transitions (found on the reachability graph) and
-    /// isolated places — the cleanup step of compositional synthesis
-    /// (Section 5.2).
+    /// Removes dead transitions (found on the reachability graph,
+    /// explored under `budget`) and isolated places — the cleanup step of
+    /// compositional synthesis (Section 5.2).
     ///
-    /// Guards of surviving transitions are dropped only when no guards
-    /// exist; guarded STGs must prune manually (ids shift).
+    /// Transition ids shift as dead transitions go; every surviving
+    /// guard moves with its transition to the new id.
     ///
-    /// # Errors
-    ///
-    /// Propagates reachability budget errors.
-    pub fn remove_dead(&self, options: &ReachabilityOptions) -> Result<Stg, StgError> {
-        let rg = self.net.reachability(options)?;
+    /// A transition is only removable when the *whole* graph proves it
+    /// dead, so a [`Bounded::Exhausted`] partial is this STG unchanged.
+    pub fn remove_dead(&self, budget: &Budget) -> Bounded<Stg> {
+        let rg = match self.net.reachability_bounded(budget) {
+            Bounded::Complete(rg) => rg,
+            Bounded::Exhausted { info, .. } => {
+                return Bounded::Exhausted {
+                    partial: self.clone(),
+                    info,
+                }
+            }
+        };
         let dead = cpn_petri::dead_transitions_rg(&self.net, &rg);
         if dead.is_empty() {
-            return Ok(self.clone());
+            return Bounded::Complete(self.clone());
         }
-        // Remap guards across the compaction.
+        Bounded::Complete(self.without_transitions(&dead))
+    }
+
+    /// This STG without the `dead` transitions and the places that leaves
+    /// isolated. Surviving guards move to their transitions' new ids;
+    /// dropping places invalidates no guard (guards reference signals).
+    fn without_transitions(&self, dead: &BTreeSet<TransitionId>) -> Stg {
         let mut guards = BTreeMap::new();
         let mut next = 0usize;
         for (tid, _) in self.net.transitions() {
@@ -622,15 +634,12 @@ impl Stg {
                 next += 1;
             }
         }
-        let pruned = self.net.without_transitions(&dead);
-        // Dropping isolated places invalidates nothing for guards (they
-        // reference signals, not places).
-        let (net, _) = pruned.without_isolated_places();
-        Ok(Stg {
+        let (net, _) = self.net.without_transitions(dead).without_isolated_places();
+        Stg {
             net,
             signals: self.signals.clone(),
             guards,
-        })
+        }
     }
 
     /// Labels of all signals this STG drives (outputs and internals) —
@@ -681,37 +690,52 @@ impl Stg {
     /// example the guarded `rec` branch dies with the restricted sender,
     /// which is exactly why the reduction is performed in this order.
     ///
+    /// Both dead-transition passes explore under `budget`, and a stop
+    /// flags the result [`Bounded::Exhausted`]:
+    ///
+    /// * If the first pass (on the composition) stops, the pipeline ends
+    ///   and the partial is the composition itself, with nothing pruned
+    ///   or projected, as in [`cpn_core::reduce_against_environment`].
+    /// * If the cleanup pass after projection stops, its dead transitions
+    ///   stay in the reduced module; this only costs minimality.
+    ///
     /// # Errors
     ///
-    /// Reachability budget and hiding (divergence) errors.
+    /// Composition and hiding (divergence) errors; running out of
+    /// `budget` is **not** an error.
     pub fn reduce_against(
         &self,
         env: &Stg,
-        options: &ReachabilityOptions,
+        budget: &Budget,
         hide_budget: usize,
-    ) -> Result<Stg, StgError> {
+    ) -> Result<Bounded<Stg>, StgError> {
         let composed = self.compose(env)?;
-        let pruned = composed.remove_dead(options)?;
+        let pruned = match composed.remove_dead(budget) {
+            Bounded::Complete(pruned) => pruned,
+            stopped => return Ok(stopped),
+        };
         let keep: BTreeSet<Signal> = self.signals.keys().cloned().collect();
         let projected = pruned.project_signals(&keep, hide_budget)?;
         // When projection was structurally a no-op the pruned net's
         // reachability graph is still valid and held no dead transitions;
         // skip the second exploration outright.
-        let mut reduced = if projected.net.same_structure(&pruned.net) {
-            projected
+        let reduced = if projected.net.same_structure(&pruned.net) {
+            Bounded::Complete(projected)
         } else {
-            projected.remove_dead(options)?
+            projected.remove_dead(budget)
         };
-        // Composition merged signal directions toward the driving side
-        // (the environment drives this module's inputs); the derived
-        // module keeps its own interface directions.
-        for (s, dir) in reduced.signals.iter_mut() {
-            if let Some(&mine) = self.signals.get(s) {
-                *dir = mine;
+        Ok(reduced.map(|mut reduced| {
+            // Composition merged signal directions toward the driving
+            // side (the environment drives this module's inputs); the
+            // derived module keeps its own interface directions.
+            for (s, dir) in reduced.signals.iter_mut() {
+                if let Some(&mine) = self.signals.get(s) {
+                    *dir = mine;
+                }
             }
-        }
-        reduced.drop_unused_signals();
-        Ok(reduced)
+            reduced.drop_unused_signals();
+            reduced
+        }))
     }
 
     /// Environment-driven dead-transition removal (Section 5.2 applied in
@@ -725,16 +749,28 @@ impl Stg {
     /// By Theorem 5.1 the pruned module's traces still contain every
     /// behaviour the environment can drive.
     ///
+    /// The composition is explored under `budget`. A transition is only
+    /// removable when the *whole* graph proves it dead, so a
+    /// [`Bounded::Exhausted`] partial is this STG unchanged.
+    ///
     /// # Errors
     ///
-    /// Reachability budget errors on the composition.
-    pub fn prune_against(&self, env: &Stg, options: &ReachabilityOptions) -> Result<Stg, StgError> {
+    /// Composition errors; running out of `budget` is **not** an error.
+    pub fn prune_against(&self, env: &Stg, budget: &Budget) -> Result<Bounded<Stg>, StgError> {
         let shared: BTreeSet<StgLabel> = cpn_core::common_alphabet(&self.net, &env.net)
             .into_iter()
             .filter(|l| !l.is_dummy())
             .collect();
         let comp = cpn_core::parallel_tracked(&self.net, &env.net, &shared)?;
-        let rg = comp.net.reachability(options)?;
+        let rg = match comp.net.reachability_bounded(budget) {
+            Bounded::Complete(rg) => rg,
+            Bounded::Exhausted { info, .. } => {
+                return Ok(Bounded::Exhausted {
+                    partial: self.clone(),
+                    info,
+                })
+            }
+        };
         let mut fired = vec![false; comp.net.transition_count()];
         for (_, t, _) in rg.all_edges() {
             fired[t.index()] = true;
@@ -762,28 +798,9 @@ impl Stg {
             .transition_ids()
             .filter(|t| !alive[t.index()])
             .collect();
-        // Remap guards across the compaction, then drop isolated places.
-        let mut guards = BTreeMap::new();
-        let mut next = 0usize;
-        for (tid, _) in self.net.transitions() {
-            if !dead.contains(&tid) {
-                if let Some(g) = self.guards.get(&tid) {
-                    guards.insert(TransitionId::from_index(next), g.clone());
-                }
-                next += 1;
-            }
-        }
-        let (net, _) = self
-            .net
-            .without_transitions(&dead)
-            .without_isolated_places();
-        let mut out = Stg {
-            net,
-            signals: self.signals.clone(),
-            guards,
-        };
+        let mut out = self.without_transitions(&dead);
         out.drop_unused_signals();
-        Ok(out)
+        Ok(Bounded::Complete(out))
     }
 
     /// Removes declarations (and alphabet labels) of signals that no
@@ -873,7 +890,10 @@ mod tests {
     #[test]
     fn classical_handshake() {
         let stg = handshake(SignalDir::Input, SignalDir::Output);
-        let rep = stg.classical_report(&Default::default()).unwrap();
+        let rep = stg
+            .classical_report(&Default::default())
+            .complete()
+            .unwrap();
         assert!(rep.is_classical());
     }
 
@@ -908,7 +928,10 @@ mod tests {
         assert_eq!(sys.signals()[&Signal::new("ack")], SignalDir::Output);
         // Each label fused pairwise: still 4 transitions.
         assert_eq!(sys.net().transition_count(), 4);
-        let rep = sys.classical_report(&Default::default()).unwrap();
+        let rep = sys
+            .classical_report(&Default::default())
+            .complete()
+            .unwrap();
         assert!(rep.live && rep.safe);
     }
 
@@ -1024,8 +1047,49 @@ mod tests {
         let x = stg.add_signal("x", SignalDir::Output);
         stg.add_signal_transition([orphan1], (x, Edge::Rise), [orphan2])
             .unwrap();
-        let pruned = stg.remove_dead(&Default::default()).unwrap();
+        let pruned = stg.remove_dead(&Default::default()).complete().unwrap();
         assert_eq!(pruned.net().transition_count(), 4);
         assert_eq!(pruned.net().place_count(), 4);
+    }
+
+    #[test]
+    fn remove_dead_moves_guards_to_shifted_ids() {
+        // A guarded dead transition (id 0, its preset never marked) sits
+        // before the guarded live `ack+` (id 2), which shifts to id 1.
+        let mut stg = Stg::new();
+        let data = stg.add_signal("DATA", SignalDir::Input);
+        let x = stg.add_signal("x", SignalDir::Output);
+        let orphan = stg.add_place("orphan");
+        let dead = stg
+            .add_signal_transition([orphan], (x, Edge::Rise), [orphan])
+            .unwrap();
+        stg.set_guard(dead, Guard::new().require(data.clone(), true));
+        let req = stg.add_signal("req", SignalDir::Input);
+        let ack = stg.add_signal("ack", SignalDir::Output);
+        let p: Vec<_> = (0..4).map(|i| stg.add_place(format!("p{i}"))).collect();
+        stg.add_signal_transition([p[0]], (req.clone(), Edge::Rise), [p[1]])
+            .unwrap();
+        let ack_rise = stg
+            .add_signal_transition([p[1]], (ack.clone(), Edge::Rise), [p[2]])
+            .unwrap();
+        stg.add_signal_transition([p[2]], (req, Edge::Fall), [p[3]])
+            .unwrap();
+        stg.add_signal_transition([p[3]], (ack, Edge::Fall), [p[0]])
+            .unwrap();
+        stg.set_initial(p[0], 1);
+        let ack_guard = Guard::new().require(data, false);
+        stg.set_guard(ack_rise, ack_guard.clone());
+
+        let pruned = stg.remove_dead(&Default::default()).complete().unwrap();
+        assert_eq!(pruned.net().transition_count(), 4);
+        let shifted = TransitionId::from_index(1);
+        assert_eq!(pruned.net().label_of(shifted), stg.net().label_of(ack_rise));
+        assert_eq!(pruned.guard(shifted), ack_guard);
+        // The dead transition's guard went with it.
+        assert_eq!(pruned.guards.len(), 1);
+        assert!(pruned
+            .guards
+            .keys()
+            .all(|t| t.index() < pruned.net().transition_count()));
     }
 }

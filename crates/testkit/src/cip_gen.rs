@@ -126,7 +126,7 @@ impl Strategy for CipStrategy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cpn_petri::ReachabilityOptions;
+    use cpn_petri::Budget;
 
     #[test]
     fn generated_modules_are_live_safe_rings() {
@@ -137,7 +137,10 @@ mod tests {
             let module = raw.build("gen");
             let net = module.net();
             assert!(net.structural().is_marked_graph);
-            let rg = net.reachability(&ReachabilityOptions::default()).unwrap();
+            let rg = net
+                .reachability_bounded(&Budget::default())
+                .complete()
+                .unwrap();
             let analysis = net.analysis(&rg);
             assert!(analysis.live && analysis.safe);
         }

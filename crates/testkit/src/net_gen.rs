@@ -320,7 +320,7 @@ impl Strategy for RingStrategy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cpn_petri::ReachabilityOptions;
+    use cpn_petri::Budget;
 
     #[test]
     fn generated_nets_build_and_validate() {
@@ -384,7 +384,10 @@ mod tests {
             assert_eq!(raw.total_tokens(), 1);
             let net = raw.build();
             assert!(net.structural().is_marked_graph);
-            let rg = net.reachability(&ReachabilityOptions::default()).unwrap();
+            let rg = net
+                .reachability_bounded(&Budget::default())
+                .complete()
+                .unwrap();
             let analysis = net.analysis(&rg);
             assert!(analysis.live, "{net}");
             assert!(analysis.safe, "{net}");

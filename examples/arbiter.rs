@@ -9,11 +9,11 @@
 //!
 //! Run with `cargo run --example arbiter`.
 
-use cpn::petri::{semiflows_p, Budget, ReachabilityOptions};
+use cpn::petri::{semiflows_p, Budget};
 use cpn::stg::arbiter::{arbiter, client, critical_section_places};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let opts = ReachabilityOptions::default();
+    let budget = Budget::default();
     let a = arbiter();
 
     let rep = a.net().structural();
@@ -28,7 +28,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         rep.is_free_choice, rep.is_marked_graph
     );
 
-    let classical = a.classical_report(&opts)?;
+    let classical = a
+        .classical_report(&budget)
+        .complete()
+        .ok_or("state budget exhausted")?;
     println!(
         "strongly-connected: {}, live: {}, safe: {}",
         classical.strongly_connected, classical.live, classical.safe
@@ -56,11 +59,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Behavioural certificate on the full system with two clients.
     let env = client(1).compose(&client(2))?;
-    let receptive = a.check_receptiveness(&env, &Budget::default())?;
+    let receptive = a.check_receptiveness(&env, &budget)?;
     println!("arbiter ↔ clients receptive: {receptive}");
 
     let system = a.compose(&env)?;
-    let rg = system.net().reachability(&opts)?;
+    let rg = system
+        .net()
+        .reachability_bounded(&budget)
+        .complete()
+        .ok_or("state budget exhausted")?;
     let granted: Vec<_> = system
         .net()
         .places()

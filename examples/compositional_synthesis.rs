@@ -9,12 +9,12 @@
 //!
 //! Run with `cargo run --example compositional_synthesis`.
 
-use cpn::petri::ReachabilityOptions;
+use cpn::petri::Budget;
 use cpn::stg::protocol::{receiver, sender_restricted, translator};
 use cpn::stg::Signal;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let opts = ReachabilityOptions::default();
+    let budget = Budget::default();
 
     let tr = translator();
     println!(
@@ -25,7 +25,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Figure 9(b): reduce against the restricted sender.
-    let tr_reduced = tr.reduce_against(&sender_restricted(), &opts, 10_000)?;
+    let tr_reduced = tr
+        .reduce_against(&sender_restricted(), &budget, 10_000)?
+        .complete()
+        .ok_or("state budget exhausted")?;
     println!(
         "simplified translator (Fig 9b): {} places, {} transitions, signals: {}",
         tr_reduced.net().place_count(),
@@ -46,7 +49,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // translator's internals form hidden cycles outside the contraction
     // class, so the derivation prunes dead transitions in place.
     let rx = receiver();
-    let rx_reduced = rx.prune_against(&tr_reduced, &ReachabilityOptions::default())?;
+    let rx_reduced = rx
+        .prune_against(&tr_reduced, &budget)?
+        .complete()
+        .ok_or("state budget exhausted")?;
     println!(
         "\nreceiver (Fig 6): {} transitions; simplified receiver (Fig 9c): {} transitions",
         rx.net().transition_count(),
@@ -56,8 +62,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("  -> the mute~ branch is gone: the reduced translator never sends it");
 
     // What synthesis gains: compare the state graphs.
-    let sg_full = rx.net().reachability(&opts)?;
-    let sg_red = rx_reduced.net().reachability(&opts)?;
+    let sg_full = rx
+        .net()
+        .reachability_bounded(&budget)
+        .complete()
+        .ok_or("state budget exhausted")?;
+    let sg_red = rx_reduced
+        .net()
+        .reachability_bounded(&budget)
+        .complete()
+        .ok_or("state budget exhausted")?;
     println!(
         "\nstate-space: receiver {} states -> simplified {} states",
         sg_full.state_count(),

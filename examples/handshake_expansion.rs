@@ -10,7 +10,7 @@
 
 use cpn::cip::protocol::{protocol_cip, CMD_VALUES, OUT_VALUES};
 use cpn::cip::{ChannelSpec, CipGraph, DataEncoding, HandshakeProtocol, Module};
-use cpn::petri::{Budget, ReachabilityOptions};
+use cpn::petri::Budget;
 use cpn::stg::StgLabel;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -71,9 +71,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             stg.net().transition_count()
         );
     }
-    let opts = ReachabilityOptions::default();
-    let composed = sys.compose_all()?.remove_dead(&opts)?;
-    let rg = composed.net().reachability(&opts)?;
+    let budget = Budget::default();
+    let composed = sys
+        .compose_all()?
+        .remove_dead(&budget)
+        .complete()
+        .ok_or("state budget exhausted")?;
+    let rg = composed
+        .net()
+        .reachability_bounded(&budget)
+        .complete()
+        .ok_or("state budget exhausted")?;
     let analysis = composed.net().analysis(&rg);
     println!(
         "  composed: {} states, safe: {}, deadlock-free: {}",
@@ -84,7 +92,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Rendez-vous correctness is by construction (Section 3): every
     // module is receptive against the rest of the system.
-    let verdicts = sys.verify_receptiveness(&Budget::states(opts.max_states))?;
+    let verdicts = sys.verify_receptiveness(&budget)?;
     for (name, verdict) in &verdicts {
         println!("  {name}: receptive = {verdict}");
         assert!(verdict.holds());

@@ -13,12 +13,12 @@
 //! Run with `cargo run --example inconsistent_sender`.
 
 use cpn::core::{check_receptiveness_structural_mg, parallel_tracked_common};
-use cpn::petri::{Budget, PetriNet, ReachabilityOptions};
+use cpn::petri::{Budget, PetriNet};
 use cpn::sim::monitor_composition;
 use cpn::stg::protocol::{sender, sender_inconsistent, translator};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let opts = ReachabilityOptions::default();
+    let budget = Budget::default();
     let tr = translator();
 
     // Both senders are well-formed on their own.
@@ -26,7 +26,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("consistent", sender()),
         ("inconsistent", sender_inconsistent()),
     ] {
-        let rep = s.classical_report(&opts)?;
+        let rep = s
+            .classical_report(&budget)
+            .complete()
+            .ok_or("state budget exhausted")?;
         println!(
             "{name} sender alone: live={}, safe={} (no local red flags)",
             rep.live, rep.safe
@@ -34,7 +37,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // 1. Static, exhaustive (Prop 5.5).
-    let budget = Budget::default();
     let good = sender().check_receptiveness(&tr, &budget)?;
     let bad = sender_inconsistent().check_receptiveness(&tr, &budget)?;
     println!("\nexhaustive check:");

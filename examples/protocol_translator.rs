@@ -5,13 +5,13 @@
 //!
 //! Run with `cargo run --example protocol_translator`.
 
-use cpn::petri::{Budget, ReachabilityOptions};
+use cpn::petri::Budget;
 use cpn::stg::protocol::{receiver, sender, translator, SENDER_COMMANDS};
 use cpn::stg::{derive_logic, Signal, StateGraph};
 use std::collections::BTreeMap;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let opts = ReachabilityOptions::default();
+    let budget = Budget::default();
 
     println!("=== Table 1(a): sender command translation ===");
     for (cmd, wa, wb) in SENDER_COMMANDS {
@@ -24,7 +24,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("translator (Fig 7)", translator()),
         ("receiver (Fig 6)", receiver()),
     ] {
-        let rep = stg.classical_report(&opts)?;
+        let rep = stg
+            .classical_report(&budget)
+            .complete()
+            .ok_or("state budget exhausted")?;
         println!(
             "\n{name}: {} places, {} transitions | strongly-connected: {}, live: {}, safe: {}",
             stg.net().place_count(),
@@ -37,7 +40,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Consistent state assignment + logic for the receiver (smallest).
     let rx = receiver();
-    let sg = StateGraph::build(&rx, &BTreeMap::new(), 1_000_000)?;
+    let sg = StateGraph::build_bounded(&rx, &BTreeMap::new(), &Budget::states(1_000_000))
+        .complete()
+        .ok_or("state budget exhausted")?;
     println!(
         "\nreceiver state graph: {} states, consistent: {}",
         sg.state_count(),
@@ -63,8 +68,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let system = sender()
         .compose(&translator())?
         .compose(&receiver())?
-        .remove_dead(&opts)?;
-    let rg = system.net().reachability(&opts)?;
+        .remove_dead(&budget)
+        .complete()
+        .ok_or("state budget exhausted")?;
+    let rg = system
+        .net()
+        .reachability_bounded(&budget)
+        .complete()
+        .ok_or("state budget exhausted")?;
     let analysis = system.net().analysis(&rg);
     println!(
         "\ncomposed system: {} places, {} transitions, {} states | safe: {}, deadlock-free: {}",
@@ -76,7 +87,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Pairwise consistency (receptiveness) of the composition.
-    let budget = Budget::default();
     let verdict = sender().check_receptiveness(&translator(), &budget)?;
     println!("sender ↔ translator receptive: {verdict}");
     let verdict = translator().check_receptiveness(&receiver(), &budget)?;

@@ -6,7 +6,7 @@
 //! Run with `cargo run --example quickstart`.
 
 use cpn::core::{choice, hide_label, parallel, prefix};
-use cpn::petri::{PetriNet, ReachabilityOptions};
+use cpn::petri::{Budget, PetriNet};
 use cpn::trace::Language;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -52,7 +52,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Reachability analysis on the hidden system.
-    let rg = system.reachability(&ReachabilityOptions::default())?;
+    let rg = system
+        .reachability_bounded(&Budget::default())
+        .complete()
+        .ok_or("state budget exhausted")?;
     let analysis = system.analysis(&rg);
     println!(
         "\nreachable states: {}, safe: {}, live: {}",

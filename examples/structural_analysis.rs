@@ -11,8 +11,8 @@
 
 use cpn::petri::invariant::covered_by_p_semiflows;
 use cpn::petri::{
-    commoner_live, mg_live_structural, mg_place_bounds, minimal_siphons, token_free_cycle,
-    CoverabilityTree, PetriNet, ReachabilityOptions,
+    commoner_live, mg_live_structural, mg_place_bounds, minimal_siphons, token_free_cycle, Budget,
+    CoverabilityTree, PetriNet,
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -34,7 +34,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  bound of {:<9}: {:?}", mg.place(p).name(), bound);
     }
     // Compare with the exact analysis.
-    let rg = mg.reachability(&ReachabilityOptions::default())?;
+    let rg = mg
+        .reachability_bounded(&Budget::default())
+        .complete()
+        .ok_or("state budget exhausted")?;
     println!(
         "  exact bound from reachability: {}",
         mg.analysis(&rg).bound
@@ -51,8 +54,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     fc.add_transition([sink], "spin", [sink])?;
     fc.set_initial(p, 1);
     println!("\nfree-choice net with a draining branch:");
-    println!("  commoner live: {}", commoner_live(&fc, 100_000)?);
-    let siphons = minimal_siphons(&fc, 100_000)?;
+    let budget = Budget::states(100_000);
+    println!("  commoner live: {}", commoner_live(&fc, &budget)?.holds());
+    let siphons = minimal_siphons(&fc, &budget)
+        .complete()
+        .ok_or("state budget exhausted")?;
     println!("  minimal siphons: {}", siphons.len());
 
     // 3. Boundedness certificates on an unbounded producer.
@@ -66,8 +72,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "  covered by P-semiflows: {:?}",
         covered_by_p_semiflows(&pump, 10_000)
     );
-    let tree =
-        CoverabilityTree::build_bounded(&pump, &cpn::petri::Budget::states(10_000)).into_value();
+    let tree = CoverabilityTree::build_bounded(&pump, &Budget::states(10_000)).into_value();
     println!("  Karp–Miller: {:?}", tree.outcome());
 
     // 4. An unmarked cycle: the liveness witness is concrete.

@@ -3,7 +3,7 @@
 
 use cpn::cip::protocol::{protocol_cip, protocol_cip_restricted};
 use cpn::cip::{ChannelSpec, CipGraph, DataEncoding, HandshakeProtocol, Module};
-use cpn::petri::{Budget, ReachabilityOptions};
+use cpn::petri::Budget;
 use cpn::stg::{Edge, StgLabel};
 
 fn ring_pair(encoding: DataEncoding, values: &[usize]) -> CipGraph {
@@ -35,7 +35,7 @@ fn ring_pair(encoding: DataEncoding, values: &[usize]) -> CipGraph {
 
 #[test]
 fn one_hot_and_dual_rail_and_m_of_n_all_expand_live() {
-    let opts = ReachabilityOptions::with_max_states(500_000);
+    let budget = Budget::states(500_000);
     let cases: Vec<(&str, DataEncoding, Vec<usize>)> = vec![
         ("one-hot", DataEncoding::one_hot("w", 3), vec![0, 2, 1]),
         ("dual-rail", DataEncoding::dual_rail("d", 2), vec![3, 0]),
@@ -45,8 +45,17 @@ fn one_hot_and_dual_rail_and_m_of_n_all_expand_live() {
         let sys = ring_pair(enc, &values)
             .expand(HandshakeProtocol::FourPhase)
             .unwrap();
-        let composed = sys.compose_all().unwrap().remove_dead(&opts).unwrap();
-        let rg = composed.net().reachability(&opts).unwrap();
+        let composed = sys
+            .compose_all()
+            .unwrap()
+            .remove_dead(&budget)
+            .complete()
+            .unwrap();
+        let rg = composed
+            .net()
+            .reachability_bounded(&budget)
+            .complete()
+            .unwrap();
         let analysis = composed.net().analysis(&rg);
         assert!(analysis.live, "{name}: transaction ring must be live");
         assert!(analysis.safe, "{name}: expansion must be safe");
@@ -90,10 +99,19 @@ fn every_sent_value_reaches_the_receiver() {
     g.add_channel_edge(a, b, ChannelSpec::data("ch", enc))
         .unwrap();
 
-    let opts = ReachabilityOptions::with_max_states(500_000);
+    let budget = Budget::states(500_000);
     let sys = g.expand(HandshakeProtocol::FourPhase).unwrap();
-    let composed = sys.compose_all().unwrap().remove_dead(&opts).unwrap();
-    let rg = composed.net().reachability(&opts).unwrap();
+    let composed = sys
+        .compose_all()
+        .unwrap()
+        .remove_dead(&budget)
+        .complete()
+        .unwrap();
+    let rg = composed
+        .net()
+        .reachability_bounded(&budget)
+        .complete()
+        .unwrap();
     let analysis = composed.net().analysis(&rg);
     assert!(analysis.live, "in-phase selective ring is live");
     // All four wires rise somewhere.
@@ -162,12 +180,17 @@ fn cip_protocol_system_matches_signal_level_behaviour() {
 
 #[test]
 fn restricted_cip_never_exercises_rec_wires_pair() {
-    let opts = ReachabilityOptions::default();
+    let budget = Budget::default();
     let sys = protocol_cip_restricted()
         .unwrap()
         .expand(HandshakeProtocol::FourPhase)
         .unwrap();
-    let composed = sys.compose_all().unwrap().remove_dead(&opts).unwrap();
+    let composed = sys
+        .compose_all()
+        .unwrap()
+        .remove_dead(&budget)
+        .complete()
+        .unwrap();
     // rec = {a0, b0} rising in the same transaction. After dead removal,
     // no cmd_ack+ completion for value 0 (code a0,b0) survives: check
     // that no transition reads both a0-high and b0-high trackers.
@@ -222,15 +245,24 @@ fn four_stage_relay_pipeline_expands_and_verifies() {
         .unwrap();
     g.validate().unwrap();
 
-    let opts = ReachabilityOptions::with_max_states(500_000);
+    let budget = Budget::states(500_000);
     let sys = g.expand(HandshakeProtocol::FourPhase).unwrap();
     assert_eq!(sys.stgs().len(), 4);
-    let composed = sys.compose_all().unwrap().remove_dead(&opts).unwrap();
-    let rg = composed.net().reachability(&opts).unwrap();
+    let composed = sys
+        .compose_all()
+        .unwrap()
+        .remove_dead(&budget)
+        .complete()
+        .unwrap();
+    let rg = composed
+        .net()
+        .reachability_bounded(&budget)
+        .complete()
+        .unwrap();
     let analysis = composed.net().analysis(&rg);
     assert!(analysis.live, "relay pipeline live end to end");
     assert!(analysis.safe);
-    for (name, verdict) in sys.verify_receptiveness(&Budget::states(500_000)).unwrap() {
+    for (name, verdict) in sys.verify_receptiveness(&budget).unwrap() {
         assert!(verdict.holds(), "{name}: {verdict:?}");
     }
 }

@@ -3,7 +3,7 @@
 //! abstraction via `hide'`.
 
 use cpn::core::Circuit;
-use cpn::petri::ReachabilityOptions;
+use cpn::petri::Budget;
 use cpn::stg::protocol::{sender, translator};
 use cpn::stg::{Signal, StgLabel};
 use cpn::trace::Language;
@@ -103,7 +103,8 @@ fn abstracted_circuit_stays_analyzable() {
         .expect("relabel");
     let rg = abstracted
         .net()
-        .reachability(&ReachabilityOptions::default())
+        .reachability_bounded(&Budget::default())
+        .complete()
         .expect("bounded");
     let analysis = abstracted.net().analysis(&rg);
     assert!(analysis.safe);

@@ -2,7 +2,7 @@
 //! modeling, composition, verification, reduction, logic, and
 //! serialization of the protocol-translation system.
 
-use cpn::petri::{Budget, ReachabilityOptions};
+use cpn::petri::Budget;
 use cpn::stg::protocol::{
     receiver, sender, sender_inconsistent, sender_restricted, translator, RECEIVER_COMMANDS,
     SENDER_COMMANDS,
@@ -35,7 +35,9 @@ fn all_blocks_have_consistent_state_assignments() {
         ("translator", translator()),
         ("receiver", receiver()),
     ] {
-        let sg = StateGraph::build(&stg, &BTreeMap::new(), 1_000_000).unwrap();
+        let sg = StateGraph::build_bounded(&stg, &BTreeMap::new(), &Budget::states(1_000_000))
+            .complete()
+            .unwrap();
         assert!(
             sg.is_consistent(),
             "{name}: {:?}",
@@ -52,7 +54,9 @@ fn receiver_logic_blocked_by_genuine_csc_conflict() {
     // derivation must refuse, and the state-graph diagnostic must point
     // at the same conflict.
     let rx = receiver();
-    let sg = StateGraph::build(&rx, &BTreeMap::new(), 1_000_000).unwrap();
+    let sg = StateGraph::build_bounded(&rx, &BTreeMap::new(), &Budget::states(1_000_000))
+        .complete()
+        .unwrap();
     let err = derive_logic(&rx, &sg).unwrap_err();
     let violations = sg.csc_violations(&rx);
     assert!(!violations.is_empty(), "diagnostics agree with {err}");
@@ -86,7 +90,9 @@ fn four_phase_fragment_logic_derivable() {
     stg.add_signal_transition([w5], (n, Edge::Fall), [w0])
         .unwrap();
     stg.set_initial(w0, 1);
-    let sg = StateGraph::build(&stg, &BTreeMap::new(), 10_000).unwrap();
+    let sg = StateGraph::build_bounded(&stg, &BTreeMap::new(), &Budget::states(10_000))
+        .complete()
+        .unwrap();
     let fns = derive_logic(&stg, &sg).unwrap();
     assert_eq!(fns.len(), 1);
     assert_eq!(fns[0].signal.name(), "n");
@@ -95,15 +101,20 @@ fn four_phase_fragment_logic_derivable() {
 
 #[test]
 fn full_system_runs_the_whole_command_set() {
-    let opts = ReachabilityOptions::default();
+    let budget = Budget::default();
     let system = sender()
         .compose(&translator())
         .unwrap()
         .compose(&receiver())
         .unwrap()
-        .remove_dead(&opts)
+        .remove_dead(&budget)
+        .complete()
         .unwrap();
-    let rg = system.net().reachability(&opts).unwrap();
+    let rg = system
+        .net()
+        .reachability_bounded(&budget)
+        .complete()
+        .unwrap();
     let analysis = system.net().analysis(&rg);
     assert!(analysis.safe);
     assert!(analysis.deadlock_free);
@@ -132,17 +143,27 @@ fn fig8_detected_fig5_clean_with_full_system() {
 
 #[test]
 fn fig9_reduction_chain_shrinks_state_spaces() {
-    let opts = ReachabilityOptions::default();
+    let budget = Budget::default();
     let tr = translator();
     let tr_red = tr
-        .reduce_against(&sender_restricted(), &opts, 10_000)
+        .reduce_against(&sender_restricted(), &budget, 10_000)
+        .unwrap()
+        .complete()
         .unwrap();
     let rx = receiver();
     let rx_red = rx
-        .prune_against(&tr_red, &ReachabilityOptions::default())
+        .prune_against(&tr_red, &budget)
+        .unwrap()
+        .complete()
         .unwrap();
 
-    let states = |s: &cpn::stg::Stg| s.net().reachability(&opts).unwrap().state_count();
+    let states = |s: &cpn::stg::Stg| {
+        s.net()
+            .reachability_bounded(&budget)
+            .complete()
+            .unwrap()
+            .state_count()
+    };
     assert!(
         states(&tr_red) < states(&tr),
         "translator state space shrinks"
@@ -168,15 +189,21 @@ fn fig9_reduction_chain_shrinks_state_spaces() {
 
 #[test]
 fn serialized_models_reanalyze_identically() {
-    let opts = ReachabilityOptions::default();
+    let budget = Budget::default();
     for (name, stg) in [("sender", sender()), ("receiver", receiver())] {
         let text = cpn::format::write_stg(name, &stg);
         let doc = cpn::format::parse(&text).unwrap();
         let (_, parsed) = &doc.stgs[0];
-        let a1 = stg.net().analysis(&stg.net().reachability(&opts).unwrap());
-        let a2 = parsed
+        let a1 = stg
             .net()
-            .analysis(&parsed.net().reachability(&opts).unwrap());
+            .analysis(&stg.net().reachability_bounded(&budget).complete().unwrap());
+        let a2 = parsed.net().analysis(
+            &parsed
+                .net()
+                .reachability_bounded(&budget)
+                .complete()
+                .unwrap(),
+        );
         assert_eq!(a1.safe, a2.safe, "{name}");
         assert_eq!(a1.live, a2.live, "{name}");
         assert_eq!(a1.bound, a2.bound, "{name}");
@@ -191,14 +218,20 @@ fn reduced_translator_still_serves_the_sender_up_to_traces() {
     // it with the live environment can deadlock when the two copies
     // resolve a choice differently. The meaningful checks are at the
     // trace level.
-    let opts = ReachabilityOptions::default();
+    let budget = Budget::default();
     let tr = translator();
     let tr_red = tr
-        .reduce_against(&sender_restricted(), &opts, 10_000)
+        .reduce_against(&sender_restricted(), &budget, 10_000)
+        .unwrap()
+        .complete()
         .unwrap();
 
     // Alone, the derived block is safe and deadlock-free.
-    let rg = tr_red.net().reachability(&opts).unwrap();
+    let rg = tr_red
+        .net()
+        .reachability_bounded(&budget)
+        .complete()
+        .unwrap();
     let analysis = tr_red.net().analysis(&rg);
     assert!(analysis.safe);
     assert!(

@@ -1,18 +1,17 @@
-//! Exploration-kernel scaling sweep: legacy cloned-map explorer vs the
-//! compiled arena explorer vs the lock-free parallel explorer at 1, 2,
-//! 4 and 8 threads, on the three workload families whose composed state
-//! spaces stress the kernel differently:
+//! Exploration-kernel sweep: the legacy cloned-map explorer vs the
+//! compiled arena explorer, on the three workload families whose
+//! composed state spaces stress the kernel differently:
 //!
 //! * `sync_pipeline(k)` — linear net, exactly `2^k` composed states
 //!   (throughput / memory stress);
 //! * `handshake_ring(s)` — linear net, linear state count with long
-//!   BFS levels of width ~1 (parallel-overhead stress);
+//!   BFS levels of width ~1 (per-level overhead stress);
 //! * `sync_mesh(3,3,t)` — token-shift torus with `C(t+8, 8)` states on
 //!   nine places (frontier-width stress; the 10^7-state acceptance
 //!   family at `t = 24` under `CPN_BENCH_FULL=1` stays at `t = 8`
 //!   here to keep the harness's repeated timing loops bounded).
 //!
-//! Every timed closure re-asserts that all kernels report the same
+//! Every timed closure re-asserts that both kernels report the same
 //! state count, so the sweep doubles as a smoke check of the
 //! bit-identity contract.
 
@@ -45,12 +44,6 @@ fn sweep(group: &mut BenchGroup, family: &str, net: &PetriNet<String>, expect_st
         let rg = net.reachability_bounded(&budget);
         assert_eq!(states_of(&rg), expect_states);
     });
-    for threads in [1usize, 2, 4, 8] {
-        group.bench(format!("{family}/parallel-{threads}"), || {
-            let rg = net.reachability_bounded_parallel(&budget, threads);
-            assert_eq!(states_of(&rg), expect_states);
-        });
-    }
 }
 
 fn main() {

@@ -9,12 +9,11 @@
 //!
 //! `bench` (never part of the default set) sweeps the exploration
 //! kernels over the `sync_pipeline`/`handshake_ring`/`sync_mesh`
-//! families (the mesh is the 10^7-state acceptance workload, with a
-//! thread sweep over 1/2/4/8 workers and an out-of-core spill-tier row)
-//! and the contraction engines over the `tau_ring`/`cip_chain`
-//! families; with `--json` it writes the machine-readable
-//! `BENCH_explore.json` (states per second per kernel, resident marking
-//! bytes, host core count, thread scaling, spill-tier counters) and
+//! families (the mesh is the 10^7-state acceptance workload, with an
+//! out-of-core spill-tier row) and the contraction engines over the
+//! `tau_ring`/`cip_chain` families; with `--json` it writes the
+//! machine-readable `BENCH_explore.json` (states per second per kernel,
+//! resident marking bytes, host core count, spill-tier counters) and
 //! `BENCH_hide.json` (seconds and allocation counts per hiding engine,
 //! speedup and allocation ratios) and `BENCH_alphabet.json` (generic
 //! label-level ops vs the interned symbol/bitset paths: hide/contract
@@ -24,11 +23,6 @@
 //! of composed CIP chains) that CI uploads as artifacts.
 //! `--quick` shrinks the sweeps for smoke runs; the default reaches the
 //! 2^20-state and 10^7-state acceptance workloads.
-//!
-//! `smoke-parallel` (also never part of the default set) is the CI
-//! acceptance check for the lock-free kernel: it asserts parallel/4 ≥
-//! 2.0× compiled/1 on `sync_pipeline/20` when the host has ≥4 cores,
-//! and prints an explicit skip otherwise.
 //!
 //! `serve` (also never part of the default set) boots an in-process
 //! `cpn-serve` daemon over loopback TCP and measures cached-compile
@@ -544,7 +538,6 @@ fn faults(quick: bool) {
 /// One timed kernel run of the `bench` sweep.
 struct KernelRun {
     kernel: &'static str,
-    threads: usize,
     seconds: f64,
     states_per_sec: f64,
     resident_marking_bytes: usize,
@@ -562,7 +555,6 @@ struct SpillRun {
 
 fn time_kernel(
     kernel: &'static str,
-    threads: usize,
     states: usize,
     run: impl FnOnce() -> cpn_petri::Bounded<cpn_petri::ReachabilityGraph>,
 ) -> KernelRun {
@@ -572,7 +564,6 @@ fn time_kernel(
     assert_eq!(rg.state_count(), states, "{kernel} state count");
     KernelRun {
         kernel,
-        threads,
         seconds,
         states_per_sec: states as f64 / seconds,
         resident_marking_bytes: rg.resident_marking_bytes(),
@@ -603,7 +594,6 @@ fn time_spilled(
     let stats = sp.spill_stats();
     KernelRun {
         kernel: "spilled",
-        threads: 1,
         seconds,
         states_per_sec: states as f64 / seconds,
         resident_marking_bytes: sp.resident_bytes(),
@@ -628,10 +618,10 @@ fn legacy_marking_model(places: usize, states: usize) -> usize {
 fn bench_explore(quick: bool, json: bool) {
     header(
         "BENCH",
-        "exploration kernel sweep (legacy / compiled / parallel / spilled)",
+        "exploration kernel sweep (legacy / compiled / spilled)",
     );
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!("host cores: {host_cores} (parallel rows beyond that run oversubscribed)");
+    println!("host cores: {host_cores}");
     let compose_all = |nets: &[PetriNet<String>]| {
         let mut acc = nets[0].clone();
         for n in &nets[1..] {
@@ -677,18 +667,13 @@ fn bench_explore(quick: bool, json: bool) {
         let budget = cpn_petri::Budget::states(states + 1);
         let mut runs = Vec::new();
         if *with_legacy {
-            runs.push(time_kernel("legacy", 1, *states, || {
+            runs.push(time_kernel("legacy", *states, || {
                 net.reachability_bounded_legacy(&budget)
             }));
         }
-        runs.push(time_kernel("compiled", 1, *states, || {
+        runs.push(time_kernel("compiled", *states, || {
             net.reachability_bounded(&budget)
         }));
-        for threads in [1usize, 2, 4, 8] {
-            runs.push(time_kernel("parallel", threads, *states, || {
-                net.reachability_bounded_parallel(&budget, threads)
-            }));
-        }
         if !*with_legacy {
             runs.push(time_spilled(*states, net, &budget, spill_budget));
         }
@@ -702,9 +687,8 @@ fn bench_explore(quick: bool, json: bool) {
         println!("{family}: {states} states, {} places", net.place_count());
         for r in &runs {
             println!(
-                "  {:<10} x{} {:>10.0} states/s ({:.2}x {})  markings {:>12} B",
+                "  {:<10} {:>10.0} states/s ({:.2}x {})  markings {:>12} B",
                 r.kernel,
-                r.threads,
                 r.states_per_sec,
                 r.states_per_sec / base_rate,
                 runs[0].kernel,
@@ -770,10 +754,9 @@ fn bench_explore(quick: bool, json: bool) {
                     None => String::new(),
                 };
                 out.push_str(&format!(
-                    "        {{\"kernel\": \"{}\", \"threads\": {}, \"seconds\": {:.4}, \
+                    "        {{\"kernel\": \"{}\", \"seconds\": {:.4}, \
                      \"states_per_sec\": {:.0}, \"speedup_vs_baseline\": {:.3}{}}}{}\n",
                     r.kernel,
-                    r.threads,
                     r.seconds,
                     r.states_per_sec,
                     r.states_per_sec / runs[0].states_per_sec,
@@ -790,52 +773,6 @@ fn bench_explore(quick: bool, json: bool) {
         std::fs::write("BENCH_explore.json", &out).expect("write BENCH_explore.json");
         println!("wrote BENCH_explore.json");
     }
-}
-
-/// CI acceptance smoke for the lock-free kernel: on hosts with at least
-/// four cores, `parallel/4` must reach ≥2.0× the sequential compiled
-/// kernel's rate on the 2^20-state `sync_pipeline/20` workload. On
-/// smaller hosts the measurement still runs and prints, but the
-/// assertion is skipped — a 1-core container cannot exhibit parallel
-/// speedup, and asserting there would only test the OS scheduler.
-fn smoke_parallel() {
-    header(
-        "SMOKE",
-        "lock-free parallel acceptance: parallel/4 >= 2.0x compiled/1 on sync_pipeline/20",
-    );
-    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let net = cpn_testkit::sync_pipeline_net(20);
-    let states = 1usize << 20;
-    let budget = cpn_petri::Budget::states(states + 1);
-    let best_of = |run: &dyn Fn() -> usize| {
-        let mut best = f64::INFINITY;
-        for _ in 0..3 {
-            let t0 = Instant::now();
-            assert_eq!(run(), states, "state count");
-            best = best.min(t0.elapsed().as_secs_f64());
-        }
-        best
-    };
-    let seq = best_of(&|| net.reachability_bounded(&budget).into_value().state_count());
-    let par = best_of(&|| {
-        net.reachability_bounded_parallel(&budget, 4)
-            .into_value()
-            .state_count()
-    });
-    let speedup = seq / par;
-    println!(
-        "host cores: {host_cores}\ncompiled/1: {seq:.3}s  parallel/4: {par:.3}s  \
-         speedup: {speedup:.2}x (best of 3)"
-    );
-    if host_cores < 4 {
-        println!("SKIP: host has {host_cores} core(s); the >=2.0x assertion needs 4");
-        return;
-    }
-    assert!(
-        speedup >= 2.0,
-        "parallel/4 must be >=2.0x compiled/1 on sync_pipeline/20, measured {speedup:.2}x"
-    );
-    println!("PASS");
 }
 
 /// One timed hiding-engine run of the `bench` sweep.
@@ -1873,10 +1810,6 @@ fn main() {
     }
     if args.iter().any(|a| a == "modules") {
         bench_modules(quick, json);
-        return;
-    }
-    if args.iter().any(|a| a == "smoke-parallel") {
-        smoke_parallel();
         return;
     }
     if args.iter().any(|a| a == "smoke-incremental") {

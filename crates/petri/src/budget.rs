@@ -352,9 +352,8 @@ impl Budget {
     }
 
     /// Immediate (not tick-gated) check of the deadline and cancel
-    /// flag. Explorers that do not thread a [`Meter`] — e.g. the
-    /// parallel BFS workers with their shared atomic accounting — call
-    /// this at their own coarse interval.
+    /// flag. Loops that do not thread a [`Meter`] call this at their own
+    /// coarse interval.
     pub fn interrupted(&self) -> Option<Resource> {
         if let Some(d) = self.deadline {
             if d.expired() {
@@ -381,6 +380,9 @@ pub enum Resource {
     Deadline,
     /// Cooperative cancellation was requested.
     Cancelled,
+    /// The state store refused another state: an allocation was
+    /// refused, the 32-bit id space was full, or spill I/O failed.
+    Storage,
 }
 
 impl fmt::Display for Resource {
@@ -390,6 +392,7 @@ impl fmt::Display for Resource {
             Resource::Transitions => write!(f, "transitions"),
             Resource::Deadline => write!(f, "deadline"),
             Resource::Cancelled => write!(f, "cancelled"),
+            Resource::Storage => write!(f, "storage"),
         }
     }
 }

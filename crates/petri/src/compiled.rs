@@ -35,8 +35,9 @@ pub const OMEGA: u32 = u32::MAX;
 /// A [`PetriNet`] lowered to flat CSR arrays for exploration.
 ///
 /// Construction is `O(|P| + Σ|preset| + Σ|postset|)`; the compiled form
-/// borrows nothing from the source net and is `Send + Sync`, so the
-/// parallel explorer shares one copy across worker threads.
+/// borrows nothing from the source net and is `Send + Sync`, so one
+/// compiled copy can be shared across threads (the `cpn-serve` net
+/// cache does).
 ///
 /// # Example
 ///

@@ -101,8 +101,8 @@ impl Fnv128 {
 }
 
 /// SplitMix64 finalizer: full avalanche on a single 64-bit word, so
-/// summing outputs keeps high-bit entropy (the marking index tag and
-/// the parallel shard router both read the high bits).
+/// summing outputs keeps high-bit entropy (the marking index tag reads
+/// the high bits).
 #[inline]
 #[must_use]
 pub fn mix64(z: u64) -> u64 {

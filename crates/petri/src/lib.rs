@@ -29,7 +29,7 @@
 //! * [`netid`] — content-addressed structural identity: canonical form
 //!   and the [`NetId`] cache key.
 //! * [`reachability`] — explicit reachability graphs with state budgets,
-//!   sequential or deterministically parallel.
+//!   built by one BFS driver over a resident or a spillable store.
 //! * [`coverability`] — Karp–Miller style boundedness detection.
 //! * [`analysis`] — liveness, safety, k-boundedness, deadlock, reversibility.
 //! * [`structural`] — net-class recognition (state machine, marked graph,

@@ -1,40 +1,35 @@
-//! Explicit reachability graphs (exploration kernel v3).
+//! Explicit reachability graphs.
 //!
 //! The reachability graph `RG(N)` (Section 2.1 of the paper) is the
 //! transitive closure of the next-state relation: nodes are reachable
-//! markings, edges are labeled by the transition fired. The kernel builds
-//! it breadth-first under a configurable state budget so that analyses
-//! never silently diverge on unbounded nets.
+//! markings, edges are labeled by the transition fired. Every explorer
+//! here builds it breadth-first under a [`Budget`], so analyses never
+//! silently diverge on unbounded nets.
 //!
-//! Three layers make the build fast:
+//! One private BFS driver builds every graph. It is generic over two
+//! things:
 //!
-//! 1. [`MarkingStore`] — every discovered marking is interned once into a
-//!    flat arena; the open-addressing index stores only `(hash, id)`
-//!    pairs, so there is no per-state allocation and no duplicate key
-//!    storage.
-//! 2. [`CompiledNet`] — the firing rule in
-//!    CSR form with a place → consumers adjacency, so each state only
-//!    re-tests transitions whose preset touches a marked place instead of
-//!    scanning all of `transition_ids()`.
-//! 3. An opt-in deterministic **lock-free parallel explorer**
-//!    ([`PetriNet::reachability_bounded_parallel`]): one shared
-//!    open-addressing index claimed slot-by-slot with atomic CAS,
-//!    per-worker deques with work stealing (no rounds, no barriers),
-//!    cooperative termination via a global in-flight counter, and a
-//!    canonical renumbering pass that makes the graph **bit-identical for
-//!    every thread count** (and to the sequential explorer). See
-//!    DESIGN.md §5f.
+//! 1. the **store** the states are interned in: the resident
+//!    [`MarkingStore`] (a flat arena with an open-addressing index, no
+//!    per-state allocation) or the [`SpillStore`], whose delta-encoded
+//!    segments page out to an unlinked temp file under a resident-byte
+//!    ceiling ([`reachability_bounded_spilled`]);
+//! 2. how a state's **successors** are chosen: every enabled transition
+//!    of the [`CompiledNet`] (whose place → consumers adjacency re-tests
+//!    only transitions touching a marked place), or a stubborn subset
+//!    ([`PetriNet::reachability_stubborn_bounded`]).
 //!
-//! For state spaces whose resident marking set outgrows RAM there is a
-//! fourth layer: [`reachability_bounded_spilled`] runs the sequential
-//! kernel over a [`SpillStore`], whose delta-encoded segments page out to
-//! an unlinked temp file under a configurable resident-byte ceiling.
+//! Either way states are numbered in discovery order and edges kept in
+//! ascending transition order, so both stores give the same ids, edges
+//! and `Exhausted` statistics. A store that refuses a state (allocation,
+//! id space, spill I/O) stops the exploration with
+//! [`Resource::Storage`]: the prefix is sound, never `Complete`.
 //!
 //! The pre-arena explorer survives as
 //! [`PetriNet::reachability_bounded_legacy`], the reference
 //! implementation the equivalence property suite differentiates against.
 
-use crate::budget::{Bounded, Budget, Meter};
+use crate::budget::{Bounded, Budget, Exhausted, Meter, Resource};
 use crate::compiled::{CandidateScratch, CompiledNet, StubbornScratch};
 use crate::error::PetriError;
 use crate::graph::DiGraph;
@@ -42,10 +37,8 @@ use crate::label::Label;
 use crate::marking::Marking;
 use crate::net::{PetriNet, PlaceId, TransitionId};
 use crate::store::{MarkingStore, SpillConfig, SpillStats, SpillStore};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
 
 /// Identifier of a state (reachable marking) in a [`ReachabilityGraph`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -239,8 +232,7 @@ impl ReachabilityGraph {
 }
 
 impl<L: Label> PetriNet<L> {
-    /// Builds the reachability graph breadth-first with the sequential
-    /// kernel under a [`Budget`].
+    /// Builds the reachability graph breadth-first under a [`Budget`].
     ///
     /// When the budget runs out, exploration stops immediately and the
     /// partial graph discovered so far is returned in
@@ -251,7 +243,7 @@ impl<L: Label> PetriNet<L> {
     /// cap; use [`coverability`](crate::coverability::CoverabilityTree)
     /// to decide boundedness.
     pub fn reachability_bounded(&self, budget: &Budget) -> Bounded<ReachabilityGraph> {
-        explore_compiled(&self.compile(), self.initial_marking().as_slice(), budget)
+        reachability_bounded_compiled(&self.compile(), self.initial_marking().as_slice(), budget)
     }
 
     /// Builds a **stubborn-set reduced** reachability graph breadth-first
@@ -278,30 +270,16 @@ impl<L: Label> PetriNet<L> {
     ) -> Bounded<ReachabilityGraph> {
         let compiled = self.compile();
         let seeds = stubborn_seeds(&compiled, watched);
-        explore_stubborn(&compiled, self.initial_marking().as_slice(), budget, &seeds)
-    }
-
-    /// Builds the reachability graph with `threads` lock-free workers.
-    ///
-    /// Discovered markings are published to a single shared CAS-claimed
-    /// index, the frontier is traded through work-stealing deques, and a
-    /// final canonical BFS-order renumbering pass makes the result
-    /// **bit-identical** to [`PetriNet::reachability_bounded`] for every
-    /// thread count. When the budget is exhausted mid-flight, the
-    /// partial exploration is discarded and the sequential explorer
-    /// re-runs under the same budget, so `Exhausted` prefixes and
-    /// statistics are also identical.
-    pub fn reachability_bounded_parallel(
-        &self,
-        budget: &Budget,
-        threads: usize,
-    ) -> Bounded<ReachabilityGraph> {
-        reachability_bounded_parallel_compiled(
-            &self.compile(),
+        let successors =
+            Successors::Stubborn(StubbornScratch::new(compiled.transition_count()), &seeds);
+        explore(
+            &compiled,
             self.initial_marking().as_slice(),
             budget,
-            threads,
+            MarkingStore::new(compiled.place_count()),
+            successors,
         )
+        .map(Explored::into_graph)
     }
 
     /// The pre-arena explorer (interpreted firing rule, `Vec<Marking>` +
@@ -389,119 +367,28 @@ pub fn reachability_bounded_compiled(
     m0: &[u32],
     budget: &Budget,
 ) -> Bounded<ReachabilityGraph> {
-    explore_compiled(compiled, m0, budget)
+    let successors = Successors::All(CandidateScratch::new(compiled.transition_count()));
+    explore(
+        compiled,
+        m0,
+        budget,
+        MarkingStore::new(compiled.place_count()),
+        successors,
+    )
+    .map(Explored::into_graph)
 }
 
-/// [`PetriNet::reachability_bounded_parallel`] over a pre-compiled net —
-/// the multi-threaded sibling of [`reachability_bounded_compiled`], used
-/// by `cpn-serve` when a request carries `threads > 1`.
-///
-/// `threads` is clamped to `1..=64`. One thread (or a degenerate budget)
-/// runs the sequential kernel directly; any budget or table exhaustion
-/// inside the lock-free kernel falls back to a sequential replay under
-/// the same budget, so `Exhausted` results are deterministic too.
+/// [`reachability_bounded_compiled`] under its former multi-threaded
+/// name. `threads` has no effect.
+#[doc(hidden)]
 pub fn reachability_bounded_parallel_compiled(
     compiled: &CompiledNet,
     m0: &[u32],
     budget: &Budget,
-    threads: usize,
+    _threads: usize,
 ) -> Bounded<ReachabilityGraph> {
-    let threads = threads.clamp(1, 64);
-    if threads == 1 || budget.max_states < 2 {
-        return explore_compiled(compiled, m0, budget);
-    }
-    match explore_parallel(compiled, m0, budget, threads) {
-        Some(rg) => Bounded::Complete(rg),
-        // Budget hit: replay sequentially for a deterministic prefix.
-        None => explore_compiled(compiled, m0, budget),
-    }
+    reachability_bounded_compiled(compiled, m0, budget)
 }
-
-// ----------------------------------------------------------------------
-// Sequential compiled explorer
-// ----------------------------------------------------------------------
-
-fn explore_compiled(
-    compiled: &CompiledNet,
-    m0: &[u32],
-    budget: &Budget,
-) -> Bounded<ReachabilityGraph> {
-    let mut meter = Meter::new(budget);
-    let stride = compiled.place_count();
-    let mut store = MarkingStore::new(stride);
-    store.intern(m0);
-    // The initial state always exists, even under a zero budget.
-    meter.take_state();
-
-    let mut edge_data: Vec<(TransitionId, StateId)> = Vec::new();
-    let mut edge_off: Vec<usize> = vec![0];
-    let mut cur: Vec<u32> = Vec::with_capacity(stride);
-    let mut cands: Vec<u32> = Vec::new();
-    let mut scratch = CandidateScratch::new(compiled.transition_count());
-
-    let mut frontier = 0usize;
-    'explore: while frontier < store.len() {
-        // Per-state deadline/cancel poll (coarse: real wall-clock reads
-        // happen every POLL_INTERVAL ticks inside the meter).
-        if meter.should_stop() {
-            break 'explore;
-        }
-        cur.clear();
-        cur.extend_from_slice(store.get(frontier));
-        let cur_hash = store.hash_of(frontier);
-        compiled.enabled_candidates(&cur, &mut scratch, &mut cands);
-        for &t in &cands {
-            if !compiled.is_enabled(&cur, t) {
-                continue;
-            }
-            if !meter.take_transition() {
-                break 'explore;
-            }
-            // Fire in place with a delta-updated hash, probe/insert the
-            // successor straight out of `cur`, then revert — no
-            // per-successor copy or full-stride rehash.
-            let hash = compiled.apply_hashed(&mut cur, cur_hash, t);
-            debug_assert_eq!(hash, MarkingStore::hash_slice(&cur));
-            let found = store.find_hashed(&cur, hash);
-            let target = match found {
-                Some(id) => id,
-                None => {
-                    if !meter.take_state() {
-                        compiled.unapply(&mut cur, t);
-                        break 'explore;
-                    }
-                    match store.insert_new_hashed(&cur, hash) {
-                        Ok(id) => id,
-                        Err(_) => {
-                            compiled.unapply(&mut cur, t);
-                            break 'explore;
-                        }
-                    }
-                }
-            };
-            compiled.unapply(&mut cur, t);
-            edge_data.push((TransitionId::from_index(t as usize), StateId(target)));
-        }
-        edge_off.push(edge_data.len());
-        frontier += 1;
-    }
-    // On early exit the offsets of unexpanded (and the partially
-    // expanded) states still need closing so the CSR stays well-formed.
-    while edge_off.len() <= store.len() {
-        edge_off.push(edge_data.len());
-    }
-
-    meter.finish(ReachabilityGraph {
-        store,
-        edge_data,
-        edge_off,
-        initial: StateId(0),
-    })
-}
-
-// ----------------------------------------------------------------------
-// Stubborn-set reduced explorer
-// ----------------------------------------------------------------------
 
 /// Transitions adjacent to a watched place (take **or** give): the seed
 /// set forcing every stubborn set to contain all transitions that can
@@ -527,81 +414,6 @@ fn stubborn_seeds(compiled: &CompiledNet, watched: &[PlaceId]) -> Vec<u32> {
     }
     seeds
 }
-
-/// [`explore_compiled`] with the candidate set replaced by the stubborn
-/// filter; everything else (arena, delta hashing, meter accounting, CSR
-/// closing) is identical.
-fn explore_stubborn(
-    compiled: &CompiledNet,
-    m0: &[u32],
-    budget: &Budget,
-    seeds: &[u32],
-) -> Bounded<ReachabilityGraph> {
-    let mut meter = Meter::new(budget);
-    let stride = compiled.place_count();
-    let mut store = MarkingStore::new(stride);
-    store.intern(m0);
-    meter.take_state();
-
-    let mut edge_data: Vec<(TransitionId, StateId)> = Vec::new();
-    let mut edge_off: Vec<usize> = vec![0];
-    let mut cur: Vec<u32> = Vec::with_capacity(stride);
-    let mut cands: Vec<u32> = Vec::new();
-    let mut scratch = StubbornScratch::new(compiled.transition_count());
-
-    let mut frontier = 0usize;
-    'explore: while frontier < store.len() {
-        if meter.should_stop() {
-            break 'explore;
-        }
-        cur.clear();
-        cur.extend_from_slice(store.get(frontier));
-        let cur_hash = store.hash_of(frontier);
-        compiled.stubborn_enabled(&cur, seeds, &mut scratch, &mut cands);
-        for &t in &cands {
-            if !meter.take_transition() {
-                break 'explore;
-            }
-            let hash = compiled.apply_hashed(&mut cur, cur_hash, t);
-            debug_assert_eq!(hash, MarkingStore::hash_slice(&cur));
-            let found = store.find_hashed(&cur, hash);
-            let target = match found {
-                Some(id) => id,
-                None => {
-                    if !meter.take_state() {
-                        compiled.unapply(&mut cur, t);
-                        break 'explore;
-                    }
-                    match store.insert_new_hashed(&cur, hash) {
-                        Ok(id) => id,
-                        Err(_) => {
-                            compiled.unapply(&mut cur, t);
-                            break 'explore;
-                        }
-                    }
-                }
-            };
-            compiled.unapply(&mut cur, t);
-            edge_data.push((TransitionId::from_index(t as usize), StateId(target)));
-        }
-        edge_off.push(edge_data.len());
-        frontier += 1;
-    }
-    while edge_off.len() <= store.len() {
-        edge_off.push(edge_data.len());
-    }
-
-    meter.finish(ReachabilityGraph {
-        store,
-        edge_data,
-        edge_off,
-        initial: StateId(0),
-    })
-}
-
-// ----------------------------------------------------------------------
-// Out-of-core explorer over the spillable tiered store
-// ----------------------------------------------------------------------
 
 /// A reachability graph whose markings live in a [`SpillStore`]: resident
 /// segments are delta-encoded, cold ones are paged out to an unlinked
@@ -699,646 +511,232 @@ impl SpilledReachability {
     }
 }
 
-/// Sequential BFS over a [`SpillStore`]: the out-of-core sibling of
-/// [`reachability_bounded_compiled`], for state spaces whose resident
-/// marking set outgrows RAM.
+/// Breadth-first exploration over a [`SpillStore`]: the out-of-core
+/// sibling of [`reachability_bounded_compiled`], for state spaces whose
+/// resident marking set outgrows RAM.
 ///
-/// Visits states in the exact order of the resident kernel, so ids and
-/// edges match byte-for-byte; only the marking storage tier differs. A
-/// spill i/o failure is treated like budget exhaustion — the prefix built
-/// so far is sound and is returned as [`Bounded::Exhausted`].
+/// Runs the same driver as the resident kernel, so ids and edges match
+/// byte-for-byte; only the marking storage tier differs. A spill I/O
+/// failure stops the exploration: the prefix built so far is sound and
+/// is returned as [`Bounded::Exhausted`] with [`Resource::Storage`].
 pub fn reachability_bounded_spilled(
     compiled: &CompiledNet,
     m0: &[u32],
     budget: &Budget,
     config: &SpillConfig,
 ) -> Bounded<SpilledReachability> {
+    let successors = Successors::All(CandidateScratch::new(compiled.transition_count()));
+    explore(
+        compiled,
+        m0,
+        budget,
+        SpillStore::new(compiled.place_count(), config),
+        successors,
+    )
+    .map(|e| SpilledReachability {
+        store: e.store,
+        edge_data: e.edge_data,
+        edge_off: e.edge_off,
+        initial: StateId(0),
+    })
+}
+
+// ----------------------------------------------------------------------
+// The exploration driver
+// ----------------------------------------------------------------------
+
+/// What the driver needs from a marking store. Both stores number rows
+/// densely in insertion order, so the driver assigns the same ids on
+/// either. The driver reads an error only as "stop".
+trait StateStore {
+    fn len(&self) -> usize;
+    /// Copies row `i` into `out` and returns its cached hash.
+    fn load(&mut self, i: usize, out: &mut Vec<u32>) -> Result<u64, PetriError>;
+    fn find(&mut self, m: &[u32], hash: u64) -> Result<Option<u32>, PetriError>;
+    /// Inserts a row that `find` just reported absent.
+    fn insert(&mut self, m: &[u32], hash: u64) -> Result<u32, PetriError>;
+}
+
+impl StateStore for MarkingStore {
+    fn len(&self) -> usize {
+        MarkingStore::len(self)
+    }
+
+    #[inline]
+    fn load(&mut self, i: usize, out: &mut Vec<u32>) -> Result<u64, PetriError> {
+        out.clear();
+        out.extend_from_slice(self.get(i));
+        Ok(self.hash_of(i))
+    }
+
+    #[inline]
+    fn find(&mut self, m: &[u32], hash: u64) -> Result<Option<u32>, PetriError> {
+        Ok(self.find_hashed(m, hash))
+    }
+
+    fn insert(&mut self, m: &[u32], hash: u64) -> Result<u32, PetriError> {
+        self.insert_new_hashed(m, hash)
+    }
+}
+
+impl StateStore for SpillStore {
+    fn len(&self) -> usize {
+        SpillStore::len(self)
+    }
+
+    fn load(&mut self, i: usize, out: &mut Vec<u32>) -> Result<u64, PetriError> {
+        self.get_into(i, out)?;
+        Ok(self.hash_of(i))
+    }
+
+    fn find(&mut self, m: &[u32], hash: u64) -> Result<Option<u32>, PetriError> {
+        self.find_hashed(m, hash)
+    }
+
+    fn insert(&mut self, m: &[u32], hash: u64) -> Result<u32, PetriError> {
+        self.insert_new_hashed(m, hash)
+    }
+}
+
+/// How the driver chooses the transitions to fire at a state.
+enum Successors<'a> {
+    /// Every enabled transition: the candidates of
+    /// [`CompiledNet::enabled_candidates`] that pass `is_enabled`.
+    All(CandidateScratch),
+    /// The enabled members of a stubborn set grown from these seeds.
+    Stubborn(StubbornScratch, &'a [u32]),
+}
+
+impl Successors<'_> {
+    /// Writes the transitions that may fire at `m` into `out`, ascending.
+    fn candidates(&mut self, compiled: &CompiledNet, m: &[u32], out: &mut Vec<u32>) {
+        match self {
+            Successors::All(scratch) => compiled.enabled_candidates(m, scratch, out),
+            Successors::Stubborn(scratch, seeds) => {
+                compiled.stubborn_enabled(m, seeds, scratch, out);
+            }
+        }
+    }
+
+    /// Whether candidate `t` fires at `m`. Stubborn members are enabled
+    /// by construction.
+    #[inline]
+    fn fires(&self, compiled: &CompiledNet, m: &[u32], t: u32) -> bool {
+        match self {
+            Successors::All(_) => compiled.is_enabled(m, t),
+            Successors::Stubborn(..) => true,
+        }
+    }
+}
+
+/// The driver's output: the interned states and the CSR edge arrays.
+struct Explored<S> {
+    store: S,
+    edge_data: Vec<(TransitionId, StateId)>,
+    edge_off: Vec<usize>,
+}
+
+impl Explored<MarkingStore> {
+    fn into_graph(self) -> ReachabilityGraph {
+        ReachabilityGraph {
+            store: self.store,
+            edge_data: self.edge_data,
+            edge_off: self.edge_off,
+            initial: StateId(0),
+        }
+    }
+}
+
+/// The one BFS loop behind every explorer but the legacy oracle.
+///
+/// States are expanded in id order and their successors examined in
+/// ascending transition order. The meter is charged in a fixed order —
+/// `take_transition` before the successor is looked up, `take_state`
+/// before it is inserted — which is what keeps `Exhausted` prefixes and
+/// statistics identical to the legacy explorer's.
+fn explore<S: StateStore>(
+    compiled: &CompiledNet,
+    m0: &[u32],
+    budget: &Budget,
+    mut store: S,
+    mut successors: Successors<'_>,
+) -> Bounded<Explored<S>> {
     let mut meter = Meter::new(budget);
-    let stride = compiled.place_count();
-    let hint = if budget.max_states < usize::MAX / 2 {
-        budget.max_states + 1
-    } else {
-        0
-    };
-    let mut store = SpillStore::new(stride, config, hint);
-    let h0 = MarkingStore::hash_slice(m0);
-    match store.insert_new_hashed(m0, h0) {
-        Ok(_) => {}
-        Err(e) => panic!("spill store rejected the initial marking: {e}"),
+    if let Err(e) = store.insert(m0, MarkingStore::hash_slice(m0)) {
+        panic!("marking store rejected the initial marking: {e}");
     }
     // The initial state always exists, even under a zero budget.
     meter.take_state();
 
     let mut edge_data: Vec<(TransitionId, StateId)> = Vec::new();
     let mut edge_off: Vec<usize> = vec![0];
-    let mut cur: Vec<u32> = Vec::with_capacity(stride);
+    let mut cur: Vec<u32> = Vec::with_capacity(compiled.place_count());
     let mut cands: Vec<u32> = Vec::new();
-    let mut scratch = CandidateScratch::new(compiled.transition_count());
+    let mut store_failed = false;
 
     let mut frontier = 0usize;
     'explore: while frontier < store.len() {
+        // Per-state deadline/cancel poll (coarse: real wall-clock reads
+        // happen every POLL_INTERVAL ticks inside the meter).
         if meter.should_stop() {
             break 'explore;
         }
-        if store.get_into(frontier, &mut cur).is_err() {
-            // Disk trouble: stop with the sound prefix built so far.
+        let Ok(cur_hash) = store.load(frontier, &mut cur) else {
+            store_failed = true;
             break 'explore;
-        }
-        let cur_hash = MarkingStore::hash_slice(&cur);
-        compiled.enabled_candidates(&cur, &mut scratch, &mut cands);
+        };
+        successors.candidates(compiled, &cur, &mut cands);
         for &t in &cands {
-            if !compiled.is_enabled(&cur, t) {
+            if !successors.fires(compiled, &cur, t) {
                 continue;
             }
             if !meter.take_transition() {
                 break 'explore;
             }
+            // Fire in place with a delta-updated hash, probe/insert the
+            // successor straight out of `cur`, then revert — no
+            // per-successor copy or full-stride rehash.
             let hash = compiled.apply_hashed(&mut cur, cur_hash, t);
-            let found = match store.find_hashed(&cur, hash) {
-                Ok(found) => found,
-                Err(_) => {
-                    compiled.unapply(&mut cur, t);
-                    break 'explore;
-                }
-            };
-            let target = match found {
-                Some(id) => id,
-                None => {
-                    if !meter.take_state() {
-                        compiled.unapply(&mut cur, t);
-                        break 'explore;
-                    }
-                    match store.insert_new_hashed(&cur, hash) {
-                        Ok(id) => id,
-                        Err(_) => {
-                            compiled.unapply(&mut cur, t);
-                            break 'explore;
-                        }
-                    }
-                }
+            debug_assert_eq!(hash, MarkingStore::hash_slice(&cur));
+            let target = match store.find(&cur, hash) {
+                Ok(None) if !meter.take_state() => break 'explore,
+                Ok(None) => store.insert(&cur, hash),
+                Ok(Some(id)) => Ok(id),
+                Err(e) => Err(e),
             };
             compiled.unapply(&mut cur, t);
+            let Ok(target) = target else {
+                store_failed = true;
+                break 'explore;
+            };
             edge_data.push((TransitionId::from_index(t as usize), StateId(target)));
         }
         edge_off.push(edge_data.len());
         frontier += 1;
     }
+    // On early exit the offsets of unexpanded (and the partially
+    // expanded) states still need closing so the CSR stays well-formed.
     while edge_off.len() <= store.len() {
         edge_off.push(edge_data.len());
     }
 
-    meter.finish(SpilledReachability {
+    let explored = Explored {
         store,
         edge_data,
         edge_off,
-        initial: StateId(0),
-    })
-}
-
-// ----------------------------------------------------------------------
-// Lock-free parallel BFS (kernel v3)
-// ----------------------------------------------------------------------
-//
-// One shared open-addressing table, claimed slot-by-slot with CAS; no
-// rounds, no barriers, no mailboxes. Each worker appends the markings it
-// discovers to its own segmented arena (stable addresses, readable by
-// every worker), publishes them by CAS-ing a packed entry into the
-// table, and trades frontier work through per-worker steal deques. A
-// global in-flight counter detects termination. A final renumbering pass
-// replays the sequential discovery recurrence over the logged edges, so
-// the output is byte-identical to `explore_compiled` for any thread
-// count. See DESIGN.md §5f.
-
-/// Empty table slot.
-const EMPTY_SLOT: u64 = 0;
-/// Published-entry marker (keeps every live entry nonzero).
-const PRESENT: u64 = 1 << 63;
-/// Entry layout below the marker: 23 hash tag bits, 8 worker bits,
-/// 32 local-id bits.
-const TAG_SHIFT: u32 = 40;
-const TAG_BITS: u64 = 0x7F_FFFF;
-const TAG_FIELD: u64 = TAG_BITS << TAG_SHIFT;
-const GID_MASK: u64 = (1 << TAG_SHIFT) - 1;
-/// Hard ceiling on the shared table (2^28 slots = 2 GiB of index).
-const PAR_SLOTS_CAP: usize = 1 << 28;
-/// Floor so tiny explorations don't immediately exhaust the 7/8 load cap.
-const PAR_SLOTS_MIN: usize = 1 << 10;
-
-/// Packs a worker-local state reference: `(worker << 32) | local`.
-#[inline]
-fn pack(worker: usize, local: u32) -> u64 {
-    ((worker as u64) << 32) | u64::from(local)
-}
-
-#[inline]
-fn unpack(packed: u64) -> (usize, u32) {
-    ((packed >> 32) as usize, packed as u32)
-}
-
-/// The table entry publishing marking `(worker, local)` under `hash`.
-/// The tag reuses the hash's top 23 bits — disjoint from the probe bits
-/// (low `log2(slots) ≤ 28`), so tag collisions are independent of slot
-/// clustering.
-#[inline]
-fn make_entry(hash: u64, worker: usize, local: u32) -> u64 {
-    PRESENT | (((hash >> 41) & TAG_BITS) << TAG_SHIFT) | pack(worker, local)
-}
-
-fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
-/// One worker's append-only marking arena. Rows live in fixed-size
-/// segments allocated on demand through `OnceLock`, so a row's address
-/// never moves after publication and other workers can read it without
-/// locks: the publishing CAS (Release) on the table entry orders the
-/// row's Relaxed stores before any reader that Acquire-loads the entry.
-struct WorkerArena {
-    stride: usize,
-    seg_rows: usize,
-    marks: Vec<OnceLock<Box<[AtomicU32]>>>,
-    hashes: Vec<OnceLock<Box<[AtomicU64]>>>,
-}
-
-impl WorkerArena {
-    fn new(stride: usize, cap_states: usize) -> Self {
-        // ~4 MiB segments, clamped so huge strides still get a few rows
-        // per segment and small ones don't balloon the pointer tables.
-        let seg_rows = ((1usize << 20) / stride.max(1)).clamp(64, 8192);
-        let segs = cap_states / seg_rows + 2;
-        WorkerArena {
-            stride,
-            seg_rows,
-            marks: (0..segs).map(|_| OnceLock::new()).collect(),
-            hashes: (0..segs).map(|_| OnceLock::new()).collect(),
-        }
-    }
-
-    #[inline]
-    fn split(&self, local: u32) -> (usize, usize) {
-        (
-            local as usize / self.seg_rows,
-            local as usize % self.seg_rows,
-        )
-    }
-
-    /// Owner-side tentative append: writes row `local` before it is
-    /// published. Safe to overwrite (a lost insert race reuses the row).
-    fn write_row(&self, local: u32, m: &[u32], hash: u64) {
-        let (s, r) = self.split(local);
-        let seg = self.marks[s].get_or_init(|| {
-            (0..self.seg_rows * self.stride)
-                .map(|_| AtomicU32::new(0))
-                .collect()
-        });
-        let hseg =
-            self.hashes[s].get_or_init(|| (0..self.seg_rows).map(|_| AtomicU64::new(0)).collect());
-        for (i, &w) in m.iter().enumerate() {
-            seg[r * self.stride + i].store(w, Ordering::Relaxed);
-        }
-        hseg[r].store(hash, Ordering::Relaxed);
-    }
-
-    #[inline]
-    fn row(&self, local: u32) -> &[AtomicU32] {
-        let (s, r) = self.split(local);
-        match self.marks[s].get() {
-            Some(seg) => &seg[r * self.stride..(r + 1) * self.stride],
-            None => unreachable!("arena row read before publication"),
-        }
-    }
-
-    fn read_row_into(&self, local: u32, out: &mut Vec<u32>) {
-        out.clear();
-        out.extend(self.row(local).iter().map(|a| a.load(Ordering::Relaxed)));
-    }
-
-    #[inline]
-    fn row_eq(&self, local: u32, m: &[u32]) -> bool {
-        m.iter()
-            .zip(self.row(local))
-            .all(|(&w, a)| a.load(Ordering::Relaxed) == w)
-    }
-
-    #[inline]
-    fn hash_of(&self, local: u32) -> u64 {
-        let (s, r) = self.split(local);
-        match self.hashes[s].get() {
-            Some(h) => h[r].load(Ordering::Relaxed),
-            None => unreachable!("arena hash read before publication"),
-        }
-    }
-}
-
-enum Probe {
-    /// The marking is published under this packed `(worker, local)` gid.
-    Found(u64),
-    /// Not present; the probe stopped at this empty slot.
-    Vacant(usize),
-}
-
-/// The shared lock-free insert-or-get index over all worker arenas.
-struct SharedIndex<'a> {
-    slots: &'a [AtomicU64],
-    mask: usize,
-    arenas: &'a [WorkerArena],
-}
-
-impl SharedIndex<'_> {
-    /// Linear-probes from `slot`. Occupancy is monotone (slots fill,
-    /// never empty), so a restarted probe never misses an insert that
-    /// happened behind its scan frontier: every slot it passed was
-    /// already occupied and stays occupied.
-    fn probe_from(&self, mut slot: usize, m: &[u32], hash: u64) -> Probe {
-        let tag = ((hash >> 41) & TAG_BITS) << TAG_SHIFT;
-        loop {
-            let e = self.slots[slot].load(Ordering::Acquire);
-            if e == EMPTY_SLOT {
-                return Probe::Vacant(slot);
-            }
-            if e & TAG_FIELD == tag {
-                let (w, l) = unpack(e & GID_MASK);
-                if self.arenas[w].hash_of(l) == hash && self.arenas[w].row_eq(l, m) {
-                    return Probe::Found(e & GID_MASK);
-                }
-            }
-            slot = (slot + 1) & self.mask;
-        }
-    }
-
-    #[inline]
-    fn find(&self, m: &[u32], hash: u64) -> Probe {
-        self.probe_from((hash as usize) & self.mask, m, hash)
-    }
-
-    /// Races to claim the vacant `slot` for the tentative row
-    /// `(me, local)`. Returns `None` when the claim won (the row is now
-    /// published) or `Some(gid)` when a concurrent insert published an
-    /// equal marking first (the tentative row must be rolled back).
-    fn claim(&self, mut slot: usize, m: &[u32], hash: u64, me: usize, local: u32) -> Option<u64> {
-        let entry = make_entry(hash, me, local);
-        loop {
-            // Release on success publishes the row's Relaxed stores to
-            // every reader that Acquire-loads this entry.
-            if self.slots[slot]
-                .compare_exchange(EMPTY_SLOT, entry, Ordering::Release, Ordering::Acquire)
-                .is_ok()
-            {
-                return None;
-            }
-            // Lost the slot: somebody filled it under us. Re-examine
-            // from here — the newcomer may be our own marking.
-            match self.probe_from(slot, m, hash) {
-                Probe::Found(gid) => return Some(gid),
-                Probe::Vacant(s) => slot = s,
-            }
-        }
-    }
-}
-
-/// A worker's public deque plus an occupancy counter so peers can scan
-/// for victims without taking the lock.
-struct StealQueue {
-    q: Mutex<VecDeque<u64>>,
-    size: AtomicUsize,
-}
-
-/// One worker's exploration log: how many states it owns, which states
-/// it expanded (in its own expansion order) and their edges, grouped
-/// contiguously per expansion and ascending by transition id within one.
-struct WorkerLog {
-    len: u32,
-    /// `(gid expanded, first index into edges)`; the range ends at the
-    /// next entry's start (or `edges.len()`).
-    srcs: Vec<(u64, usize)>,
-    /// `(transition, target gid)`.
-    edges: Vec<(u32, u64)>,
-}
-
-/// Pops local work, then the worker's own public deque, then steals half
-/// of the first non-empty victim's deque (scanning round-robin from
-/// `me + 1`). Returns `None` when no work is visible anywhere.
-fn next_work(me: usize, local: &mut Vec<u64>, queues: &[StealQueue]) -> Option<u64> {
-    if let Some(g) = local.pop() {
-        return Some(g);
-    }
-    {
-        let mut q = lock(&queues[me].q);
-        if let Some(g) = q.pop_back() {
-            queues[me].size.store(q.len(), Ordering::Relaxed);
-            return Some(g);
-        }
-    }
-    let n = queues.len();
-    for d in 1..n {
-        let v = (me + d) % n;
-        if queues[v].size.load(Ordering::Relaxed) == 0 {
-            continue;
-        }
-        let mut q = lock(&queues[v].q);
-        let take = q.len().div_ceil(2);
-        for _ in 0..take {
-            if let Some(g) = q.pop_front() {
-                local.push(g);
-            }
-        }
-        queues[v].size.store(q.len(), Ordering::Relaxed);
-        drop(q);
-        if let Some(g) = local.pop() {
-            return Some(g);
-        }
-    }
-    None
-}
-
-/// Barrier-free work-stealing BFS. Returns `Some(graph)` on complete
-/// exploration (already canonically renumbered), `None` when the budget
-/// ran out or the fixed table filled (the caller replays sequentially
-/// for a deterministic prefix).
-fn explore_parallel(
-    compiled: &CompiledNet,
-    m0: &[u32],
-    budget: &Budget,
-    threads: usize,
-) -> Option<ReachabilityGraph> {
-    // An already-expired deadline or pre-cancelled token must produce
-    // the same result as the sequential meter, whose very first tick
-    // polls interrupts — so poll before any work happens. (Mid-flight
-    // interrupts are wall-clock races either way; completes are always
-    // the true graph.)
-    if budget.interrupted().is_some() {
-        return None;
-    }
-    let stride = compiled.place_count();
-    let h0 = MarkingStore::hash_slice(m0);
-
-    // Pre-size the shared table from the budget (it never grows — a
-    // fixed table is what makes CAS claims sufficient). An effectively
-    // infinite budget falls back to the workspace default; blowing past
-    // the 7/8 load cap trips `stopped` and the sequential replay (which
-    // does grow) takes over.
-    let sizing = if budget.max_states < usize::MAX / 2 {
-        budget.max_states + 1
-    } else {
-        crate::budget::DEFAULT_MAX_STATES
     };
-    let slots = (sizing.min(PAR_SLOTS_CAP) * 8 / 7 + 1)
-        .next_power_of_two()
-        .clamp(PAR_SLOTS_MIN, PAR_SLOTS_CAP);
-    let state_cap = budget.max_states.min(slots * 7 / 8);
-
-    let slots_vec: Vec<AtomicU64> = (0..slots).map(|_| AtomicU64::new(EMPTY_SLOT)).collect();
-    let arenas: Vec<WorkerArena> = (0..threads)
-        .map(|_| WorkerArena::new(stride, state_cap))
-        .collect();
-    let index = SharedIndex {
-        slots: &slots_vec,
-        mask: slots - 1,
-        arenas: &arenas,
-    };
-
-    // Seed: worker 0 owns the initial marking as (0, 0). Single-threaded
-    // here, so a plain store publishes it.
-    arenas[0].write_row(0, m0, h0);
-    match index.find(m0, h0) {
-        Probe::Vacant(s) => slots_vec[s].store(make_entry(h0, 0, 0), Ordering::Relaxed),
-        Probe::Found(_) => unreachable!("empty table cannot contain the seed"),
+    if store_failed {
+        return Bounded::Exhausted {
+            partial: explored,
+            info: Exhausted {
+                resource: Resource::Storage,
+                states_explored: meter.states_explored(),
+                transitions_explored: meter.transitions_explored(),
+                budget: *budget,
+            },
+        };
     }
-
-    let queues: Vec<StealQueue> = (0..threads)
-        .map(|_| StealQueue {
-            q: Mutex::new(VecDeque::new()),
-            size: AtomicUsize::new(0),
-        })
-        .collect();
-    // States discovered but not yet fully expanded. Insert increments
-    // (before the state becomes visible), retiring an expansion
-    // decrements; zero with empty queues means the wavefront is done.
-    let in_flight = AtomicUsize::new(1);
-    let states_used = AtomicUsize::new(1); // the seed's ticket
-    let trans_used = AtomicUsize::new(0);
-    let stopped = AtomicBool::new(false);
-
-    let mut logs: Vec<WorkerLog> = Vec::with_capacity(threads);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for me in 0..threads {
-            let index = &index;
-            let arenas = &arenas;
-            let queues = &queues;
-            let in_flight = &in_flight;
-            let states_used = &states_used;
-            let trans_used = &trans_used;
-            let stopped = &stopped;
-            handles.push(scope.spawn(move || {
-                let mut my_len: u32 = u32::from(me == 0);
-                let mut local: Vec<u64> = if me == 0 {
-                    vec![pack(0, 0)]
-                } else {
-                    Vec::new()
-                };
-                let mut srcs: Vec<(u64, usize)> = Vec::new();
-                let mut edges: Vec<(u32, u64)> = Vec::new();
-                let mut cur: Vec<u32> = Vec::with_capacity(stride);
-                let mut cands: Vec<u32> = Vec::new();
-                let mut scratch = CandidateScratch::new(compiled.transition_count());
-                let mut expansions: u32 = 0;
-
-                'work: loop {
-                    let Some(gid) = next_work(me, &mut local, queues) else {
-                        if stopped.load(Ordering::Relaxed) {
-                            break 'work;
-                        }
-                        if in_flight.load(Ordering::Acquire) == 0 {
-                            break 'work;
-                        }
-                        // Poll the deadline/cancel while starved so a
-                        // stall cannot outlive the budget (cancellation
-                        // lands mid-steal, not just mid-expansion).
-                        if budget.interrupted().is_some() {
-                            stopped.store(true, Ordering::Relaxed);
-                            break 'work;
-                        }
-                        std::thread::yield_now();
-                        continue 'work;
-                    };
-                    if stopped.load(Ordering::Relaxed) {
-                        break 'work;
-                    }
-                    expansions = expansions.wrapping_add(1);
-                    if expansions & 0x3F == 0 && budget.interrupted().is_some() {
-                        stopped.store(true, Ordering::Relaxed);
-                        break 'work;
-                    }
-
-                    let (ow, ol) = unpack(gid);
-                    arenas[ow].read_row_into(ol, &mut cur);
-                    let cur_hash = arenas[ow].hash_of(ol);
-                    srcs.push((gid, edges.len()));
-                    compiled.enabled_candidates(&cur, &mut scratch, &mut cands);
-                    for &t in &cands {
-                        if !compiled.is_enabled(&cur, t) {
-                            continue;
-                        }
-                        if trans_used.fetch_add(1, Ordering::Relaxed) >= budget.max_transitions {
-                            stopped.store(true, Ordering::Relaxed);
-                            break 'work;
-                        }
-                        let hash = compiled.apply_hashed(&mut cur, cur_hash, t);
-                        let target = match index.find(&cur, hash) {
-                            Probe::Found(g) => g,
-                            Probe::Vacant(slot) => {
-                                // Tentative append: write the row, take a
-                                // state ticket, then race for the slot.
-                                // The ticket precedes the CAS so total
-                                // published states never exceed the
-                                // table's load cap — that is what bounds
-                                // every probe loop.
-                                arenas[me].write_row(my_len, &cur, hash);
-                                if states_used.fetch_add(1, Ordering::Relaxed) >= state_cap {
-                                    stopped.store(true, Ordering::Relaxed);
-                                    break 'work;
-                                }
-                                match index.claim(slot, &cur, hash, me, my_len) {
-                                    Some(existing) => {
-                                        // Lost to an equal marking: roll
-                                        // back the append, refund the
-                                        // ticket.
-                                        states_used.fetch_sub(1, Ordering::Relaxed);
-                                        existing
-                                    }
-                                    None => {
-                                        let g = pack(me, my_len);
-                                        my_len += 1;
-                                        // Count the child before it can
-                                        // become visible so `in_flight`
-                                        // never dips to zero with work
-                                        // still queued.
-                                        in_flight.fetch_add(1, Ordering::Relaxed);
-                                        local.push(g);
-                                        g
-                                    }
-                                }
-                            }
-                        };
-                        compiled.unapply(&mut cur, t);
-                        edges.push((t, target));
-                    }
-                    in_flight.fetch_sub(1, Ordering::Release);
-                    // Offer surplus to starving peers: cheap occupancy
-                    // check first, lock only when actually publishing.
-                    if local.len() > 1 && queues[me].size.load(Ordering::Relaxed) == 0 {
-                        let give = local.len() / 2;
-                        let mut q = lock(&queues[me].q);
-                        q.extend(local.drain(..give));
-                        queues[me].size.store(q.len(), Ordering::Relaxed);
-                    }
-                }
-                WorkerLog {
-                    len: my_len,
-                    srcs,
-                    edges,
-                }
-            }));
-        }
-        for h in handles {
-            match h.join() {
-                Ok(log) => logs.push(log),
-                Err(panic) => std::panic::resume_unwind(panic),
-            }
-        }
-    });
-
-    if stopped.load(Ordering::Relaxed) {
-        return None;
-    }
-    Some(merge_lockfree(&arenas, &logs, stride))
-}
-
-/// Renumbers the lock-free exploration into canonical (sequential) BFS
-/// order.
-///
-/// Each expanded state's edge range is already in ascending transition
-/// order (candidates are examined ascending and each state is expanded
-/// by exactly one worker), so replaying the sequential discovery
-/// recurrence — scan states in discovery order, number new targets in
-/// edge order — reproduces the sequential numbering exactly. The rebuilt
-/// arena re-interns markings in that order, making the result
-/// byte-identical to `explore_compiled`.
-fn merge_lockfree(arenas: &[WorkerArena], logs: &[WorkerLog], stride: usize) -> ReachabilityGraph {
-    let total: usize = logs.iter().map(|o| o.len as usize).sum();
-    // Locate each state's expansion: owner gid -> (expander, src slot).
-    let mut expander: Vec<Vec<(u32, u32)>> = logs
-        .iter()
-        .map(|o| vec![(u32::MAX, 0); o.len as usize])
-        .collect();
-    for (ew, o) in logs.iter().enumerate() {
-        for (si, &(gid, _)) in o.srcs.iter().enumerate() {
-            let (w, l) = unpack(gid);
-            expander[w][l as usize] = (ew as u32, si as u32);
-        }
-    }
-    let edge_range = |ew: usize, si: usize| {
-        let o = &logs[ew];
-        let begin = o.srcs[si].1;
-        let end = o.srcs.get(si + 1).map_or(o.edges.len(), |s| s.1);
-        &o.edges[begin..end]
-    };
-
-    let mut new_id: Vec<Vec<u32>> = logs
-        .iter()
-        .map(|o| vec![u32::MAX; o.len as usize])
-        .collect();
-    let mut order: Vec<u64> = Vec::with_capacity(total);
-    order.push(pack(0, 0));
-    new_id[0][0] = 0;
-    let mut head = 0usize;
-    while head < order.len() {
-        let (w, l) = unpack(order[head]);
-        head += 1;
-        let (ew, si) = expander[w][l as usize];
-        debug_assert_ne!(ew, u32::MAX, "complete run expanded every state");
-        for &(_, tgt) in edge_range(ew as usize, si as usize) {
-            let (tw, tl) = unpack(tgt);
-            if new_id[tw][tl as usize] == u32::MAX {
-                new_id[tw][tl as usize] = order.len() as u32;
-                order.push(tgt);
-            }
-        }
-    }
-    debug_assert_eq!(order.len(), total, "every discovered state is reachable");
-
-    let mut store = MarkingStore::with_capacity(stride, total);
-    let mut buf: Vec<u32> = Vec::with_capacity(stride);
-    let mut edge_data: Vec<(TransitionId, StateId)> = Vec::new();
-    let mut edge_off: Vec<usize> = Vec::with_capacity(total + 1);
-    edge_off.push(0);
-    for &gid in &order {
-        let (w, l) = unpack(gid);
-        arenas[w].read_row_into(l, &mut buf);
-        if store.insert_new_hashed(&buf, arenas[w].hash_of(l)).is_err() {
-            // Unreachable: `total` ids fit u32 by construction.
-            debug_assert!(false, "id overflow during merge");
-        }
-        let (ew, si) = expander[w][l as usize];
-        for &(t, tgt) in edge_range(ew as usize, si as usize) {
-            let (tw, tl) = unpack(tgt);
-            edge_data.push((
-                TransitionId::from_index(t as usize),
-                StateId(new_id[tw][tl as usize]),
-            ));
-        }
-        edge_off.push(edge_data.len());
-    }
-    ReachabilityGraph {
-        store,
-        edge_data,
-        edge_off,
-        initial: StateId(0),
-    }
+    meter.finish(explored)
 }
 
 #[cfg(test)]
@@ -1495,38 +893,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_is_bit_identical_to_sequential() {
-        let net = diamond();
-        let seq = net.reachability_bounded(&Budget::default()).into_value();
-        for threads in [1, 2, 3, 4] {
-            let par = net
-                .reachability_bounded_parallel(&Budget::default(), threads)
-                .into_value();
-            assert!(
-                graphs_identical(&seq, &par),
-                "thread count {threads} changed the graph"
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_exhaustion_matches_sequential() {
-        let mut net: PetriNet<&str> = PetriNet::new();
-        let p = net.add_place("p");
-        let sink = net.add_place("sink");
-        net.add_transition([p], "pump", [p, sink]).unwrap();
-        net.set_initial(p, 1);
-        let budget = Budget::states(17);
-        let seq = net.reachability_bounded(&budget);
-        for threads in [2, 4] {
-            let par = net.reachability_bounded_parallel(&budget, threads);
-            assert_eq!(seq.exhausted(), par.exhausted());
-            assert!(graphs_identical(seq.value(), par.value()));
-        }
-    }
-
-    #[test]
-    fn parallel_handles_empty_preset_sources() {
+    fn empty_preset_sources_match_legacy() {
         // An always-enabled source transition pumps a bounded buffer
         // drained by a consumer: candidate generation must include the
         // empty-preset transition in every state.
@@ -1535,10 +902,32 @@ mod tests {
         net.add_transition([], "arrive", [buf]).unwrap();
         net.add_transition([buf], "serve", []).unwrap();
         let budget = Budget::states(50);
-        let seq = net.reachability_bounded(&budget);
-        let par = net.reachability_bounded_parallel(&budget, 4);
-        assert_eq!(seq.exhausted(), par.exhausted());
-        assert!(graphs_identical(seq.value(), par.value()));
+        let legacy = net.reachability_bounded_legacy(&budget);
+        assert_eq!(
+            legacy.exhausted().map(|e| e.resource),
+            Some(Resource::States)
+        );
+        let compiled = net.reachability_bounded(&budget);
+        assert_eq!(compiled.exhausted(), legacy.exhausted());
+        assert!(graphs_identical(legacy.value(), compiled.value()));
+
+        let spilled = reachability_bounded_spilled(
+            &net.compile(),
+            net.initial_marking().as_slice(),
+            &budget,
+            &SpillConfig::default(),
+        );
+        assert_eq!(spilled.exhausted(), legacy.exhausted());
+        let rg = legacy.value();
+        let mut sp = spilled.into_value();
+        assert_eq!(sp.state_count(), rg.state_count());
+        assert_eq!(sp.edge_count(), rg.edge_count());
+        let mut row = Vec::new();
+        for s in rg.state_ids() {
+            sp.marking_into(s, &mut row).unwrap();
+            assert_eq!(row.as_slice(), rg.marking_slice(s), "marking of {s}");
+            assert_eq!(sp.edges(s), rg.edges(s), "edges of {s}");
+        }
     }
 
     #[test]

@@ -13,19 +13,140 @@
 //!
 //! Collision policy: linear probing, no deletions (exploration only ever
 //! inserts), table grown at 7/8 load with a full rehash from the per-state
-//! hash cache. The 64-bit hash is also the shard-ownership key of the
-//! parallel explorer (`shard = high bits mod threads`), so a marking's
-//! owner is a pure function of its content.
+//! hash cache. [`SpillStore`] shares the same index, so both tiers number
+//! and find states alike.
 
 use crate::error::PetriError;
+use std::convert::Infallible;
 
 /// Sentinel for an empty index slot.
 const EMPTY: u64 = 0;
 /// Initial table capacity (power of two).
 const INITIAL_SLOTS: usize = 16;
-/// Ceiling on what a [`SpillStore`] state hint may pre-size the slot
-/// table to (2^26 slots = 512 MiB of index).
-const HINT_SLOTS_CAP: usize = 1 << 26;
+/// The hash bits an index slot keeps as its tag; the low half holds
+/// `id + 1`.
+const HIGH_MASK: u64 = 0xFFFF_FFFF_0000_0000;
+
+/// The membership index both stores share: the full 64-bit hash of every
+/// row in id order, and an open-addressing slot table over them whose
+/// entries are `(hash & HIGH_MASK) | (id + 1)`, 0 = empty. The slot
+/// table starts small and doubles at 7/8 load, rehashing from the hash
+/// cache, so its size follows the rows stored and nothing else.
+#[derive(Clone, Debug)]
+struct RowIndex {
+    hashes: Vec<u64>,
+    table: Vec<u64>,
+    mask: usize,
+}
+
+impl RowIndex {
+    /// An empty index with room for about `cap` rows before it grows.
+    fn with_capacity(cap: usize) -> Self {
+        let slots = (cap * 8 / 7 + 1).next_power_of_two().max(INITIAL_SLOTS);
+        RowIndex {
+            hashes: Vec::with_capacity(cap),
+            table: vec![EMPTY; slots],
+            mask: slots - 1,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.hashes.len()
+    }
+
+    /// The id of the row stored under `hash` that `is_row` accepts.
+    /// Probes linearly from the hash's home slot to the first empty one
+    /// and asks `is_row` only about ids whose tag matches.
+    #[inline]
+    fn find<E>(
+        &self,
+        hash: u64,
+        mut is_row: impl FnMut(usize) -> Result<bool, E>,
+    ) -> Result<Option<u32>, E> {
+        let tag = hash & HIGH_MASK;
+        let mut slot = (hash as usize) & self.mask;
+        loop {
+            let entry = self.table[slot];
+            if entry == EMPTY {
+                return Ok(None);
+            }
+            if entry & HIGH_MASK == tag {
+                let id = ((entry & !HIGH_MASK) - 1) as usize;
+                if is_row(id)? {
+                    return Ok(Some(id as u32));
+                }
+            }
+            slot = (slot + 1) & self.mask;
+        }
+    }
+
+    /// Makes room for one more row, so that [`RowIndex::push`] cannot
+    /// fail. On error the index is unchanged.
+    ///
+    /// # Errors
+    ///
+    /// [`PetriError::IndexOverflow`] when the index already holds
+    /// `u32::MAX - 1` rows (the id space of the packed slots), or
+    /// [`PetriError::AllocationFailed`] when the allocator refuses to
+    /// grow the slot table or the hash cache.
+    fn reserve_one(&mut self) -> Result<(), PetriError> {
+        let len = self.len();
+        if len >= (u32::MAX - 1) as usize {
+            return Err(PetriError::IndexOverflow { index: len });
+        }
+        if (len + 1) * 8 >= self.table.len() * 7 {
+            self.grow()?;
+        }
+        self.hashes
+            .try_reserve(1)
+            .map_err(|_| PetriError::AllocationFailed {
+                bytes: std::mem::size_of::<u64>(),
+            })
+    }
+
+    /// Records the next row id under `hash` and returns it. Call
+    /// [`RowIndex::reserve_one`] first.
+    fn push(&mut self, hash: u64) -> u32 {
+        let id = self.len() as u32;
+        self.hashes.push(hash);
+        self.place(hash, id);
+        id
+    }
+
+    fn place(&mut self, hash: u64, id: u32) {
+        let entry = (hash & HIGH_MASK) | (u64::from(id) + 1);
+        let mut slot = (hash as usize) & self.mask;
+        while self.table[slot] != EMPTY {
+            slot = (slot + 1) & self.mask;
+        }
+        self.table[slot] = entry;
+    }
+
+    /// Doubles the slot table. On allocator refusal the old table is
+    /// left intact, so a failed grow is retryable and never corrupts the
+    /// index.
+    fn grow(&mut self) -> Result<(), PetriError> {
+        let new_slots = self.table.len() * 2;
+        let mut table = Vec::new();
+        table
+            .try_reserve_exact(new_slots)
+            .map_err(|_| PetriError::AllocationFailed {
+                bytes: new_slots * std::mem::size_of::<u64>(),
+            })?;
+        table.resize(new_slots, EMPTY);
+        self.table = table;
+        self.mask = new_slots - 1;
+        for i in 0..self.hashes.len() {
+            self.place(self.hashes[i], i as u32);
+        }
+        Ok(())
+    }
+
+    /// Bytes held by the hash cache and the slot table.
+    fn resident_bytes(&self) -> usize {
+        (self.hashes.capacity() + self.table.capacity()) * std::mem::size_of::<u64>()
+    }
+}
 
 /// A deduplicating arena of fixed-stride `u32` vectors (markings, or any
 /// packed per-state payload such as the STG kernel's marking+encoding
@@ -52,15 +173,8 @@ pub struct MarkingStore {
     stride: usize,
     /// Flat arena: marking `i` lives at `data[i*stride .. (i+1)*stride]`.
     data: Vec<u32>,
-    /// Full 64-bit hash per stored marking (rehash + shard ownership).
-    hashes: Vec<u64>,
-    /// Open-addressing slots: `(hash & HIGH_MASK) | (id + 1)`, 0 = empty.
-    table: Vec<u64>,
-    mask: usize,
-    len: usize,
+    index: RowIndex,
 }
-
-const HIGH_MASK: u64 = 0xFFFF_FFFF_0000_0000;
 
 impl MarkingStore {
     /// An empty store over `stride` places.
@@ -70,14 +184,10 @@ impl MarkingStore {
 
     /// An empty store pre-sized for about `cap` markings.
     pub fn with_capacity(stride: usize, cap: usize) -> Self {
-        let slots = (cap * 8 / 7 + 1).next_power_of_two().max(INITIAL_SLOTS);
         MarkingStore {
             stride,
             data: Vec::with_capacity(cap * stride),
-            hashes: Vec::with_capacity(cap),
-            table: vec![EMPTY; slots],
-            mask: slots - 1,
-            len: 0,
+            index: RowIndex::with_capacity(cap),
         }
     }
 
@@ -88,12 +198,12 @@ impl MarkingStore {
 
     /// Number of distinct markings stored.
     pub fn len(&self) -> usize {
-        self.len
+        self.index.len()
     }
 
     /// Whether the store holds no markings.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
     /// The marking with id `i`.
@@ -102,7 +212,7 @@ impl MarkingStore {
     ///
     /// Panics if `i >= len()`.
     pub fn get(&self, i: usize) -> &[u32] {
-        assert!(i < self.len, "marking id {i} out of range");
+        assert!(i < self.len(), "marking id {i} out of range");
         &self.data[i * self.stride..(i + 1) * self.stride]
     }
 
@@ -112,17 +222,17 @@ impl MarkingStore {
     ///
     /// Panics if `i >= len()`.
     pub fn hash_of(&self, i: usize) -> u64 {
-        self.hashes[i]
+        self.index.hashes[i]
     }
 
     /// Iterates over all stored markings in id order.
     pub fn iter(&self) -> impl Iterator<Item = &[u32]> + '_ {
-        (0..self.len).map(move |i| self.get(i))
+        (0..self.len()).map(move |i| self.get(i))
     }
 
     /// SplitMix64 finalizer (see [`crate::hash::mix64`]): full avalanche,
-    /// so summing outputs keeps high-bit entropy (the index tag and the
-    /// shard router both read the high bits).
+    /// so summing outputs keeps high-bit entropy (the index tag reads the
+    /// high bits).
     #[inline]
     fn mix(z: u64) -> u64 {
         crate::hash::mix64(z)
@@ -140,11 +250,11 @@ impl MarkingStore {
         Self::mix(((pos as u64) << 32) ^ u64::from(val))
     }
 
-    /// The content hash used by the index and the parallel shard router.
+    /// The content hash used by the index.
     ///
     /// A commutative sum of [`MarkingStore::entry_hash`] terms seeded by
-    /// the length: deterministic, allocation-free, identical across runs
-    /// and thread counts, and incrementally updatable under firing.
+    /// the length: deterministic, allocation-free, identical across runs,
+    /// and incrementally updatable under firing.
     #[inline]
     pub fn hash_slice(m: &[u32]) -> u64 {
         let mut h = Self::mix(0x9E37_79B9_7F4A_7C15 ^ (m.len() as u64));
@@ -162,21 +272,10 @@ impl MarkingStore {
     /// [`MarkingStore::find`] with the hash precomputed by the caller.
     pub fn find_hashed(&self, m: &[u32], hash: u64) -> Option<u32> {
         debug_assert_eq!(m.len(), self.stride, "marking over different net");
-        let tag = hash & HIGH_MASK;
-        let mut slot = (hash as usize) & self.mask;
-        loop {
-            let entry = self.table[slot];
-            if entry == EMPTY {
-                return None;
-            }
-            if entry & HIGH_MASK == tag {
-                let id = ((entry & !HIGH_MASK) - 1) as usize;
-                if &self.data[id * self.stride..(id + 1) * self.stride] == m {
-                    return Some(id as u32);
-                }
-            }
-            slot = (slot + 1) & self.mask;
-        }
+        let Ok(found) = self.index.find(hash, |id| {
+            Ok::<_, Infallible>(&self.data[id * self.stride..(id + 1) * self.stride] == m)
+        });
+        found
     }
 
     /// Inserts a marking the caller has verified to be absent
@@ -189,34 +288,21 @@ impl MarkingStore {
     /// `u32::MAX - 1` markings (the id space of the packed index slots),
     /// or [`PetriError::AllocationFailed`] when growing the arena or the
     /// slot table is refused by the allocator. Either way the store is
-    /// left unchanged and fully usable — explorers treat both exactly
-    /// like budget exhaustion and hand back the prefix built so far, so
-    /// one pathological net degrades a worker instead of killing it.
+    /// left unchanged and fully usable — explorers stop with a
+    /// [`Resource::Storage`](crate::budget::Resource::Storage) stop and
+    /// hand back the prefix built so far, so one pathological net
+    /// degrades a worker instead of killing it.
     pub fn insert_new_hashed(&mut self, m: &[u32], hash: u64) -> Result<u32, PetriError> {
         debug_assert_eq!(m.len(), self.stride, "marking over different net");
         debug_assert!(self.find_hashed(m, hash).is_none(), "duplicate insert");
-        if self.len >= (u32::MAX - 1) as usize {
-            return Err(PetriError::IndexOverflow { index: self.len });
-        }
-        if (self.len + 1) * 8 >= self.table.len() * 7 {
-            self.grow()?;
-        }
+        self.index.reserve_one()?;
         self.data
             .try_reserve(self.stride)
             .map_err(|_| PetriError::AllocationFailed {
                 bytes: self.stride * std::mem::size_of::<u32>(),
             })?;
-        self.hashes
-            .try_reserve(1)
-            .map_err(|_| PetriError::AllocationFailed {
-                bytes: std::mem::size_of::<u64>(),
-            })?;
-        let id = self.len as u32;
         self.data.extend_from_slice(m);
-        self.hashes.push(hash);
-        self.len += 1;
-        self.place_slot(hash, id);
-        Ok(id)
+        Ok(self.index.push(hash))
     }
 
     /// Finds or inserts a marking; returns `(id, newly_inserted)`.
@@ -252,40 +338,7 @@ impl MarkingStore {
     /// Bytes resident in the arena, hash cache and index — the
     /// `peak_resident_markings` counter of `BENCH_explore.json`.
     pub fn resident_bytes(&self) -> usize {
-        self.data.capacity() * std::mem::size_of::<u32>()
-            + self.hashes.capacity() * std::mem::size_of::<u64>()
-            + self.table.capacity() * std::mem::size_of::<u64>()
-    }
-
-    fn place_slot(&mut self, hash: u64, id: u32) {
-        let entry = (hash & HIGH_MASK) | (u64::from(id) + 1);
-        let mut slot = (hash as usize) & self.mask;
-        while self.table[slot] != EMPTY {
-            slot = (slot + 1) & self.mask;
-        }
-        self.table[slot] = entry;
-    }
-
-    /// Doubles the slot table. On allocator refusal the old table (and
-    /// the whole store) is left intact, so a failed grow is retryable
-    /// and never corrupts the index — the caller sees a graceful
-    /// [`PetriError::AllocationFailed`] instead of an abort.
-    fn grow(&mut self) -> Result<(), PetriError> {
-        let new_slots = self.table.len() * 2;
-        let mut table = Vec::new();
-        table
-            .try_reserve_exact(new_slots)
-            .map_err(|_| PetriError::AllocationFailed {
-                bytes: new_slots * std::mem::size_of::<u64>(),
-            })?;
-        table.resize(new_slots, EMPTY);
-        self.table = table;
-        self.mask = new_slots - 1;
-        for i in 0..self.len {
-            let hash = self.hashes[i];
-            self.place_slot(hash, i as u32);
-        }
-        Ok(())
+        self.data.capacity() * std::mem::size_of::<u32>() + self.index.resident_bytes()
     }
 }
 
@@ -489,18 +542,23 @@ impl Drop for Pager {
 /// resident: a negative lookup — the overwhelmingly common case during
 /// exploration — never touches disk, and a positive lookup pages in at
 /// most one segment. Ids are dense `u32`s in insertion order, exactly
-/// like [`MarkingStore`], so the sequential explorer runs unchanged on
-/// either tier and produces bit-identical numbering.
+/// like [`MarkingStore`] (the two share one index), so the exploration
+/// driver runs unchanged on either tier and produces bit-identical
+/// numbering.
 ///
 /// Rows are materialized by copy ([`SpillStore::get_into`]) rather than
 /// borrowed: a paged-out row has no stable address to borrow from.
 #[derive(Debug)]
 pub struct SpillStore {
+    index: RowIndex,
+    rows: SpillRows,
+}
+
+/// A [`SpillStore`]'s rows: delta-encoded segments, paged out to disk
+/// under the resident payload budget.
+#[derive(Debug)]
+struct SpillRows {
     stride: usize,
-    len: usize,
-    table: Vec<u64>,
-    mask: usize,
-    hashes: Vec<u64>,
     seg_rows: usize,
     segments: Vec<Segment>,
     resident_payload: usize,
@@ -517,53 +575,41 @@ pub struct SpillStore {
 }
 
 impl SpillStore {
-    /// An empty spillable store over `stride` places.
-    ///
-    /// `state_hint` pre-sizes the slot table for that many states at the
-    /// 7/8 load ceiling (capped at 2^26 slots); pass `usize::MAX` for no
-    /// hint.
-    pub fn new(stride: usize, config: &SpillConfig, state_hint: usize) -> Self {
-        let slots = if state_hint < usize::MAX / 2 {
-            let capped = state_hint.min(HINT_SLOTS_CAP);
-            (capped * 8 / 7 + 1)
-                .next_power_of_two()
-                .clamp(INITIAL_SLOTS, HINT_SLOTS_CAP)
-        } else {
-            INITIAL_SLOTS
-        };
+    /// An empty spillable store over `stride` places. Its index starts
+    /// small and doubles at 7/8 load, like [`MarkingStore`]'s.
+    pub fn new(stride: usize, config: &SpillConfig) -> Self {
         SpillStore {
-            stride,
-            len: 0,
-            table: vec![EMPTY; slots],
-            mask: slots - 1,
-            hashes: Vec::new(),
-            seg_rows: config.segment_rows.max(2),
-            segments: Vec::new(),
-            resident_payload: 0,
-            budget_bytes: config.resident_payload_bytes,
-            spill_dir: config.spill_dir.clone(),
-            pager: None,
-            clock: 0,
-            page_ins: 0,
-            page_outs: 0,
-            spilled_bytes: 0,
-            max_word: 0,
+            index: RowIndex::with_capacity(0),
+            rows: SpillRows {
+                stride,
+                seg_rows: config.segment_rows.max(2),
+                segments: Vec::new(),
+                resident_payload: 0,
+                budget_bytes: config.resident_payload_bytes,
+                spill_dir: config.spill_dir.clone(),
+                pager: None,
+                clock: 0,
+                page_ins: 0,
+                page_outs: 0,
+                spilled_bytes: 0,
+                max_word: 0,
+            },
         }
     }
 
     /// The per-marking stride (place count).
     pub fn stride(&self) -> usize {
-        self.stride
+        self.rows.stride
     }
 
     /// Number of distinct markings stored.
     pub fn len(&self) -> usize {
-        self.len
+        self.index.len()
     }
 
     /// Whether the store holds no markings.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
     /// The cached 64-bit hash of marking `i`.
@@ -572,36 +618,37 @@ impl SpillStore {
     ///
     /// Panics if `i >= len()`.
     pub fn hash_of(&self, i: usize) -> u64 {
-        self.hashes[i]
+        self.index.hashes[i]
     }
 
     /// The largest token count any stored marking puts in any place.
     pub fn max_word(&self) -> u32 {
-        self.max_word
+        self.rows.max_word
     }
 
     /// Spill activity counters.
     pub fn stats(&self) -> SpillStats {
+        let rows = &self.rows;
         SpillStats {
-            segments: self.segments.len(),
-            resident_segments: self.segments.iter().filter(|s| s.resident).count(),
-            spilled_bytes: self.spilled_bytes,
-            page_ins: self.page_ins,
-            page_outs: self.page_outs,
-            resident_payload_bytes: self.resident_payload,
+            segments: rows.segments.len(),
+            resident_segments: rows.segments.iter().filter(|s| s.resident).count(),
+            spilled_bytes: rows.spilled_bytes,
+            page_ins: rows.page_ins,
+            page_outs: rows.page_outs,
+            resident_payload_bytes: rows.resident_payload,
         }
     }
 
     /// Bytes currently resident: index + hashes + references + payload.
     pub fn resident_bytes(&self) -> usize {
-        self.table.capacity() * std::mem::size_of::<u64>()
-            + self.hashes.capacity() * std::mem::size_of::<u64>()
+        self.index.resident_bytes()
             + self
+                .rows
                 .segments
                 .iter()
                 .map(|s| s.reference.capacity() * std::mem::size_of::<u32>())
                 .sum::<usize>()
-            + self.resident_payload
+            + self.rows.resident_payload
     }
 
     /// Materializes marking `i` into `out` (cleared first), paging its
@@ -615,7 +662,58 @@ impl SpillStore {
     ///
     /// Panics if `i >= len()`.
     pub fn get_into(&mut self, i: usize, out: &mut Vec<u32>) -> Result<(), PetriError> {
-        assert!(i < self.len, "marking id {i} out of range");
+        assert!(i < self.len(), "marking id {i} out of range");
+        self.rows.get_into(i, out)
+    }
+
+    /// Looks up a marking, returning its id if present. May page in the
+    /// candidate's segment to confirm equality (at most one segment: the
+    /// full 64-bit hash is compared first, so false candidates are
+    /// rejected without touching disk in all but ~2^-64 of probes).
+    ///
+    /// # Errors
+    ///
+    /// [`PetriError::SpillIo`] if a confirming page-in fails.
+    pub fn find_hashed(&mut self, m: &[u32], hash: u64) -> Result<Option<u32>, PetriError> {
+        debug_assert_eq!(m.len(), self.rows.stride, "marking over different net");
+        let (hashes, rows) = (&self.index.hashes, &mut self.rows);
+        self.index
+            .find(hash, |id| Ok(hashes[id] == hash && rows.matches(id, m)?))
+    }
+
+    /// Inserts a marking the caller has verified absent (via
+    /// [`SpillStore::find_hashed`] with the same hash); returns its id.
+    ///
+    /// # Errors
+    ///
+    /// [`PetriError::IndexOverflow`] at the 32-bit id cap,
+    /// [`PetriError::AllocationFailed`] on refused growth, or
+    /// [`PetriError::SpillIo`] if making room required an eviction that
+    /// failed. On error the store holds exactly the rows it held before.
+    pub fn insert_new_hashed(&mut self, m: &[u32], hash: u64) -> Result<u32, PetriError> {
+        debug_assert_eq!(m.len(), self.rows.stride, "marking over different net");
+        self.index.reserve_one()?;
+        self.rows.append(m)?;
+        Ok(self.index.push(hash))
+    }
+
+    /// Finds or inserts; returns `(id, newly_inserted)`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`SpillStore::find_hashed`] /
+    /// [`SpillStore::insert_new_hashed`] failures.
+    pub fn try_intern(&mut self, m: &[u32]) -> Result<(u32, bool), PetriError> {
+        let hash = MarkingStore::hash_slice(m);
+        match self.find_hashed(m, hash)? {
+            Some(id) => Ok((id, false)),
+            None => self.insert_new_hashed(m, hash).map(|id| (id, true)),
+        }
+    }
+}
+
+impl SpillRows {
+    fn get_into(&mut self, i: usize, out: &mut Vec<u32>) -> Result<(), PetriError> {
         let seg_idx = i / self.seg_rows;
         self.ensure_resident(seg_idx)?;
         let seg = &self.segments[seg_idx];
@@ -629,61 +727,22 @@ impl SpillStore {
         Ok(())
     }
 
-    /// Looks up a marking, returning its id if present. May page in the
-    /// candidate's segment to confirm equality (at most one segment: the
-    /// full 64-bit hash is compared first, so false candidates are
-    /// rejected without touching disk in all but ~2^-64 of probes).
-    ///
-    /// # Errors
-    ///
-    /// [`PetriError::SpillIo`] if a confirming page-in fails.
-    pub fn find_hashed(&mut self, m: &[u32], hash: u64) -> Result<Option<u32>, PetriError> {
-        debug_assert_eq!(m.len(), self.stride, "marking over different net");
-        let tag = hash & HIGH_MASK;
-        let mut slot = (hash as usize) & self.mask;
-        loop {
-            let entry = self.table[slot];
-            if entry == EMPTY {
-                return Ok(None);
-            }
-            if entry & HIGH_MASK == tag {
-                let id = ((entry & !HIGH_MASK) - 1) as usize;
-                if self.hashes[id] == hash && self.row_matches(id, m)? {
-                    return Ok(Some(id as u32));
-                }
-            }
-            slot = (slot + 1) & self.mask;
-        }
-    }
-
-    /// Inserts a marking the caller has verified absent (via
-    /// [`SpillStore::find_hashed`] with the same hash); returns its id.
-    ///
-    /// # Errors
-    ///
-    /// [`PetriError::IndexOverflow`] at the 32-bit id cap,
-    /// [`PetriError::AllocationFailed`] on refused growth, or
-    /// [`PetriError::SpillIo`] if making room required an eviction that
-    /// failed. The store stays usable on error.
-    pub fn insert_new_hashed(&mut self, m: &[u32], hash: u64) -> Result<u32, PetriError> {
-        debug_assert_eq!(m.len(), self.stride, "marking over different net");
-        if self.len >= (u32::MAX - 1) as usize {
-            return Err(PetriError::IndexOverflow { index: self.len });
-        }
-        if (self.len + 1) * 8 >= self.table.len() * 7 {
-            self.grow()?;
-        }
+    /// Appends `m` as the next row. On error no row was added: room for
+    /// a new segment is made before the segment exists.
+    fn append(&mut self, m: &[u32]) -> Result<(), PetriError> {
         let start_new = self
             .segments
             .last()
             .is_none_or(|tail| tail.rows == self.seg_rows);
         if start_new {
+            // A full tail is sealed whether or not this append succeeds.
             if let Some(tail) = self.segments.last_mut() {
                 tail.sealed = true;
             }
-            self.segments.push(Segment::fresh(m.to_vec()));
-            self.resident_payload += self.segments[self.segments.len() - 1].payload_bytes();
-            self.enforce_budget(usize::MAX)?;
+            let fresh = Segment::fresh(m.to_vec());
+            self.enforce_budget(usize::MAX, fresh.payload_bytes())?;
+            self.resident_payload += fresh.payload_bytes();
+            self.segments.push(fresh);
             for &w in m {
                 self.max_word = self.max_word.max(w);
             }
@@ -702,30 +761,12 @@ impl SpillStore {
             tail.rows += 1;
             self.resident_payload += self.segments[tail_idx].payload_bytes() - before;
         }
-        let id = self.len as u32;
-        self.hashes.push(hash);
-        self.len += 1;
-        self.place_slot(hash, id);
-        Ok(id)
-    }
-
-    /// Finds or inserts; returns `(id, newly_inserted)`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SpillStore::find_hashed`] /
-    /// [`SpillStore::insert_new_hashed`] failures.
-    pub fn try_intern(&mut self, m: &[u32]) -> Result<(u32, bool), PetriError> {
-        let hash = MarkingStore::hash_slice(m);
-        match self.find_hashed(m, hash)? {
-            Some(id) => Ok((id, false)),
-            None => self.insert_new_hashed(m, hash).map(|id| (id, true)),
-        }
+        Ok(())
     }
 
     /// Compares row `id` against `m` without materializing the row:
     /// interleaves the reference run-compare with the delta pairs.
-    fn row_matches(&mut self, id: usize, m: &[u32]) -> Result<bool, PetriError> {
+    fn matches(&mut self, id: usize, m: &[u32]) -> Result<bool, PetriError> {
         let seg_idx = id / self.seg_rows;
         self.ensure_resident(seg_idx)?;
         let seg = &self.segments[seg_idx];
@@ -763,17 +804,17 @@ impl SpillStore {
             seg.resident = true;
             self.page_ins += 1;
             self.resident_payload += self.segments[seg_idx].payload_bytes();
-            self.enforce_budget(seg_idx)?;
+            self.enforce_budget(seg_idx, 0)?;
         }
         self.segments[seg_idx].touch = clock;
         Ok(())
     }
 
     /// Evicts cold sealed segments (never `protect`, never the tail)
-    /// until the resident payload fits the budget or nothing evictable
-    /// remains.
-    fn enforce_budget(&mut self, protect: usize) -> Result<(), PetriError> {
-        while self.resident_payload > self.budget_bytes {
+    /// until the resident payload plus `incoming` bytes fits the budget
+    /// or nothing evictable remains.
+    fn enforce_budget(&mut self, protect: usize, incoming: usize) -> Result<(), PetriError> {
+        while self.resident_payload + incoming > self.budget_bytes {
             let victim = self
                 .segments
                 .iter()
@@ -808,33 +849,6 @@ impl SpillStore {
         seg.payload = Vec::new();
         seg.resident = false;
         self.page_outs += 1;
-        Ok(())
-    }
-
-    fn place_slot(&mut self, hash: u64, id: u32) {
-        let entry = (hash & HIGH_MASK) | (u64::from(id) + 1);
-        let mut slot = (hash as usize) & self.mask;
-        while self.table[slot] != EMPTY {
-            slot = (slot + 1) & self.mask;
-        }
-        self.table[slot] = entry;
-    }
-
-    fn grow(&mut self) -> Result<(), PetriError> {
-        let new_slots = self.table.len() * 2;
-        let mut table = Vec::new();
-        table
-            .try_reserve_exact(new_slots)
-            .map_err(|_| PetriError::AllocationFailed {
-                bytes: new_slots * std::mem::size_of::<u64>(),
-            })?;
-        table.resize(new_slots, EMPTY);
-        self.table = table;
-        self.mask = new_slots - 1;
-        for i in 0..self.len {
-            let hash = self.hashes[i];
-            self.place_slot(hash, i as u32);
-        }
         Ok(())
     }
 }
@@ -945,7 +959,7 @@ mod tests {
     #[test]
     fn spill_roundtrips_every_row_exactly() {
         let stride = 11;
-        let mut spill = SpillStore::new(stride, &tiny_spill_config(), usize::MAX);
+        let mut spill = SpillStore::new(stride, &tiny_spill_config());
         let mut resident = MarkingStore::new(stride);
         for i in 0..2_000u32 {
             let m = pseudo_marking(i, stride);
@@ -975,7 +989,7 @@ mod tests {
 
     #[test]
     fn spill_find_rejects_absent_markings() {
-        let mut spill = SpillStore::new(3, &tiny_spill_config(), usize::MAX);
+        let mut spill = SpillStore::new(3, &tiny_spill_config());
         for i in 0..100u32 {
             spill.try_intern(&[i, i % 3, 1]).unwrap();
         }
@@ -990,7 +1004,7 @@ mod tests {
 
     #[test]
     fn spill_tracks_max_word_incrementally() {
-        let mut spill = SpillStore::new(2, &tiny_spill_config(), usize::MAX);
+        let mut spill = SpillStore::new(2, &tiny_spill_config());
         spill.try_intern(&[1, 0]).unwrap();
         spill.try_intern(&[1, 7]).unwrap();
         spill.try_intern(&[3, 2]).unwrap();
@@ -1005,7 +1019,7 @@ mod tests {
             segment_rows: 32,
             spill_dir: None,
         };
-        let mut spill = SpillStore::new(stride, &cfg, usize::MAX);
+        let mut spill = SpillStore::new(stride, &cfg);
         let mut m = vec![0u32; stride];
         for i in 0..4_000u32 {
             m[(i as usize * 7) % stride] = i % 9;
@@ -1022,6 +1036,38 @@ mod tests {
             stats.resident_payload_bytes
         );
         assert!(stats.page_outs > 0);
+    }
+
+    #[test]
+    fn failed_spill_insert_leaves_no_trace() {
+        // No resident payload, two-row segments and a spill directory
+        // that does not exist: the third insert must seal and evict the
+        // first segment, and the eviction fails.
+        let missing = std::env::temp_dir()
+            .join(format!("cpn-missing-spill-dir-{}", std::process::id()))
+            .join("absent");
+        let cfg = SpillConfig {
+            resident_payload_bytes: 0,
+            segment_rows: 2,
+            spill_dir: Some(missing),
+        };
+        let mut spill = SpillStore::new(2, &cfg);
+        assert_eq!(spill.try_intern(&[1, 0]).unwrap(), (0, true));
+        assert_eq!(spill.try_intern(&[2, 0]).unwrap(), (1, true));
+        assert!(matches!(
+            spill.try_intern(&[3, 0]),
+            Err(PetriError::SpillIo { .. })
+        ));
+        assert_eq!(spill.len(), 2);
+        assert_eq!(spill.stats().segments, 1);
+        let mut row = Vec::new();
+        for (id, want) in [[1, 0], [2, 0]].iter().enumerate() {
+            spill.get_into(id, &mut row).unwrap();
+            assert_eq!(&row, want, "row {id}");
+        }
+        let absent = [3, 0];
+        let hash = MarkingStore::hash_slice(&absent);
+        assert_eq!(spill.find_hashed(&absent, hash).unwrap(), None);
     }
 
     #[test]

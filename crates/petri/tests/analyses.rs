@@ -251,10 +251,19 @@ fn cancelled_exploration_stops_with_cancelled_resource() {
 }
 
 #[test]
-fn deadline_applies_to_coverability_and_parallel_exploration() {
+fn deadline_applies_to_coverability_and_spilled_exploration() {
+    use cpn_petri::{reachability_bounded_spilled, Resource, SpillConfig};
     let net = toggle_net(24);
     let budget = Budget::unlimited().with_deadline(std::time::Duration::ZERO);
     assert!(!CoverabilityTree::build_bounded(&net, &budget).is_complete());
-    let out = net.reachability_bounded_parallel(&budget, 4);
-    assert!(!out.is_complete());
+    let out = reachability_bounded_spilled(
+        &net.compile(),
+        net.initial_marking().as_slice(),
+        &budget,
+        &SpillConfig::default(),
+    );
+    assert_eq!(
+        out.exhausted().map(|e| e.resource),
+        Some(Resource::Deadline)
+    );
 }

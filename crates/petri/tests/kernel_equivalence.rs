@@ -1,16 +1,16 @@
 //! Property tests: the exploration kernels — the legacy cloned-map
-//! explorer, the compiled sequential explorer, the lock-free parallel
-//! explorer (2, 4, and 8 threads), and the out-of-core spill explorer —
+//! explorer, the compiled explorer and the out-of-core spill explorer —
 //! must be **bit-identical** on random nets: same state sequence, same
 //! edge lists, same deadlock sets, and the same exhaustion statistics
-//! under equal budgets.
+//! under equal budgets. A store that fails must stop the exploration
+//! with a sound prefix, never a complete graph.
 //!
 //! Driven by the deterministic `cpn-testkit` harness: failures print a
 //! case seed, replayable via `CPN_TESTKIT_SEED=<seed>`.
 
 use cpn_petri::{
     reachability_bounded_spilled, Bounded, Budget, CancelScope, PetriNet, ReachabilityGraph,
-    SpillConfig,
+    Resource, SpillConfig, SpilledReachability,
 };
 use cpn_testkit::{check, prop_assert, prop_assert_eq, NetStrategy};
 
@@ -51,10 +51,26 @@ fn explorers(
     vec![
         ("legacy", net.reachability_bounded_legacy(budget)),
         ("compiled", net.reachability_bounded(budget)),
-        ("parallel-2", net.reachability_bounded_parallel(budget, 2)),
-        ("parallel-4", net.reachability_bounded_parallel(budget, 4)),
-        ("parallel-8", net.reachability_bounded_parallel(budget, 8)),
     ]
+}
+
+/// Asserts that every state of the spilled graph `sp` decodes to the
+/// marking of the same state in `rg` and has the same edges.
+fn assert_spilled_prefix_of(
+    sp: &mut SpilledReachability,
+    rg: &ReachabilityGraph,
+) -> Result<(), cpn_testkit::PropFail> {
+    let mut buf = Vec::new();
+    for i in 0..sp.state_count() {
+        let s = cpn_petri::StateId::from_index(i);
+        let Ok(()) = sp.marking_into(s, &mut buf) else {
+            prop_assert!(false, "spill read failed for {}", s);
+            return Ok(());
+        };
+        prop_assert_eq!(buf.as_slice(), rg.marking_slice(s), "marking {}", s);
+        prop_assert_eq!(sp.edges(s), rg.edges(s), "edges {}", s);
+    }
+    Ok(())
 }
 
 /// A spill config so small that every segment seals after 4 rows and no
@@ -180,15 +196,7 @@ fn spill_explorer_matches_resident_kernel_exactly() {
                 // Every row decodes back byte-identical through the page
                 // cache (segments of 4 rows, zero resident budget, so
                 // this loop thrashes page-in/page-out on purpose).
-                let mut buf = Vec::new();
-                for s in ref_rg.state_ids() {
-                    let Ok(()) = sp.marking_into(s, &mut buf) else {
-                        prop_assert!(false, "spill read failed for {}", s);
-                        return Ok(());
-                    };
-                    prop_assert_eq!(buf.as_slice(), ref_rg.marking_slice(s), "marking {}", s);
-                    prop_assert_eq!(sp.edges(s), ref_rg.edges(s), "edges {}", s);
-                }
+                assert_spilled_prefix_of(sp, ref_rg)?;
                 if ref_rg.state_count() > 8 {
                     let stats = sp.spill_stats();
                     prop_assert!(
@@ -206,9 +214,8 @@ fn spill_explorer_matches_resident_kernel_exactly() {
 #[test]
 fn cancellation_mid_exploration_is_deterministic() {
     // A pre-cancelled token: every kernel observes the interrupt at its
-    // first poll — including parallel workers mid-steal, which must then
-    // agree (via the sequential replay) with the directly-run sequential
-    // kernel on the exact prefix and stop statistics.
+    // first poll and must stop on the same prefix with the same
+    // statistics as the legacy oracle.
     check(
         "cancellation_mid_exploration_is_deterministic",
         &raw_net(),
@@ -217,46 +224,87 @@ fn cancellation_mid_exploration_is_deterministic() {
             let scope = CancelScope::new();
             scope.cancel();
             let budget = Budget::states(50_000).with_cancel(scope.token());
-            let reference = net.reachability_bounded(&budget);
-            for threads in [2usize, 4, 8] {
-                let parallel = net.reachability_bounded_parallel(&budget, threads);
+            let results = explorers(&net, &budget);
+            let (_, reference) = &results[0];
+            prop_assert_eq!(
+                reference.exhausted().map(|e| e.resource),
+                Some(Resource::Cancelled),
+                "legacy under a cancelled token"
+            );
+            for (what, result) in &results[1..] {
                 prop_assert_eq!(
-                    parallel.exhausted().copied(),
+                    result.exhausted().copied(),
                     reference.exhausted().copied(),
-                    "stats at {} threads",
-                    threads
+                    "{}: stats",
+                    what
                 );
-                assert_graphs_identical(
-                    reference.value(),
-                    parallel.value(),
-                    &format!("cancelled parallel-{threads}"),
-                )?;
+                assert_graphs_identical(reference.value(), result.value(), what)?;
             }
-            Ok(())
+            let spilled = reachability_bounded_spilled(
+                &net.compile(),
+                net.initial_marking().as_slice(),
+                &budget,
+                &aggressive_spill(),
+            );
+            prop_assert_eq!(
+                spilled.exhausted().copied(),
+                reference.exhausted().copied(),
+                "spilled: stats"
+            );
+            let mut sp = spilled.into_value();
+            prop_assert_eq!(
+                sp.state_count(),
+                reference.value().state_count(),
+                "spilled: state count"
+            );
+            assert_spilled_prefix_of(&mut sp, reference.value())
         },
     );
 }
 
 #[test]
-fn deadline_cancellation_mid_steal_terminates() {
-    // An already-expired deadline on a workload big enough that all
-    // workers are live: exploration must terminate promptly and fall
-    // back to the deterministic sequential prefix.
-    let net = cpn_testkit::sync_pipeline_net(14);
-    let budget = Budget::states(1 << 20).with_deadline(std::time::Duration::ZERO);
-    let reference = net.reachability_bounded(&budget);
-    for threads in [2usize, 4, 8] {
-        let parallel = net.reachability_bounded_parallel(&budget, threads);
-        assert_eq!(
-            parallel.exhausted().map(|i| i.resource),
-            reference.exhausted().map(|i| i.resource),
-            "stop resource at {threads} threads"
-        );
-        assert_eq!(
-            parallel.value().state_count(),
-            reference.value().state_count(),
-            "prefix size at {threads} threads"
-        );
+fn spill_io_failure_stops_with_storage() {
+    // No resident payload, four-row segments and a spill directory that
+    // does not exist: the first eviction fails while the fifth state is
+    // inserted. The exploration must stop there with a storage stop and
+    // a sound prefix, not return a truncated graph as complete.
+    let net = cpn_testkit::sync_pipeline_net(8);
+    let budget = Budget::default();
+    let resident = net.reachability_bounded(&budget);
+    let Bounded::Complete(rg) = resident else {
+        panic!("sync_pipeline(8) fits the default budget");
+    };
+    assert_eq!(rg.state_count(), 256);
+    let missing = std::env::temp_dir()
+        .join(format!("cpn-missing-spill-dir-{}", std::process::id()))
+        .join("absent");
+    let config = SpillConfig {
+        resident_payload_bytes: 0,
+        segment_rows: 4,
+        spill_dir: Some(missing),
+    };
+    let spilled = reachability_bounded_spilled(
+        &net.compile(),
+        net.initial_marking().as_slice(),
+        &budget,
+        &config,
+    );
+    let Bounded::Exhausted { partial, info } = spilled else {
+        panic!("a failed spill returned a complete graph");
+    };
+    assert_eq!(info.resource, Resource::Storage);
+    assert_eq!(info.resource.to_string(), "storage");
+    let mut sp = partial;
+    assert!(sp.state_count() < rg.state_count());
+    // Every state found has the marking of the same state of the full
+    // graph; the state being expanded when the store failed may lack
+    // some of its edges.
+    let mut buf = Vec::new();
+    for s in (0..sp.state_count()).map(cpn_petri::StateId::from_index) {
+        sp.marking_into(s, &mut buf)
+            .expect("resident rows read back");
+        assert_eq!(buf.as_slice(), rg.marking_slice(s), "marking of {s}");
+        assert!(rg.edges(s).starts_with(sp.edges(s)), "edges of {s}");
     }
 }
 
@@ -266,7 +314,8 @@ fn marking_table_grows_with_states_found_not_with_state_cap() {
     // 2^15 slots. Its size may depend only on the states found: a
     // 5,000,000-state cap and no cap at all must give the same graph in
     // the same resident bytes, in the full and in the stubborn kernel
-    // (watching every place, so it fires every enabled transition).
+    // (watching every place, so it fires every enabled transition), and
+    // in the spill explorer.
     let net = cpn_testkit::sync_pipeline_net(15);
     let watched: Vec<_> = net.place_ids().collect();
     let capped = Budget::states(5_000_000);
@@ -294,6 +343,26 @@ fn marking_table_grows_with_states_found_not_with_state_cap() {
             "{what}: resident marking bytes under a cap vs none"
         );
     }
+    let compiled = net.compile();
+    let m0 = net.initial_marking();
+    let spilled = |budget: &Budget| match reachability_bounded_spilled(
+        &compiled,
+        m0.as_slice(),
+        budget,
+        &SpillConfig::default(),
+    ) {
+        Bounded::Complete(sp) => sp,
+        Bounded::Exhausted { info, .. } => panic!("spilled: stopped with {info}"),
+    };
+    let (a, b) = (spilled(&capped), spilled(&unbounded));
+    assert_eq!(a.state_count(), 1 << 15, "spilled: state count");
+    assert_eq!(a.state_count(), b.state_count(), "spilled: state count");
+    assert_eq!(a.edge_count(), b.edge_count(), "spilled: edge count");
+    assert_eq!(
+        a.resident_bytes(),
+        b.resident_bytes(),
+        "spilled: resident bytes under a cap vs none"
+    );
 }
 
 #[test]

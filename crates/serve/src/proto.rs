@@ -99,8 +99,10 @@ pub enum Request {
         max_states: usize,
         /// Per-request wall-clock deadline in milliseconds.
         deadline_ms: Option<u64>,
-        /// Exploration worker threads (server clamps; `1` = sequential,
-        /// values above the server cap or `0` are rejected).
+        /// Accepted and validated (`0` and values above
+        /// [`MAX_REQUEST_THREADS`](crate::server::MAX_REQUEST_THREADS)
+        /// are rejected), but the exploration itself is sequential;
+        /// present so existing clients keep working.
         threads: usize,
         /// Stream non-final [`Response::Progress`] frames while the
         /// exploration runs (v2 connections only; ignored inside a

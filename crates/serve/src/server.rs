@@ -64,7 +64,7 @@ use crate::transport::{Conn, Endpoint, Listener};
 use cpn_core::{check_receptiveness, parallel_tracked_common, reduce_against_environment};
 use cpn_format::ParseLimits;
 use cpn_petri::{
-    reachability_bounded_parallel_compiled, Bounded, Budget, CancelScope, CoverabilityOutcome,
+    reachability_bounded_compiled, Bounded, Budget, CancelScope, CoverabilityOutcome,
     CoverabilityTree, Deadline, Resource, Verdict,
 };
 use std::collections::{BTreeSet, HashMap};
@@ -77,8 +77,8 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 /// Protocol ceiling on `threads=` in a request: values above it (or `0`)
-/// are nonsense and rejected with `BadRequest` rather than clamped.
-/// Matches the exploration kernel's own worker cap.
+/// are nonsense and rejected with `BadRequest`. Valid values have no
+/// effect; exploration is sequential.
 pub const MAX_REQUEST_THREADS: usize = 64;
 
 /// First streamed exploration slice (states); each subsequent slice is
@@ -110,9 +110,9 @@ pub struct ServerConfig {
     pub max_connections: usize,
     /// Cap on `max_states` a request may ask for.
     pub max_states_cap: usize,
-    /// Cap on exploration threads a request may use; requests asking for
-    /// more are clamped here (asking for `0` or for more than
-    /// [`MAX_REQUEST_THREADS`] is a `BadRequest` instead).
+    /// Has no effect: exploration is sequential. Kept so existing
+    /// configurations still compile.
+    #[doc(hidden)]
     pub max_threads: usize,
     /// Parse limits for client documents (also bound per-item batch
     /// sizes).
@@ -135,7 +135,7 @@ impl Default for ServerConfig {
             drain_grace: Duration::from_secs(5),
             max_connections: 256,
             max_states_cap: 5_000_000,
-            max_threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            max_threads: 1,
             parse_limits: ParseLimits::default(),
             max_batch_items: crate::proto::MAX_BATCH_ITEMS,
             cache_capacity: 64,
@@ -1225,15 +1225,14 @@ fn handle_request_opts(
         } => (net, *max_states, *threads, doc, true),
     };
 
-    // Validate, then clamp: zero threads or requests beyond the protocol
-    // ceiling are client nonsense and get a typed rejection; anything
-    // else is clamped to what this server is willing to run.
+    // Zero threads or requests beyond the protocol ceiling are client
+    // nonsense and get a typed rejection; any other value is accepted
+    // and has no effect.
     if threads == 0 || threads > MAX_REQUEST_THREADS {
         return Response::BadRequest(format!(
             "threads must be in 1..={MAX_REQUEST_THREADS}, got {threads}"
         ));
     }
-    let threads = threads.min(shared.config.max_threads.max(1));
 
     // Chaos hook: with CPN_SERVE_CHAOS set, a request for this net name
     // panics inside the worker on purpose, so panic isolation is
@@ -1284,7 +1283,7 @@ fn handle_request_opts(
             },
         }
     } else {
-        explore_reach(shared, &cached, cap, deadline, threads, stream)
+        explore_reach(shared, &cached, cap, deadline, stream)
     };
     Response::Result(summary)
 }
@@ -1329,7 +1328,6 @@ fn explore_reach(
     cached: &crate::cache::CachedNet,
     cap: usize,
     deadline: Deadline,
-    threads: usize,
     stream: Option<&StreamCtx<'_>>,
 ) -> ExploreSummary {
     let mut slice = match stream {
@@ -1340,11 +1338,7 @@ fn explore_reach(
         let budget = Budget::states(slice)
             .with_deadline_at(deadline)
             .with_cancel(shared.cancel.token());
-        // The lock-free kernel's output is byte-identical to the
-        // sequential one, so the thread count never changes an answer —
-        // only how fast it arrives.
-        match reachability_bounded_parallel_compiled(&cached.compiled, &cached.m0, &budget, threads)
-        {
+        match reachability_bounded_compiled(&cached.compiled, &cached.m0, &budget) {
             Bounded::Complete(rg) => {
                 return ExploreSummary {
                     states: rg.state_count(),

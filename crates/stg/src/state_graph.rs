@@ -14,7 +14,8 @@
 use crate::signal::{Edge, Signal, SignalDir, StgLabel};
 use crate::stg::Stg;
 use cpn_petri::{
-    Bounded, Budget, CandidateScratch, Marking, MarkingStore, Meter, StubbornScratch, TransitionId,
+    Bounded, Budget, CandidateScratch, Exhausted, Marking, MarkingStore, Meter, Resource,
+    StubbornScratch, TransitionId,
 };
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -173,6 +174,7 @@ impl StateGraph {
         let mut cands: Vec<u32> = Vec::new();
         let mut cur: Vec<u32> = Vec::new();
         let mut next_m: Vec<u32> = Vec::new();
+        let mut store_failed = false;
 
         let mut frontier = 0usize;
         'explore: while frontier < store.len() {
@@ -250,6 +252,7 @@ impl StateGraph {
                             break 'explore;
                         }
                         let Ok(i) = store.insert_new_hashed(&row, hash) else {
+                            store_failed = true;
                             break 'explore;
                         };
                         edges.push(Vec::new());
@@ -261,14 +264,27 @@ impl StateGraph {
             frontier += 1;
         }
 
-        meter.finish(StateGraph {
+        let graph = StateGraph {
             signals,
             dirs,
             places,
             store,
             edges,
             violations,
-        })
+        };
+        if store_failed {
+            // The store refused a state: a sound prefix, never complete.
+            return Bounded::Exhausted {
+                partial: graph,
+                info: Exhausted {
+                    resource: Resource::Storage,
+                    states_explored: meter.states_explored(),
+                    transitions_explored: meter.transitions_explored(),
+                    budget: *budget,
+                },
+            };
+        }
+        meter.finish(graph)
     }
 
     /// The signals, in encoding order.

@@ -1,9 +1,9 @@
 //! Large-scale exploration workloads with known state-space sizes.
 //!
 //! The exploration-kernel benchmarks need nets whose reachability graphs
-//! are big enough that kernel overheads — index probes, work stealing,
-//! spill traffic — dominate, and whose state counts are known in closed
-//! form so a run can be validated exactly. Three parametric families:
+//! are big enough that kernel overheads — index probes, spill traffic —
+//! dominate, and whose state counts are known in closed form so a run
+//! can be validated exactly. Three parametric families:
 //!
 //! * [`sync_pipeline_net`] — the classic synchronized two-phase pipeline,
 //!   built directly as one net (`2^k` states on `2k` places).

@@ -1,5 +1,6 @@
-//! Exploration-kernel sweep: the legacy cloned-map explorer vs the
-//! compiled arena explorer, on the three workload families whose
+//! Exploration-kernel sweep: the interpreted reference explorer
+//! (`cpn_testkit::oracle`) vs the compiled packed-row explorer, on the
+//! three workload families whose
 //! composed state spaces stress the kernel differently:
 //!
 //! * `sync_pipeline(k)` — linear net, exactly `2^k` composed states
@@ -37,8 +38,8 @@ fn states_of(b: &Bounded<cpn_petri::ReachabilityGraph>) -> usize {
 fn sweep(group: &mut BenchGroup, family: &str, net: &PetriNet<String>, expect_states: usize) {
     let budget = Budget::states(expect_states + 1);
     group.bench(format!("{family}/legacy"), || {
-        let rg = net.reachability_bounded_legacy(&budget);
-        assert_eq!(states_of(&rg), expect_states);
+        let rg = cpn_testkit::oracle::reachability(net, &budget);
+        assert_eq!(rg.markings.len(), expect_states);
     });
     group.bench(format!("{family}/compiled"), || {
         let rg = net.reachability_bounded(&budget);

@@ -9,11 +9,10 @@
 //!
 //! `bench` (never part of the default set) sweeps the exploration
 //! kernels over the `sync_pipeline`/`handshake_ring`/`sync_mesh`
-//! families (the mesh is the 10^7-state acceptance workload, with an
-//! out-of-core spill-tier row) and the contraction engines over the
-//! `tau_ring`/`cip_chain` families; with `--json` it writes the
-//! machine-readable `BENCH_explore.json` (states per second per kernel,
-//! resident marking bytes, host core count, spill-tier counters) and
+//! families (the mesh is the 10^7-state acceptance workload) and the
+//! contraction engines over the `tau_ring`/`cip_chain` families; with
+//! `--json` it writes the machine-readable `BENCH_explore.json` (states
+//! per second per kernel, resident marking bytes, host core count) and
 //! `BENCH_hide.json` (seconds and allocation counts per hiding engine,
 //! speedup and allocation ratios) and `BENCH_alphabet.json` (generic
 //! label-level ops vs the interned symbol/bitset paths: hide/contract
@@ -541,73 +540,28 @@ struct KernelRun {
     seconds: f64,
     states_per_sec: f64,
     resident_marking_bytes: usize,
-    spill: Option<SpillRun>,
 }
 
-/// Spill-tier counters attached to an out-of-core kernel run.
-struct SpillRun {
-    resident_budget_bytes: usize,
-    segments: usize,
-    page_outs: u64,
-    page_ins: u64,
-    spilled_bytes: u64,
-}
-
+/// Times one exploration; `run` returns the states found and the bytes
+/// its markings take.
 fn time_kernel(
     kernel: &'static str,
     states: usize,
-    run: impl FnOnce() -> cpn_petri::Bounded<cpn_petri::ReachabilityGraph>,
+    run: impl FnOnce() -> (usize, usize),
 ) -> KernelRun {
     let t0 = Instant::now();
-    let rg = run().into_value();
+    let (found, resident_marking_bytes) = run();
     let seconds = t0.elapsed().as_secs_f64();
-    assert_eq!(rg.state_count(), states, "{kernel} state count");
+    assert_eq!(found, states, "{kernel} state count");
     KernelRun {
         kernel,
         seconds,
         states_per_sec: states as f64 / seconds,
-        resident_marking_bytes: rg.resident_marking_bytes(),
-        spill: None,
+        resident_marking_bytes,
     }
 }
 
-/// Times the out-of-core spill explorer under a resident-payload budget
-/// deliberately far below the workload's full arena footprint, so the
-/// run proves the marking set genuinely lives (mostly) on disk.
-fn time_spilled(
-    states: usize,
-    net: &PetriNet<String>,
-    budget: &cpn_petri::Budget,
-    resident_budget_bytes: usize,
-) -> KernelRun {
-    let compiled = net.compile();
-    let m0 = net.initial_marking();
-    let config = cpn_petri::SpillConfig {
-        resident_payload_bytes: resident_budget_bytes,
-        ..cpn_petri::SpillConfig::default()
-    };
-    let t0 = Instant::now();
-    let sp = cpn_petri::reachability_bounded_spilled(&compiled, m0.as_slice(), budget, &config)
-        .into_value();
-    let seconds = t0.elapsed().as_secs_f64();
-    assert_eq!(sp.state_count(), states, "spilled state count");
-    let stats = sp.spill_stats();
-    KernelRun {
-        kernel: "spilled",
-        seconds,
-        states_per_sec: states as f64 / seconds,
-        resident_marking_bytes: sp.resident_bytes(),
-        spill: Some(SpillRun {
-            resident_budget_bytes,
-            segments: stats.segments,
-            page_outs: stats.page_outs,
-            page_ins: stats.page_ins,
-            spilled_bytes: stats.spilled_bytes,
-        }),
-    }
-}
-
-/// Modeled per-state marking bytes of the legacy cloned-map explorer:
+/// Modeled per-state marking bytes of the reference cloned-map explorer:
 /// one `Marking` (24-byte `Vec` header + 4 bytes per place) in the state
 /// vector, a second clone as the `HashMap` key, plus ~32 bytes of table
 /// bucket overhead per entry.
@@ -618,7 +572,7 @@ fn legacy_marking_model(places: usize, states: usize) -> usize {
 fn bench_explore(quick: bool, json: bool) {
     header(
         "BENCH",
-        "exploration kernel sweep (legacy / compiled / spilled)",
+        "exploration kernel sweep (legacy oracle / compiled)",
     );
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!("host cores: {host_cores}");
@@ -633,9 +587,9 @@ fn bench_explore(quick: bool, json: bool) {
     let ring_stages: &[usize] = if quick { &[64] } else { &[512] };
     // The mesh is the 10^7-state acceptance workload: a w×h token-shift
     // torus whose state count is the closed form C(tokens+wh-1, wh-1)
-    // on only w*h places, so even ten million markings fit a few
-    // hundred MB of arena — and a few MB once delta-spilled.
-    let (mesh_tokens, spill_budget) = if quick { (8, 16 << 10) } else { (24, 32 << 20) };
+    // on only w*h places, so even ten million packed markings fit a
+    // few hundred MB of arena.
+    let mesh_tokens = if quick { 8 } else { 24 };
     let mesh_states = cpn_testkit::sync_mesh_states(3, 3, mesh_tokens) as usize;
     // (family, states, net, with_legacy): legacy is skipped on the mesh
     // — two cloned `Marking`s plus HashMap buckets per state put the
@@ -668,15 +622,15 @@ fn bench_explore(quick: bool, json: bool) {
         let mut runs = Vec::new();
         if *with_legacy {
             runs.push(time_kernel("legacy", *states, || {
-                net.reachability_bounded_legacy(&budget)
+                let rg = cpn_testkit::oracle::reachability(net, &budget);
+                let found = rg.markings.len();
+                (found, legacy_marking_model(net.place_count(), found))
             }));
         }
         runs.push(time_kernel("compiled", *states, || {
-            net.reachability_bounded(&budget)
+            let rg = net.reachability_bounded(&budget).into_value();
+            (rg.state_count(), rg.resident_marking_bytes())
         }));
-        if !*with_legacy {
-            runs.push(time_spilled(*states, net, &budget, spill_budget));
-        }
         let base_rate = runs[0].states_per_sec;
         let legacy_bytes = legacy_marking_model(net.place_count(), *states);
         let arena_bytes = runs
@@ -694,17 +648,6 @@ fn bench_explore(quick: bool, json: bool) {
                 runs[0].kernel,
                 r.resident_marking_bytes
             );
-            if let Some(sp) = &r.spill {
-                println!(
-                    "             resident budget {} B, {} segments, \
-                     {} page-outs / {} page-ins, {} B spilled to disk",
-                    sp.resident_budget_bytes,
-                    sp.segments,
-                    sp.page_outs,
-                    sp.page_ins,
-                    sp.spilled_bytes
-                );
-            }
         }
         println!(
             "  marking memory: arena {arena_bytes} B vs modeled legacy {legacy_bytes} B \
@@ -739,28 +682,13 @@ fn bench_explore(quick: bool, json: bool) {
                 runs[0].kernel,
             ));
             for (j, r) in runs.iter().enumerate() {
-                let spill_json = match &r.spill {
-                    Some(sp) => format!(
-                        ", \"resident_marking_bytes\": {}, \"spill\": {{\
-                         \"resident_budget_bytes\": {}, \"segments\": {}, \
-                         \"page_outs\": {}, \"page_ins\": {}, \"spilled_bytes\": {}}}",
-                        r.resident_marking_bytes,
-                        sp.resident_budget_bytes,
-                        sp.segments,
-                        sp.page_outs,
-                        sp.page_ins,
-                        sp.spilled_bytes
-                    ),
-                    None => String::new(),
-                };
                 out.push_str(&format!(
                     "        {{\"kernel\": \"{}\", \"seconds\": {:.4}, \
-                     \"states_per_sec\": {:.0}, \"speedup_vs_baseline\": {:.3}{}}}{}\n",
+                     \"states_per_sec\": {:.0}, \"speedup_vs_baseline\": {:.3}}}{}\n",
                     r.kernel,
                     r.seconds,
                     r.states_per_sec,
                     r.states_per_sec / runs[0].states_per_sec,
-                    spill_json,
                     if j + 1 < runs.len() { "," } else { "" }
                 ));
             }

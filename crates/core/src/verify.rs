@@ -28,7 +28,9 @@
 
 use crate::parallel::Composition;
 use cpn_petri::graph::{solve_difference_constraints, DiffConstraint};
-use cpn_petri::{AlphaSet, Budget, Label, Marking, Meter, PlaceId, Sym, Verdict};
+use cpn_petri::{
+    AlphaSet, Budget, Label, Marking, Meter, PlaceId, PlaceMask, StateId, Sym, Verdict,
+};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -247,27 +249,45 @@ fn scan_obligations<L: Label>(
 ) -> Verdict<ReceptivenessReport<L>> {
     let exhausted = built.exhausted().copied();
     let rg = built.value();
-    let mut failures = Vec::new();
-    for ob in obs {
-        let witness = rg.state_ids().find_map(|s| {
-            // Scan the raw arena row; materialize a `Marking` only for
-            // the (rare) witness itself.
-            let m = rg.marking_slice(s);
-            let producer_ready = ob.producer_pre.iter().all(|&p| m[p.index()] > 0);
-            let some_consumer_ready = ob
-                .consumer_pres
-                .iter()
-                .any(|cpre| cpre.iter().all(|&p| m[p.index()] > 0));
-            if producer_ready && !some_consumer_ready {
-                Some(rg.marking(s))
-            } else {
-                None
+    // Each obligation as occupancy masks: its producer's preset, and one
+    // preset per consumer.
+    let masks: Vec<(PlaceMask, Vec<PlaceMask>)> = obs
+        .iter()
+        .map(|ob| {
+            let consumers = ob.consumer_pres.iter();
+            let consumers = consumers.map(|c| PlaceMask::new(c.iter().copied()));
+            (
+                PlaceMask::new(ob.producer_pre.iter().copied()),
+                consumers.collect(),
+            )
+        })
+        .collect();
+    // One pass over the states: the first (lowest-id) state where a
+    // producer is ready and no consumer is, per obligation. Only the
+    // witnesses are decoded.
+    let mut witnesses: Vec<Option<StateId>> = vec![None; obs.len()];
+    let mut open = obs.len();
+    let mut buf = Vec::new();
+    for s in rg.state_ids() {
+        if open == 0 {
+            break;
+        }
+        let occ = rg.occupancy(s, &mut buf);
+        for (witness, (producer, consumers)) in witnesses.iter_mut().zip(&masks) {
+            if witness.is_none()
+                && producer.all_marked(occ)
+                && !consumers.iter().any(|c| c.all_marked(occ))
+            {
+                *witness = Some(s);
+                open -= 1;
             }
-        });
-        if let Some(w) = witness {
-            failures.push(ob.fail(comp, Some(w)));
         }
     }
+    let failures: Vec<_> = obs
+        .iter()
+        .zip(&witnesses)
+        .filter_map(|(ob, w)| w.map(|s| ob.fail(comp, Some(rg.marking(s)))))
+        .collect();
     if !failures.is_empty() {
         Verdict::Fails(ReceptivenessReport { failures })
     } else {

@@ -381,7 +381,8 @@ pub enum Resource {
     /// Cooperative cancellation was requested.
     Cancelled,
     /// The state store refused another state: an allocation was
-    /// refused, the 32-bit id space was full, or spill I/O failed.
+    /// refused, the 32-bit id space was full, or a token count would
+    /// pass `u32::MAX`.
     Storage,
 }
 
@@ -666,6 +667,13 @@ impl Meter {
         }
         self.transitions += 1;
         true
+    }
+
+    /// Stops the meter for `resource` — a stop the budget does not
+    /// track, such as [`Resource::Storage`] — unless it has already
+    /// stopped.
+    pub fn stop(&mut self, resource: Resource) {
+        self.stopped.get_or_insert(resource);
     }
 
     /// Whether a cap has been hit.

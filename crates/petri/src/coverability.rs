@@ -99,17 +99,19 @@ impl CoverabilityTree {
         meter.take_state();
 
         let mut next: Vec<u32> = Vec::with_capacity(store.stride());
+        let mut occ: Vec<u64> = Vec::new();
         let mut work = vec![0u32];
         'explore: while let Some(cur) = work.pop() {
             // Per-node deadline/cancel poll (coarse-ticked in the meter).
             if meter.should_stop() {
                 break 'explore;
             }
+            compiled.occupancy_into(store.get(cur as usize), &mut occ);
             for t in 0..transitions {
                 if !meter.take_transition() {
                     break 'explore;
                 }
-                if !compiled.is_enabled(store.get(cur as usize), t) {
+                if !compiled.is_enabled(&occ, t) {
                     continue;
                 }
                 compiled.fire_omega_into(store.get(cur as usize), t, &mut next);

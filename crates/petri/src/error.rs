@@ -59,14 +59,6 @@ pub enum PetriError {
         /// The size of the refused allocation, in bytes.
         bytes: usize,
     },
-    /// The spill pager failed to move a marking segment to or from disk
-    /// (disk full, permission, truncated file). Explorers treat this like
-    /// budget exhaustion: the prefix built so far is still sound.
-    SpillIo {
-        /// The operating-system error, stringified (keeps the enum
-        /// `Clone + Eq`).
-        detail: String,
-    },
 }
 
 impl fmt::Display for PetriError {
@@ -106,9 +98,6 @@ impl fmt::Display for PetriError {
             }
             PetriError::AllocationFailed { bytes } => {
                 write!(f, "allocator refused a {bytes}-byte growth request")
-            }
-            PetriError::SpillIo { detail } => {
-                write!(f, "marking spill i/o failed: {detail}")
             }
         }
     }

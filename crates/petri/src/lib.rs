@@ -21,15 +21,16 @@
 //!   wrapper and the tri-state [`Verdict`] of budgeted checkers.
 //! * [`marking`] — multiset [`Marking`]s and the firing rule (Def 2.2).
 //! * [`store`] — the interned flat-arena [`MarkingStore`] with its
-//!   open-addressing hash index (the exploration kernel's state storage).
+//!   open-addressing hash index, and the packed row format the
+//!   reachability kernel stores markings in.
 //! * [`compiled`] — the CSR-compiled firing rule ([`CompiledNet`]) with
-//!   place→consumer candidate generation.
+//!   bitmap enabling over occupancy masks ([`PlaceMask`]).
 //! * [`hash`] — the shared deterministic content-hash primitives
 //!   (FNV-1a 64/128, SplitMix64 finalizer).
 //! * [`netid`] — content-addressed structural identity: canonical form
 //!   and the [`NetId`] cache key.
 //! * [`reachability`] — explicit reachability graphs with state budgets,
-//!   built by one BFS driver over a resident or a spillable store.
+//!   built by one BFS driver over packed marking rows.
 //! * [`coverability`] — Karp–Miller style boundedness detection.
 //! * [`analysis`] — liveness, safety, k-boundedness, deadlock, reversibility.
 //! * [`structural`] — net-class recognition (state machine, marked graph,
@@ -90,7 +91,7 @@ pub use budget::{
     Bounded, Budget, CancelScope, CancelToken, Deadline, Exhausted, Meter, Resource, Verdict,
     DEFAULT_MAX_STATES, DEFAULT_MAX_TRANSITIONS, POLL_INTERVAL,
 };
-pub use compiled::{CandidateScratch, CompiledNet, StubbornScratch, OMEGA};
+pub use compiled::{CompiledNet, EnableScratch, PlaceMask, OMEGA};
 pub use coverability::{CoverabilityOutcome, CoverabilityTree};
 pub use dead::{dead_transitions_rg, dead_transitions_structural_mg, remove_dead};
 pub use error::PetriError;
@@ -101,9 +102,9 @@ pub use mg::{mg_live_structural, mg_place_bounds, mg_safe_structural, token_free
 pub use net::{PetriNet, Place, PlaceId, Transition, TransitionId};
 pub use netid::{canonical_form, canonical_order, CanonicalOrder, NetId};
 pub use reachability::{
-    reachability_bounded_compiled, reachability_bounded_parallel_compiled,
-    reachability_bounded_spilled, ReachabilityGraph, SpilledReachability, StateId,
+    reachability_bounded_compiled, reachability_bounded_parallel_compiled, ReachabilityGraph,
+    StateId,
 };
 pub use siphon::{commoner_live, is_siphon, is_trap, max_siphon_in, max_trap_in, minimal_siphons};
-pub use store::{MarkingStore, SpillConfig, SpillStats, SpillStore};
+pub use store::MarkingStore;
 pub use structural::{NetClass, StructuralReport};

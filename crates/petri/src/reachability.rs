@@ -6,38 +6,28 @@
 //! here builds it breadth-first under a [`Budget`], so analyses never
 //! silently diverge on unbounded nets.
 //!
-//! One private BFS driver builds every graph. It is generic over two
-//! things:
+//! One private BFS driver builds every graph. States are packed rows of
+//! one [`MarkingStore`]: one field of the same width per place, the width of the largest initial count (one bit
+//! on safe nets, where a row is its own occupancy bitmap). A firing that
+//! would overflow a field doubles the width and re-encodes every stored
+//! row; ids, edges and `Exhausted` statistics do not change. What the
+//! driver varies is how a state's **successors** are chosen: every
+//! enabled transition of the [`CompiledNet`], or a stubborn subset
+//! ([`PetriNet::reachability_stubborn_bounded`]).
 //!
-//! 1. the **store** the states are interned in: the resident
-//!    [`MarkingStore`] (a flat arena with an open-addressing index, no
-//!    per-state allocation) or the [`SpillStore`], whose delta-encoded
-//!    segments page out to an unlinked temp file under a resident-byte
-//!    ceiling ([`reachability_bounded_spilled`]);
-//! 2. how a state's **successors** are chosen: every enabled transition
-//!    of the [`CompiledNet`] (whose place → consumers adjacency re-tests
-//!    only transitions touching a marked place), or a stubborn subset
-//!    ([`PetriNet::reachability_stubborn_bounded`]).
-//!
-//! Either way states are numbered in discovery order and edges kept in
-//! ascending transition order, so both stores give the same ids, edges
-//! and `Exhausted` statistics. A store that refuses a state (allocation,
-//! id space, spill I/O) stops the exploration with
+//! States are numbered in discovery order and edges kept in ascending
+//! transition order. A store that refuses a state (allocation, id space,
+//! a count past `u32::MAX`) stops the exploration with
 //! [`Resource::Storage`]: the prefix is sound, never `Complete`.
-//!
-//! The pre-arena explorer survives as
-//! [`PetriNet::reachability_bounded_legacy`], the reference
-//! implementation the equivalence property suite differentiates against.
 
-use crate::budget::{Bounded, Budget, Exhausted, Meter, Resource};
-use crate::compiled::{CandidateScratch, CompiledNet, StubbornScratch};
+use crate::budget::{Bounded, Budget, Meter, Resource};
+use crate::compiled::{CompiledNet, EnableScratch};
 use crate::error::PetriError;
 use crate::graph::DiGraph;
 use crate::label::Label;
 use crate::marking::Marking;
 use crate::net::{PetriNet, PlaceId, TransitionId};
-use crate::store::{MarkingStore, SpillConfig, SpillStats, SpillStore};
-use std::collections::HashMap;
+use crate::store::{MarkingStore, RowFormat};
 use std::fmt;
 
 /// Identifier of a state (reachable marking) in a [`ReachabilityGraph`].
@@ -93,10 +83,11 @@ impl fmt::Display for StateId {
 /// The reachability graph of a net: every reachable marking plus the
 /// labeled next-state edges between them.
 ///
-/// Markings live interned in a [`MarkingStore`] arena and edges in one
-/// CSR array, so the graph's resident size is dominated by
-/// `state_count × place_count` `u32`s rather than per-state heap
-/// allocations.
+/// Markings live as packed rows in a [`MarkingStore`] arena — one word
+/// per state for a safe net of up to 64 places — and edges in one CSR
+/// array. Read a marking with [`ReachabilityGraph::marking_into`] or
+/// [`ReachabilityGraph::marking`], and which places it marks with
+/// [`ReachabilityGraph::occupancy`].
 ///
 /// # Example
 ///
@@ -116,18 +107,23 @@ impl fmt::Display for StateId {
 /// let rg = rg.value();
 /// assert_eq!(rg.state_count(), 3);
 /// assert_eq!(rg.edges(rg.initial_state()).len(), 2);
+/// let mut m = Vec::new();
+/// rg.marking_into(rg.initial_state(), &mut m);
+/// assert_eq!(m, vec![1, 0, 0]);
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Clone, Debug)]
 pub struct ReachabilityGraph {
-    store: MarkingStore,
+    store: MarkingStore<u64>,
+    format: RowFormat,
     /// All edges, grouped by source state (CSR payload).
     edge_data: Vec<(TransitionId, StateId)>,
     /// CSR offsets: edges of state `s` are
     /// `edge_data[edge_off[s]..edge_off[s+1]]`.
     edge_off: Vec<usize>,
-    initial: StateId,
+    /// The largest count any stored state puts on any place.
+    token_bound: u32,
 }
 
 impl ReachabilityGraph {
@@ -144,28 +140,40 @@ impl ReachabilityGraph {
 
     /// The state corresponding to the initial marking.
     pub fn initial_state(&self) -> StateId {
-        self.initial
+        StateId(0)
     }
 
-    /// The marking of a state, materialized from the arena.
-    ///
-    /// For allocation-free access use [`ReachabilityGraph::marking_slice`].
+    /// The marking of a state, decoded from its packed row.
     ///
     /// # Panics
     ///
     /// Panics if the id does not belong to this graph.
     pub fn marking(&self, s: StateId) -> Marking {
-        Marking::from_counts(self.store.get(s.index()).to_vec())
+        let mut counts = Vec::new();
+        self.marking_into(s, &mut counts);
+        Marking::from_counts(counts)
     }
 
-    /// The raw per-place token counts of a state, borrowed straight from
-    /// the arena (no allocation).
+    /// Decodes the per-place token counts of a state into `out`
+    /// (cleared first).
     ///
     /// # Panics
     ///
     /// Panics if the id does not belong to this graph.
-    pub fn marking_slice(&self, s: StateId) -> &[u32] {
-        self.store.get(s.index())
+    pub fn marking_into(&self, s: StateId, out: &mut Vec<u32>) {
+        self.format.decode(self.store.get(s.index()), out);
+    }
+
+    /// The occupancy bitmap of a state: bit `p` of word `p / 64` is set
+    /// iff place `p` is marked. On a one-bit-per-place graph this is the
+    /// stored row itself; otherwise it is computed into `buf`. Test it
+    /// with a [`PlaceMask`](crate::compiled::PlaceMask).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the id does not belong to this graph.
+    pub fn occupancy<'a>(&'a self, s: StateId, buf: &'a mut Vec<u64>) -> &'a [u64] {
+        self.format.occupancy(self.store.get(s.index()), buf)
     }
 
     /// Outgoing edges of a state.
@@ -191,10 +199,11 @@ impl ReachabilityGraph {
     /// Looks up the state with the given marking in O(1) via the arena's
     /// hash index.
     pub fn find_state(&self, m: &Marking) -> Option<StateId> {
-        if m.len() != self.store.stride() {
+        let mut row = Vec::new();
+        if m.len() != self.format.places() || !self.format.encode(m.as_slice(), &mut row) {
             return None;
         }
-        self.store.find(m.as_slice()).map(StateId)
+        self.store.find(&row).map(StateId)
     }
 
     /// The underlying directed graph over state indices (labels dropped).
@@ -215,12 +224,9 @@ impl ReachabilityGraph {
 
     /// The largest token count any place reaches in any state: the bound
     /// `k` for which the net is `k`-bounded (given a complete graph).
+    /// Tracked as states are inserted, so this reads no rows.
     pub fn token_bound(&self) -> u32 {
-        self.store
-            .iter()
-            .flat_map(|m| m.iter().copied())
-            .max()
-            .unwrap_or(0)
+        self.token_bound
     }
 
     /// Bytes resident in the marking arena and its hash index — the
@@ -270,88 +276,12 @@ impl<L: Label> PetriNet<L> {
     ) -> Bounded<ReachabilityGraph> {
         let compiled = self.compile();
         let seeds = stubborn_seeds(&compiled, watched);
-        let successors =
-            Successors::Stubborn(StubbornScratch::new(compiled.transition_count()), &seeds);
         explore(
             &compiled,
             self.initial_marking().as_slice(),
             budget,
-            MarkingStore::new(compiled.place_count()),
-            successors,
+            Some(seeds.as_slice()),
         )
-        .map(Explored::into_graph)
-    }
-
-    /// The pre-arena explorer (interpreted firing rule, `Vec<Marking>` +
-    /// `HashMap` double storage), kept as the reference implementation
-    /// for the kernel-equivalence property suite and the memory baseline
-    /// of the `explore_kernel` bench. Semantically identical to
-    /// [`PetriNet::reachability_bounded`], only slower and hungrier.
-    pub fn reachability_bounded_legacy(&self, budget: &Budget) -> Bounded<ReachabilityGraph> {
-        let mut meter = Meter::new(budget);
-        let initial = self.initial_marking();
-        let mut states: Vec<Marking> = vec![initial.clone()];
-        let mut index: HashMap<Marking, StateId> = HashMap::new();
-        index.insert(initial, StateId(0));
-        let mut edges: Vec<Vec<(TransitionId, StateId)>> = vec![Vec::new()];
-        // The initial state always exists, even under a zero budget.
-        meter.take_state();
-
-        let mut frontier = 0usize;
-        'explore: while frontier < states.len() {
-            if meter.should_stop() {
-                break 'explore;
-            }
-            let marking = states[frontier].clone();
-            for t in self.transition_ids() {
-                if !self.is_enabled(&marking, t) {
-                    continue;
-                }
-                if !meter.take_transition() {
-                    break 'explore;
-                }
-                let Ok(next) = self.fire(&marking, t) else {
-                    // Unreachable for an enabled transition; skip rather
-                    // than panic so the builder stays total.
-                    continue;
-                };
-                let target = match index.get(&next) {
-                    Some(&existing) => existing,
-                    None => {
-                        if !meter.take_state() {
-                            break 'explore;
-                        }
-                        let new_id = StateId::from_index(states.len());
-                        states.push(next.clone());
-                        edges.push(Vec::new());
-                        index.insert(next, new_id);
-                        new_id
-                    }
-                };
-                edges[frontier].push((t, target));
-            }
-            frontier += 1;
-        }
-
-        // Convert to the arena-backed representation (insertion order is
-        // already canonical BFS order).
-        let mut store = MarkingStore::with_capacity(self.place_count(), states.len());
-        for m in &states {
-            store.intern(m.as_slice());
-        }
-        let mut edge_off = Vec::with_capacity(states.len() + 1);
-        let mut edge_data = Vec::new();
-        edge_off.push(0);
-        for outs in &edges {
-            edge_data.extend_from_slice(outs);
-            edge_off.push(edge_data.len());
-        }
-        meter.finish(ReachabilityGraph {
-            store,
-            edge_data,
-            edge_off,
-            initial: StateId(0),
-        })
     }
 }
 
@@ -367,15 +297,7 @@ pub fn reachability_bounded_compiled(
     m0: &[u32],
     budget: &Budget,
 ) -> Bounded<ReachabilityGraph> {
-    let successors = Successors::All(CandidateScratch::new(compiled.transition_count()));
-    explore(
-        compiled,
-        m0,
-        budget,
-        MarkingStore::new(compiled.place_count()),
-        successors,
-    )
-    .map(Explored::into_graph)
+    explore(compiled, m0, budget, None)
 }
 
 /// [`reachability_bounded_compiled`] under its former multi-threaded
@@ -415,264 +337,80 @@ fn stubborn_seeds(compiled: &CompiledNet, watched: &[PlaceId]) -> Vec<u32> {
     seeds
 }
 
-/// A reachability graph whose markings live in a [`SpillStore`]: resident
-/// segments are delta-encoded, cold ones are paged out to an unlinked
-/// temp file, and only the hash index stays pinned in memory.
-///
-/// State ids, edge order, and counts are **identical** to the resident
-/// [`ReachabilityGraph`] the sequential kernel would build — the store
-/// tier changes where markings live, not which states exist. Marking
-/// access takes `&mut self` because reading a spilled row may page its
-/// segment back in (and evict another).
-#[derive(Debug)]
-pub struct SpilledReachability {
-    store: SpillStore,
-    edge_data: Vec<(TransitionId, StateId)>,
-    edge_off: Vec<usize>,
-    initial: StateId,
-}
-
-impl SpilledReachability {
-    /// Number of reachable states.
-    pub fn state_count(&self) -> usize {
-        self.store.len()
-    }
-
-    /// Total number of edges.
-    pub fn edge_count(&self) -> usize {
-        self.edge_data.len()
-    }
-
-    /// The state corresponding to the initial marking.
-    pub fn initial_state(&self) -> StateId {
-        self.initial
-    }
-
-    /// Decodes the marking of a state into `out` (cleared first), paging
-    /// its segment in if it was spilled.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PetriError::SpillIo`] when the page-in fails.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id does not belong to this graph.
-    pub fn marking_into(&mut self, s: StateId, out: &mut Vec<u32>) -> Result<(), PetriError> {
-        self.store.get_into(s.index(), out)
-    }
-
-    /// Outgoing edges of a state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id does not belong to this graph.
-    pub fn edges(&self, s: StateId) -> &[(TransitionId, StateId)] {
-        &self.edge_data[self.edge_off[s.index()]..self.edge_off[s.index() + 1]]
-    }
-
-    /// Looks up a marking's state id, paging candidate segments in as
-    /// needed for confirmation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PetriError::SpillIo`] when a page-in fails.
-    pub fn find_state(&mut self, m: &Marking) -> Result<Option<StateId>, PetriError> {
-        if m.len() != self.store.stride() {
-            return Ok(None);
-        }
-        let hash = MarkingStore::hash_slice(m.as_slice());
-        Ok(self.store.find_hashed(m.as_slice(), hash)?.map(StateId))
-    }
-
-    /// States with no outgoing edges (deadlocks).
-    pub fn deadlock_states(&self) -> Vec<StateId> {
-        (0..self.store.len())
-            .filter(|&i| self.edge_off[i] == self.edge_off[i + 1])
-            .map(StateId::from_index)
-            .collect()
-    }
-
-    /// The largest token count any place reaches in any state (tracked
-    /// incrementally at insert, so no decode pass is needed).
-    pub fn token_bound(&self) -> u32 {
-        self.store.max_word()
-    }
-
-    /// Spill-tier counters: segment totals, page-in/out traffic, bytes on
-    /// disk, and the resident ceiling.
-    pub fn spill_stats(&self) -> SpillStats {
-        self.store.stats()
-    }
-
-    /// Bytes currently resident (index, hashes, and in-memory segments).
-    pub fn resident_bytes(&self) -> usize {
-        self.store.resident_bytes()
-    }
-}
-
-/// Breadth-first exploration over a [`SpillStore`]: the out-of-core
-/// sibling of [`reachability_bounded_compiled`], for state spaces whose
-/// resident marking set outgrows RAM.
-///
-/// Runs the same driver as the resident kernel, so ids and edges match
-/// byte-for-byte; only the marking storage tier differs. A spill I/O
-/// failure stops the exploration: the prefix built so far is sound and
-/// is returned as [`Bounded::Exhausted`] with [`Resource::Storage`].
-pub fn reachability_bounded_spilled(
-    compiled: &CompiledNet,
-    m0: &[u32],
-    budget: &Budget,
-    config: &SpillConfig,
-) -> Bounded<SpilledReachability> {
-    let successors = Successors::All(CandidateScratch::new(compiled.transition_count()));
-    explore(
-        compiled,
-        m0,
-        budget,
-        SpillStore::new(compiled.place_count(), config),
-        successors,
-    )
-    .map(|e| SpilledReachability {
-        store: e.store,
-        edge_data: e.edge_data,
-        edge_off: e.edge_off,
-        initial: StateId(0),
-    })
-}
-
 // ----------------------------------------------------------------------
 // The exploration driver
 // ----------------------------------------------------------------------
 
-/// What the driver needs from a marking store. Both stores number rows
-/// densely in insertion order, so the driver assigns the same ids on
-/// either. The driver reads an error only as "stop".
-trait StateStore {
-    fn len(&self) -> usize;
-    /// Copies row `i` into `out` and returns its cached hash.
-    fn load(&mut self, i: usize, out: &mut Vec<u32>) -> Result<u64, PetriError>;
-    fn find(&mut self, m: &[u32], hash: u64) -> Result<Option<u32>, PetriError>;
-    /// Inserts a row that `find` just reported absent.
-    fn insert(&mut self, m: &[u32], hash: u64) -> Result<u32, PetriError>;
-}
-
-impl StateStore for MarkingStore {
-    fn len(&self) -> usize {
-        MarkingStore::len(self)
+/// Fires enabled transition `t` on the packed row `cur`, writing the
+/// successor into `next`. Returns the largest count among the places `t`
+/// gives to (0 if none), or `None` when one of them is full at this
+/// width.
+#[inline]
+fn fire_packed(
+    compiled: &CompiledNet,
+    format: RowFormat,
+    cur: &[u64],
+    t: u32,
+    next: &mut Vec<u64>,
+) -> Option<u32> {
+    next.clear();
+    next.extend_from_slice(cur);
+    for &p in compiled.take_set(t) {
+        let (w, shift) = format.locate(p as usize);
+        debug_assert!(
+            format.get(next, p as usize) > 0,
+            "firing a disabled transition"
+        );
+        next[w] -= 1 << shift;
     }
-
-    #[inline]
-    fn load(&mut self, i: usize, out: &mut Vec<u32>) -> Result<u64, PetriError> {
-        out.clear();
-        out.extend_from_slice(self.get(i));
-        Ok(self.hash_of(i))
-    }
-
-    #[inline]
-    fn find(&mut self, m: &[u32], hash: u64) -> Result<Option<u32>, PetriError> {
-        Ok(self.find_hashed(m, hash))
-    }
-
-    fn insert(&mut self, m: &[u32], hash: u64) -> Result<u32, PetriError> {
-        self.insert_new_hashed(m, hash)
-    }
-}
-
-impl StateStore for SpillStore {
-    fn len(&self) -> usize {
-        SpillStore::len(self)
-    }
-
-    fn load(&mut self, i: usize, out: &mut Vec<u32>) -> Result<u64, PetriError> {
-        self.get_into(i, out)?;
-        Ok(self.hash_of(i))
-    }
-
-    fn find(&mut self, m: &[u32], hash: u64) -> Result<Option<u32>, PetriError> {
-        self.find_hashed(m, hash)
-    }
-
-    fn insert(&mut self, m: &[u32], hash: u64) -> Result<u32, PetriError> {
-        self.insert_new_hashed(m, hash)
-    }
-}
-
-/// How the driver chooses the transitions to fire at a state.
-enum Successors<'a> {
-    /// Every enabled transition: the candidates of
-    /// [`CompiledNet::enabled_candidates`] that pass `is_enabled`.
-    All(CandidateScratch),
-    /// The enabled members of a stubborn set grown from these seeds.
-    Stubborn(StubbornScratch, &'a [u32]),
-}
-
-impl Successors<'_> {
-    /// Writes the transitions that may fire at `m` into `out`, ascending.
-    fn candidates(&mut self, compiled: &CompiledNet, m: &[u32], out: &mut Vec<u32>) {
-        match self {
-            Successors::All(scratch) => compiled.enabled_candidates(m, scratch, out),
-            Successors::Stubborn(scratch, seeds) => {
-                compiled.stubborn_enabled(m, seeds, scratch, out);
-            }
+    let mut high = 0;
+    let max = format.field_max();
+    for &q in compiled.give_set(t) {
+        let (w, shift) = format.locate(q as usize);
+        let count = (next[w] >> shift) as u32 & max;
+        if count == max {
+            return None;
         }
+        next[w] += 1 << shift;
+        high = high.max(count + 1);
     }
-
-    /// Whether candidate `t` fires at `m`. Stubborn members are enabled
-    /// by construction.
-    #[inline]
-    fn fires(&self, compiled: &CompiledNet, m: &[u32], t: u32) -> bool {
-        match self {
-            Successors::All(_) => compiled.is_enabled(m, t),
-            Successors::Stubborn(..) => true,
-        }
-    }
+    Some(high)
 }
 
-/// The driver's output: the interned states and the CSR edge arrays.
-struct Explored<S> {
-    store: S,
-    edge_data: Vec<(TransitionId, StateId)>,
-    edge_off: Vec<usize>,
-}
-
-impl Explored<MarkingStore> {
-    fn into_graph(self) -> ReachabilityGraph {
-        ReachabilityGraph {
-            store: self.store,
-            edge_data: self.edge_data,
-            edge_off: self.edge_off,
-            initial: StateId(0),
-        }
-    }
-}
-
-/// The one BFS loop behind every explorer but the legacy oracle.
+/// The one BFS loop behind every explorer.
 ///
-/// States are expanded in id order and their successors examined in
-/// ascending transition order. The meter is charged in a fixed order —
-/// `take_transition` before the successor is looked up, `take_state`
-/// before it is inserted — which is what keeps `Exhausted` prefixes and
-/// statistics identical to the legacy explorer's.
-fn explore<S: StateStore>(
+/// States are expanded in id order and their successors — all enabled
+/// transitions, or the stubborn set grown from `stubborn` seeds —
+/// examined in ascending transition order. The meter is charged in a
+/// fixed order: `take_transition` before the successor is fired and
+/// looked up, `take_state` before it is inserted. That order is what
+/// keeps `Exhausted` prefixes and statistics identical to the
+/// interpreted reference explorer's.
+fn explore(
     compiled: &CompiledNet,
     m0: &[u32],
     budget: &Budget,
-    mut store: S,
-    mut successors: Successors<'_>,
-) -> Bounded<Explored<S>> {
+    stubborn: Option<&[u32]>,
+) -> Bounded<ReachabilityGraph> {
     let mut meter = Meter::new(budget);
-    if let Err(e) = store.insert(m0, MarkingStore::hash_slice(m0)) {
+    let mut format = RowFormat::fitting(m0);
+    let mut store = MarkingStore::<u64>::new(format.words());
+    let mut cur: Vec<u64> = Vec::with_capacity(format.words());
+    let fits = format.encode(m0, &mut cur);
+    debug_assert!(fits, "the fitting format holds the initial marking");
+    if let Err(e) = store.insert_new_hashed(&cur, MarkingStore::hash_slice(&cur)) {
         panic!("marking store rejected the initial marking: {e}");
     }
     // The initial state always exists, even under a zero budget.
     meter.take_state();
+    let mut token_bound = m0.iter().copied().max().unwrap_or(0);
 
     let mut edge_data: Vec<(TransitionId, StateId)> = Vec::new();
     let mut edge_off: Vec<usize> = vec![0];
-    let mut cur: Vec<u32> = Vec::with_capacity(compiled.place_count());
-    let mut cands: Vec<u32> = Vec::new();
-    let mut store_failed = false;
+    let mut next: Vec<u64> = Vec::with_capacity(format.words());
+    let mut occ_buf: Vec<u64> = Vec::new();
+    let mut scratch = EnableScratch::default();
+    let mut fire: Vec<u32> = Vec::new();
 
     let mut frontier = 0usize;
     'explore: while frontier < store.len() {
@@ -681,33 +419,52 @@ fn explore<S: StateStore>(
         if meter.should_stop() {
             break 'explore;
         }
-        let Ok(cur_hash) = store.load(frontier, &mut cur) else {
-            store_failed = true;
-            break 'explore;
-        };
-        successors.candidates(compiled, &cur, &mut cands);
-        for &t in &cands {
-            if !successors.fires(compiled, &cur, t) {
-                continue;
-            }
+        cur.clear();
+        cur.extend_from_slice(store.get(frontier));
+        let occ = format.occupancy(&cur, &mut occ_buf);
+        match stubborn {
+            None => compiled.enabled_into(occ, &mut scratch, &mut fire),
+            Some(seeds) => compiled.stubborn_enabled(occ, seeds, &mut scratch, &mut fire),
+        }
+        for &t in &fire {
             if !meter.take_transition() {
                 break 'explore;
             }
-            // Fire in place with a delta-updated hash, probe/insert the
-            // successor straight out of `cur`, then revert — no
-            // per-successor copy or full-stride rehash.
-            let hash = compiled.apply_hashed(&mut cur, cur_hash, t);
-            debug_assert_eq!(hash, MarkingStore::hash_slice(&cur));
-            let target = match store.find(&cur, hash) {
-                Ok(None) if !meter.take_state() => break 'explore,
-                Ok(None) => store.insert(&cur, hash),
-                Ok(Some(id)) => Ok(id),
-                Err(e) => Err(e),
+            let high = loop {
+                if let Some(high) = fire_packed(compiled, format, &cur, t, &mut next) {
+                    break high;
+                }
+                // A field is full: double the width and re-encode every
+                // row, or stop if the count would pass `u32::MAX`.
+                let Some(wide) = format.widened() else {
+                    meter.stop(Resource::Storage);
+                    break 'explore;
+                };
+                let repacked = store.rewrite(wide.words(), |row, out| {
+                    format.reencode(row, wide, out);
+                });
+                if repacked.is_err() {
+                    meter.stop(Resource::Storage);
+                    break 'explore;
+                }
+                format.reencode(&cur, wide, &mut next);
+                std::mem::swap(&mut cur, &mut next);
+                format = wide;
             };
-            compiled.unapply(&mut cur, t);
-            let Ok(target) = target else {
-                store_failed = true;
-                break 'explore;
+            let hash = MarkingStore::hash_slice(&next);
+            let target = match store.find_hashed(&next, hash) {
+                Some(id) => id,
+                None => {
+                    if !meter.take_state() {
+                        break 'explore;
+                    }
+                    let Ok(id) = store.insert_new_hashed(&next, hash) else {
+                        meter.stop(Resource::Storage);
+                        break 'explore;
+                    };
+                    token_bound = token_bound.max(high);
+                    id
+                }
             };
             edge_data.push((TransitionId::from_index(t as usize), StateId(target)));
         }
@@ -720,23 +477,13 @@ fn explore<S: StateStore>(
         edge_off.push(edge_data.len());
     }
 
-    let explored = Explored {
+    meter.finish(ReachabilityGraph {
         store,
+        format,
         edge_data,
         edge_off,
-    };
-    if store_failed {
-        return Bounded::Exhausted {
-            partial: explored,
-            info: Exhausted {
-                resource: Resource::Storage,
-                states_explored: meter.states_explored(),
-                transitions_explored: meter.transitions_explored(),
-                budget: *budget,
-            },
-        };
-    }
-    meter.finish(explored)
+        token_bound,
+    })
 }
 
 #[cfg(test)]
@@ -760,14 +507,6 @@ mod tests {
         net.add_transition([pa2, pb2], "join", [end]).unwrap();
         net.set_initial(p0, 1);
         net
-    }
-
-    fn graphs_identical(a: &ReachabilityGraph, b: &ReachabilityGraph) -> bool {
-        a.state_count() == b.state_count()
-            && a.edge_count() == b.edge_count()
-            && a.initial_state() == b.initial_state()
-            && a.state_ids()
-                .all(|s| a.marking_slice(s) == b.marking_slice(s) && a.edges(s) == b.edges(s))
     }
 
     #[test]
@@ -847,6 +586,31 @@ mod tests {
     }
 
     #[test]
+    fn widening_keeps_ids_markings_and_lookups() {
+        // A pump on a safe start: the sink outgrows one bit at the
+        // second state, then two bits, then four.
+        let mut net: PetriNet<&str> = PetriNet::new();
+        let p = net.add_place("p");
+        let sink = net.add_place("sink");
+        net.add_transition([p], "pump", [p, sink]).unwrap();
+        net.set_initial(p, 1);
+        let built = net.reachability_bounded(&Budget::states(40));
+        let rg = built.value();
+        assert_eq!(rg.state_count(), 40);
+        assert_eq!(rg.token_bound(), 39);
+        assert_eq!(rg.format.field_max(), 255, "eight-bit fields");
+        let mut m = Vec::new();
+        for s in rg.state_ids() {
+            rg.marking_into(s, &mut m);
+            assert_eq!(m, vec![1, s.index() as u32]);
+            assert_eq!(rg.find_state(&rg.marking(s)), Some(s));
+            let mut buf = Vec::new();
+            let occ = rg.occupancy(s, &mut buf);
+            assert_eq!(occ, &[if s.index() == 0 { 1 } else { 0b11 }]);
+        }
+    }
+
+    #[test]
     fn all_edges_enumerates_everything() {
         let rg = diamond()
             .reachability_bounded(&Budget::default())
@@ -865,69 +629,6 @@ mod tests {
         assert_eq!(g.node_count(), rg.state_count());
         let seen = g.reachable_from(rg.initial_state().index());
         assert!(seen.iter().all(|&b| b), "every state reachable from init");
-    }
-
-    #[test]
-    fn compiled_matches_legacy_on_diamond() {
-        let net = diamond();
-        let a = net.reachability_bounded(&Budget::default()).into_value();
-        let b = net
-            .reachability_bounded_legacy(&Budget::default())
-            .into_value();
-        assert!(graphs_identical(&a, &b));
-    }
-
-    #[test]
-    fn compiled_matches_legacy_under_exhaustion() {
-        let mut net: PetriNet<&str> = PetriNet::new();
-        let p = net.add_place("p");
-        let sink = net.add_place("sink");
-        net.add_transition([p], "pump", [p, sink]).unwrap();
-        net.set_initial(p, 1);
-        for budget in [Budget::states(5), Budget::new(100, 7), Budget::states(0)] {
-            let a = net.reachability_bounded(&budget);
-            let b = net.reachability_bounded_legacy(&budget);
-            assert_eq!(a.exhausted(), b.exhausted(), "same exhaustion stats");
-            assert!(graphs_identical(a.value(), b.value()), "same prefix");
-        }
-    }
-
-    #[test]
-    fn empty_preset_sources_match_legacy() {
-        // An always-enabled source transition pumps a bounded buffer
-        // drained by a consumer: candidate generation must include the
-        // empty-preset transition in every state.
-        let mut net: PetriNet<&str> = PetriNet::new();
-        let buf = net.add_place("buf");
-        net.add_transition([], "arrive", [buf]).unwrap();
-        net.add_transition([buf], "serve", []).unwrap();
-        let budget = Budget::states(50);
-        let legacy = net.reachability_bounded_legacy(&budget);
-        assert_eq!(
-            legacy.exhausted().map(|e| e.resource),
-            Some(Resource::States)
-        );
-        let compiled = net.reachability_bounded(&budget);
-        assert_eq!(compiled.exhausted(), legacy.exhausted());
-        assert!(graphs_identical(legacy.value(), compiled.value()));
-
-        let spilled = reachability_bounded_spilled(
-            &net.compile(),
-            net.initial_marking().as_slice(),
-            &budget,
-            &SpillConfig::default(),
-        );
-        assert_eq!(spilled.exhausted(), legacy.exhausted());
-        let rg = legacy.value();
-        let mut sp = spilled.into_value();
-        assert_eq!(sp.state_count(), rg.state_count());
-        assert_eq!(sp.edge_count(), rg.edge_count());
-        let mut row = Vec::new();
-        for s in rg.state_ids() {
-            sp.marking_into(s, &mut row).unwrap();
-            assert_eq!(row.as_slice(), rg.marking_slice(s), "marking of {s}");
-            assert_eq!(sp.edges(s), rg.edges(s), "edges of {s}");
-        }
     }
 
     #[test]

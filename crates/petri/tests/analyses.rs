@@ -252,16 +252,14 @@ fn cancelled_exploration_stops_with_cancelled_resource() {
 
 #[test]
 fn deadline_applies_to_coverability_and_spilled_exploration() {
-    use cpn_petri::{reachability_bounded_spilled, Resource, SpillConfig};
+    // An expired deadline stops coverability and the exploration kernel
+    // (which every explorer, large state spaces included, now runs on).
+    use cpn_petri::{reachability_bounded_compiled, Resource};
     let net = toggle_net(24);
     let budget = Budget::unlimited().with_deadline(std::time::Duration::ZERO);
     assert!(!CoverabilityTree::build_bounded(&net, &budget).is_complete());
-    let out = reachability_bounded_spilled(
-        &net.compile(),
-        net.initial_marking().as_slice(),
-        &budget,
-        &SpillConfig::default(),
-    );
+    let out =
+        reachability_bounded_compiled(&net.compile(), net.initial_marking().as_slice(), &budget);
     assert_eq!(
         out.exhausted().map(|e| e.resource),
         Some(Resource::Deadline)

@@ -14,8 +14,7 @@
 use crate::signal::{Edge, Signal, SignalDir, StgLabel};
 use crate::stg::Stg;
 use cpn_petri::{
-    Bounded, Budget, CandidateScratch, Exhausted, Marking, MarkingStore, Meter, Resource,
-    StubbornScratch, TransitionId,
+    Bounded, Budget, EnableScratch, Marking, MarkingStore, Meter, Resource, TransitionId,
 };
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -159,22 +158,21 @@ impl StateGraph {
         let mut edges: Vec<Vec<(TransitionId, usize)>> = vec![Vec::new()];
         let mut violations = Vec::new();
 
-        let mut scratch = CandidateScratch::new(compiled.transition_count());
+        let mut scratch = EnableScratch::default();
         // Stubborn mode: every signal-labeled or guarded transition is
         // visible — encoding changes and guard reads must not be pruned.
-        let mut stub = stubborn.then(|| {
-            let seeds: Vec<u32> = (0..compiled.transition_count() as u32)
+        let seeds: Option<Vec<u32>> = stubborn.then(|| {
+            (0..compiled.transition_count() as u32)
                 .filter(|&tu| {
                     let t = TransitionId::from_index(tu as usize);
                     !stg.net().label_of(t).is_dummy() || !stg.guard(t).is_true()
                 })
-                .collect();
-            (StubbornScratch::new(compiled.transition_count()), seeds)
+                .collect()
         });
         let mut cands: Vec<u32> = Vec::new();
         let mut cur: Vec<u32> = Vec::new();
+        let mut occ: Vec<u64> = Vec::new();
         let mut next_m: Vec<u32> = Vec::new();
-        let mut store_failed = false;
 
         let mut frontier = 0usize;
         'explore: while frontier < store.len() {
@@ -185,16 +183,12 @@ impl StateGraph {
             cur.clear();
             cur.extend_from_slice(store.get(frontier));
             let encoding = decode_bits(&cur[places..], signals.len());
-            match stub.as_mut() {
-                Some((stub_scratch, seeds)) => {
-                    compiled.stubborn_enabled(&cur[..places], seeds, stub_scratch, &mut cands);
-                }
-                None => compiled.enabled_candidates(&cur[..places], &mut scratch, &mut cands),
+            compiled.occupancy_into(&cur[..places], &mut occ);
+            match &seeds {
+                Some(seeds) => compiled.stubborn_enabled(&occ, seeds, &mut scratch, &mut cands),
+                None => compiled.enabled_into(&occ, &mut scratch, &mut cands),
             }
             for &tu in &cands {
-                if !compiled.is_enabled(&cur[..places], tu) {
-                    continue;
-                }
                 let t = TransitionId::from_index(tu as usize);
                 let label = stg.net().label_of(t).clone();
                 // Guard check against current levels.
@@ -239,8 +233,11 @@ impl StateGraph {
                         Edge::Stable | Edge::Unstable | Edge::DontCare => {}
                     }
                 }
-                // `t` is enabled, so firing cannot fail.
-                compiled.fire_into(&cur[..places], tu, &mut next_m);
+                // `t` is enabled; firing fails only past `u32::MAX` tokens.
+                if compiled.fire_into(&cur[..places], tu, &mut next_m).is_err() {
+                    meter.stop(Resource::Storage);
+                    break 'explore;
+                }
                 row.clear();
                 row.extend_from_slice(&next_m);
                 row.extend_from_slice(&next_enc);
@@ -252,7 +249,9 @@ impl StateGraph {
                             break 'explore;
                         }
                         let Ok(i) = store.insert_new_hashed(&row, hash) else {
-                            store_failed = true;
+                            // The store refused a state: a sound prefix,
+                            // never complete.
+                            meter.stop(Resource::Storage);
                             break 'explore;
                         };
                         edges.push(Vec::new());
@@ -272,18 +271,6 @@ impl StateGraph {
             edges,
             violations,
         };
-        if store_failed {
-            // The store refused a state: a sound prefix, never complete.
-            return Bounded::Exhausted {
-                partial: graph,
-                info: Exhausted {
-                    resource: Resource::Storage,
-                    states_explored: meter.states_explored(),
-                    transitions_explored: meter.transitions_explored(),
-                    budget: *budget,
-                },
-            };
-        }
         meter.finish(graph)
     }
 
@@ -597,6 +584,32 @@ mod tests {
             panic!("budget not exhausted");
         };
         assert_eq!(sg.consistency_violations().len(), 1);
+    }
+
+    #[test]
+    fn token_overflow_stops_with_storage() {
+        // A dummy source on a place already holding `u32::MAX` tokens:
+        // firing it has no successor, so the build stops with a storage
+        // stop on the one-state prefix instead of saturating the count.
+        let mut stg = Stg::new();
+        let p = stg.add_place("p");
+        stg.add_dummy([], [p]).unwrap();
+        stg.set_initial(p, u32::MAX);
+        for stubborn in [false, true] {
+            let built = if stubborn {
+                StateGraph::build_stubborn_bounded(&stg, &BTreeMap::new(), &Budget::states(5))
+            } else {
+                StateGraph::build_bounded(&stg, &BTreeMap::new(), &Budget::states(5))
+            };
+            let info = built.exhausted().copied();
+            assert_eq!(
+                info.map(|e| (e.resource, e.states_explored, e.transitions_explored)),
+                Some((cpn_petri::Resource::Storage, 1, 1)),
+                "stubborn: {stubborn}"
+            );
+            assert_eq!(built.value().state_count(), 1);
+            assert!(built.value().edges(0).is_empty());
+        }
     }
 
     #[test]

@@ -21,8 +21,9 @@
 //!   marked-graph rings (optionally live-safe), STGs and CIP modules.
 //! * [`workload`] — parametric large-scale exploration nets with
 //!   closed-form state counts (`sync_pipeline_net`, `sync_mesh`,
-//!   `cip_chain`), the inputs for the kernel benchmarks and the
-//!   spill-tier acceptance runs.
+//!   `cip_chain`), the inputs for the kernel benchmarks.
+//! * [`oracle`] — the interpreted reference explorer the exploration
+//!   kernel's equivalence suites compare against.
 //! * [`mutate`] — seeded corruption of text documents ([`DocMutator`]:
 //!   truncation, byte flips, garbage splices, brace floods) for parser
 //!   robustness tests.
@@ -56,6 +57,7 @@ pub mod harness;
 pub mod modules;
 pub mod mutate;
 pub mod net_gen;
+pub mod oracle;
 pub mod rng;
 pub mod stg_gen;
 

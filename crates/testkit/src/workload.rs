@@ -1,7 +1,7 @@
 //! Large-scale exploration workloads with known state-space sizes.
 //!
 //! The exploration-kernel benchmarks need nets whose reachability graphs
-//! are big enough that kernel overheads — index probes, spill traffic —
+//! are big enough that kernel overheads — index probes, row packing —
 //! dominate, and whose state counts are known in closed form so a run
 //! can be validated exactly. Three parametric families:
 //!
@@ -63,9 +63,9 @@ pub fn sync_pipeline_net(k: usize) -> PetriNet<String> {
 /// states = C(tokens + w·h − 1, w·h − 1)
 /// ```
 ///
-/// All tokens start at `(0, 0)`. Because the stride is just `w·h`, this
-/// family reaches 10⁷+ states in a few hundred megabytes of markings —
-/// the workload the spill tier and the thread sweep are measured on:
+/// All tokens start at `(0, 0)`. Because a marking is just `w·h`
+/// counts, this family reaches 10⁷+ states in a few hundred megabytes
+/// of markings — the kernel's large-memory workload:
 /// `sync_mesh(3, 3, 24)` → `C(32, 8)` = 10 518 300 states.
 ///
 /// # Panics

@@ -7,7 +7,8 @@
 //! ([`Language::iter`], [`Display`](fmt::Display), [`Language::alphabet`]).
 
 use cpn_petri::{
-    AlphaSet, Bounded, Budget, CandidateScratch, Interner, Label, Marking, Meter, PetriNet, Sym,
+    AlphaSet, Bounded, Budget, EnableScratch, Interner, Label, Marking, Meter, PetriNet, Resource,
+    Sym,
 };
 use std::collections::BTreeSet;
 use std::error::Error;
@@ -144,27 +145,28 @@ impl<L: Label> Language<L> {
         let mut frontier: BTreeSet<(Marking, Vec<Sym>)> = BTreeSet::new();
         frontier.insert((net.initial_marking(), Vec::new()));
 
-        // Successor generation goes through the compiled firing rule:
-        // only consumers of marked places are re-tested, in ascending
-        // transition order like the legacy full scan.
+        // Successor generation goes through the compiled firing rule's
+        // bitmap enabling, in ascending transition order like a full
+        // scan.
         let compiled = net.compile();
-        let mut scratch = CandidateScratch::new(compiled.transition_count());
-        let mut cands: Vec<u32> = Vec::new();
+        let mut scratch = EnableScratch::default();
+        let (mut occ, mut enabled) = (Vec::new(), Vec::new());
 
         'explore: for _ in 0..depth {
             let mut next: BTreeSet<(Marking, Vec<Sym>)> = BTreeSet::new();
             for (m, trace) in &frontier {
-                compiled.enabled_candidates(m.as_slice(), &mut scratch, &mut cands);
-                for &tu in &cands {
-                    if !compiled.is_enabled(m.as_slice(), tu) {
-                        continue;
-                    }
+                compiled.occupancy_into(m.as_slice(), &mut occ);
+                compiled.enabled_into(&occ, &mut scratch, &mut enabled);
+                for &tu in &enabled {
                     let t = cpn_petri::TransitionId::from_index(tu as usize);
                     if !meter.take_transition() {
                         break 'explore;
                     }
+                    // An enabled transition fails to fire only past
+                    // `u32::MAX` tokens.
                     let Ok(m2) = net.fire(m, t) else {
-                        continue; // enabled transitions always fire
+                        meter.stop(Resource::Storage);
+                        break 'explore;
                     };
                     let mut t2 = trace.clone();
                     t2.push(compiled.sym(tu));
@@ -425,6 +427,25 @@ mod tests {
         assert!(!l.contains(&["a", "a"]));
         assert!(!l.contains(&["b"]));
         assert_eq!(l.len(), 4);
+    }
+
+    #[test]
+    fn token_overflow_stops_with_storage() {
+        // A source on a place already holding `u32::MAX` tokens: its
+        // firing has no successor marking, so enumeration stops with a
+        // storage stop and keeps only the empty trace.
+        let mut net: PetriNet<&str> = PetriNet::new();
+        let p = net.add_place("p");
+        net.add_transition([], "src", [p]).unwrap();
+        net.set_initial(p, u32::MAX);
+        let built = Language::from_net_bounded(&net, 3, &Budget::states(100));
+        assert_eq!(
+            built
+                .exhausted()
+                .map(|e| (e.resource, e.transitions_explored)),
+            Some((Resource::Storage, 1))
+        );
+        assert_eq!(built.value().len(), 1);
     }
 
     #[test]

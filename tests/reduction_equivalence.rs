@@ -63,7 +63,7 @@ fn lang(net: &PetriNet<&'static str>, depth: usize) -> Option<Language<&'static 
 fn deadlock_markings(rg: &ReachabilityGraph) -> BTreeSet<Vec<u32>> {
     rg.deadlock_states()
         .iter()
-        .map(|&s| rg.marking_slice(s).to_vec())
+        .map(|&s| rg.marking(s).as_slice().to_vec())
         .collect()
 }
 

@@ -21,7 +21,7 @@ fn sweep<L: Label>(group: &mut BenchGroup, family: &str, net: &PetriNet<L>, hidd
         .expect("workloads hide cleanly")
         .into_value();
     group.bench(format!("{family}/legacy"), || {
-        let out = cpn_core::hide_labels_bounded_legacy(net, hidden, &budget)
+        let out = cpn_testkit::oracle::hide_labels(net, hidden, &budget)
             .expect("workloads hide cleanly")
             .into_value();
         assert_eq!(out, expect);

@@ -746,7 +746,7 @@ fn measure_hide<L: Label>(family: String, net: &PetriNet<L>, hidden: &BTreeSet<L
         let t0 = Instant::now();
         for _ in 0..iters {
             let out = if legacy {
-                cpn_core::hide_labels_bounded_legacy(net, hidden, &budget)
+                cpn_testkit::oracle::hide_labels(net, hidden, &budget)
             } else {
                 cpn_core::hide_labels_bounded(net, hidden, &budget)
             }

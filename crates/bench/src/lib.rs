@@ -336,7 +336,7 @@ mod tests {
         assert_eq!(hidden.len(), 6);
         let budget = cpn_petri::Budget::new(usize::MAX, 10_000);
         let v2 = cpn_core::hide_labels_bounded(&net, &hidden, &budget).unwrap();
-        let legacy = cpn_core::hide_labels_bounded_legacy(&net, &hidden, &budget).unwrap();
+        let legacy = cpn_testkit::oracle::hide_labels(&net, &hidden, &budget).unwrap();
         assert_eq!(v2, legacy);
         let done = v2.into_value();
         for l in &hidden {
@@ -350,7 +350,7 @@ mod tests {
         assert!(!hidden.is_empty());
         let budget = cpn_petri::Budget::new(usize::MAX, 100_000);
         let v2 = cpn_core::hide_labels_bounded(&net, &hidden, &budget).unwrap();
-        let legacy = cpn_core::hide_labels_bounded_legacy(&net, &hidden, &budget).unwrap();
+        let legacy = cpn_testkit::oracle::hide_labels(&net, &hidden, &budget).unwrap();
         assert_eq!(v2, legacy);
         assert!(v2.is_complete());
     }

@@ -22,8 +22,7 @@
 //!
 //! # Order replication
 //!
-//! The reference implementation
-//! ([`hide_labels_bounded_legacy`](crate::hide_labels_bounded_legacy))
+//! The reference implementation (`cpn_testkit::oracle::hide_labels`)
 //! always contracts the *first* transition carrying the label, and its
 //! rebuild inserts every virtual duplicate immediately after the real
 //! variant it was copied from. The editor replicates that order exactly

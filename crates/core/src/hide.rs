@@ -279,8 +279,8 @@ pub fn hide_labels<L: Label>(
 /// the duplicate through the same index update that registers it — no
 /// per-round rescan is needed, and path-key selection keeps the
 /// contraction order (hence the result, including any
-/// [`Bounded::Exhausted`] prefix) bit-identical to the reference
-/// [`hide_labels_bounded_legacy`] rescan loop.
+/// [`Bounded::Exhausted`] prefix) bit-identical to the reference rescan
+/// loop, `cpn_testkit::oracle::hide_labels`.
 ///
 /// # Errors
 ///
@@ -301,43 +301,6 @@ pub fn hide_labels_bounded<L: Label>(
         }
     }
     Ok(meter.finish(editor.finish()?))
-}
-
-/// The pre-engine reference implementation of [`hide_labels_bounded`]:
-/// one [`hide_transition`] rebuild per contraction, re-scanning
-/// `transitions_with_label` from the first match every round (the
-/// rebuild renumbers transitions, so a resume cursor would skip
-/// late-inserted duplicates — the engine instead maintains the worklist
-/// as an index).
-///
-/// Kept as the differential oracle for the `contract_equivalence`
-/// property suite and the `hide_contract` benchmark baseline; use
-/// [`hide_labels_bounded`] everywhere else.
-///
-/// # Errors
-///
-/// Structural contraction errors surface as
-/// [`CoreError`](crate::CoreError); running out of budget does not.
-pub fn hide_labels_bounded_legacy<L: Label>(
-    net: &PetriNet<L>,
-    labels: &BTreeSet<L>,
-    budget: &Budget,
-) -> Result<Bounded<PetriNet<L>>, crate::CoreError> {
-    let mut meter = Meter::new(budget);
-    let mut current = net.clone();
-    for l in labels {
-        loop {
-            let Some(t) = current.transitions_with_label(l).next() else {
-                current.undeclare_label(l);
-                break;
-            };
-            if !meter.take_transition() {
-                return Ok(meter.finish(current));
-            }
-            current = hide_transition(&current, t)?;
-        }
-    }
-    Ok(meter.finish(current))
 }
 
 /// Projection onto a label set: hides everything **not** in `keep`

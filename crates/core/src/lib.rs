@@ -78,15 +78,18 @@ pub use error::CoreError;
 pub use library::{DerivationStats, DerivationStore, ModuleDef, ModuleInstance, ModuleLib};
 
 pub use hide::{
-    hide_label, hide_label_bounded, hide_labels, hide_labels_bounded, hide_labels_bounded_legacy,
-    hide_relabel, hide_transition, project, project_bounded,
+    hide_label, hide_label_bounded, hide_labels, hide_labels_bounded, hide_relabel,
+    hide_transition, project, project_bounded,
 };
 pub use ops::{nil, prefix, prefix_general, rename, rename_injective};
 pub use parallel::{
     common_alphabet, parallel, parallel_tracked, parallel_tracked_common, parallel_with_sync,
     Composition, SyncTransition,
 };
-pub use synthesis::{closure_report, reduce_against_environment, ClosureReport, Reduction};
+pub use synthesis::{
+    closure_report, reduce_against_environment, verify_against_environment, ClosureReport,
+    EnvironmentCheck, Reduction,
+};
 pub use verify::{
     check_receptiveness, check_receptiveness_structural_mg, check_receptiveness_stubborn,
     ReceptivenessFailure, ReceptivenessReport, Side,

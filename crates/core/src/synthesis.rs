@@ -15,16 +15,18 @@
 //! (Prop 5.4).
 
 use crate::contract::NetEditor;
-use crate::parallel::parallel;
+use crate::parallel::{parallel, parallel_tracked_common, Composition};
+use crate::verify::{obligations, scan_obligations, ReceptivenessReport};
 use cpn_petri::{
     dead_transitions_rg, remove_dead, Bounded, Budget, Exhausted, Label, Meter, PetriError,
-    PetriNet,
+    PetriNet, ReachabilityGraph, Verdict,
 };
 use std::collections::BTreeSet;
 use std::fmt;
 
-/// Outcome of [`reduce_against_environment`].
-#[derive(Clone, Debug)]
+/// Outcome of [`reduce_against_environment`] and of the reduction half
+/// of [`verify_against_environment`].
+#[derive(Clone, Debug, PartialEq)]
 pub struct Reduction<L: Label> {
     /// The reduced module: `hide(M ‖ env, A_env \ A_M)` with dead
     /// transitions removed.
@@ -35,22 +37,33 @@ pub struct Reduction<L: Label> {
     pub composed_transitions: usize,
 }
 
-/// Reduces `module` against a known environment (Section 5.2):
-/// `hide(module ‖ env, A_env \ A_module)`, with dead transitions removed.
+/// Both answers of [`verify_against_environment`].
+#[derive(Clone, Debug)]
+pub struct EnvironmentCheck<L: Label> {
+    /// Receptiveness of the composition (Propositions 5.5/5.6).
+    pub receptiveness: Verdict<ReceptivenessReport<L>>,
+    /// The module reduced against its environment, or why hiding failed.
+    pub reduction: Result<Bounded<Reduction<L>>, PetriError>,
+}
+
+/// Answers both of Section 5's questions about a composition `M1 ‖ M2`
+/// (built by [`parallel_tracked_common`]) from one exploration of it:
+/// receptiveness, the verdict
+/// [`check_receptiveness`](crate::check_receptiveness) gives for the same
+/// outputs and budget, and the module reduced against its environment
+/// (Section 5.2): `hide(M1 ‖ M2, A \ keep)` with dead transitions removed.
 ///
-/// The composition step restricts the module's behaviour to what the
-/// environment can actually drive (Theorem 5.1:
-/// `project(L(M1‖M2), A1) ⊆ L(M1)`), so downstream synthesis sees fewer
-/// cases. The pipeline runs on one [`NetEditor`]: the dead duplicates of
-/// the synchronization cross-product are removed **before** hiding, which
-/// keeps the hiding step small, and the structural reduction rules
-/// ([`NetEditor::reduce`]) run between hidden labels to stop
-/// product-place accretion. Hiding can strand further transitions, so a
-/// second reachability pass removes those — skipped outright when hiding
-/// and reduction changed nothing since the pruning (the editor's edit
-/// counter says so). The reduction rules may remove structurally dead or
-/// duplicated elements, so the net can be smaller than a plain
-/// compose/prune/hide chain would leave it, never behaviorally different.
+/// The reduction runs on one [`NetEditor`]: the dead duplicates of the
+/// synchronization cross-product, proved dead by the one reachability
+/// graph, are removed **before** hiding, which keeps the hiding step
+/// small, and the structural reduction rules ([`NetEditor::reduce`]) run
+/// between hidden labels to stop product-place accretion. Hiding can
+/// strand further transitions, so a cleanup reachability pass removes
+/// those — skipped outright when hiding and reduction changed nothing
+/// since the pruning (the editor's edit counter says so). The reduction
+/// rules may remove structurally dead or duplicated elements, so the net
+/// can be smaller than a plain compose/prune/hide chain would leave it,
+/// never behaviorally different.
 ///
 /// The full [`Budget`] lattice applies to both reachability passes and
 /// between hidden labels — state caps, wall-clock deadlines and
@@ -66,7 +79,117 @@ pub struct Reduction<L: Label> {
 /// * If the post-hiding cleanup pass stops early, its dead transitions
 ///   stay in the net; this only costs minimality.
 ///
-/// Each hidden label gets its own `hide_budget` of contractions.
+/// Each hidden label gets its own `hide_budget` of contractions. Hiding
+/// divergence ([`PetriError::HideSelfLoop`]), or a label that does not
+/// hide within `hide_budget` contractions ([`PetriError::Precondition`]),
+/// fails the reduction but not the verdict; running out of `budget` is
+/// **not** an error.
+pub fn verify_against_environment<L: Label>(
+    comp: &Composition<L>,
+    keep: &BTreeSet<L>,
+    left_outputs: &BTreeSet<L>,
+    right_outputs: &BTreeSet<L>,
+    budget: &Budget,
+    hide_budget: usize,
+) -> EnvironmentCheck<L> {
+    let obs = obligations(comp, left_outputs, right_outputs);
+    let built = comp.net.reachability_bounded(budget);
+    EnvironmentCheck {
+        receptiveness: scan_obligations(comp, &obs, &built),
+        reduction: reduce_explored(&comp.net, keep, &built, budget, hide_budget),
+    }
+}
+
+/// The reduction half of [`verify_against_environment`], on the
+/// composition's already explored reachability graph.
+fn reduce_explored<L: Label>(
+    composed: &PetriNet<L>,
+    keep: &BTreeSet<L>,
+    built: &Bounded<ReachabilityGraph>,
+    budget: &Budget,
+    hide_budget: usize,
+) -> Result<Bounded<Reduction<L>>, PetriError> {
+    let composed_transitions = composed.transition_count();
+    let mut stop = built.exhausted().copied();
+    let mut dead_removed = 0usize;
+
+    let mut editor = NetEditor::from_net(composed);
+    if let Bounded::Complete(rg) = built {
+        // Original transition ids are still valid arena slots here (the
+        // editor has performed no contraction yet).
+        let dead = dead_transitions_rg(composed, rg);
+        dead_removed = dead.len();
+        editor.remove_transitions(&dead);
+    }
+    let edits_after_prune = editor.edits();
+
+    let hidden: BTreeSet<L> = composed
+        .alphabet()
+        .into_iter()
+        .filter(|l| !keep.contains(l))
+        .collect();
+    let per_label = Budget::new(usize::MAX, hide_budget);
+    for l in &hidden {
+        if stop.is_none() {
+            if let Some(resource) = budget.interrupted() {
+                stop = Some(Exhausted {
+                    resource,
+                    states_explored: 0,
+                    transitions_explored: 0,
+                    budget: *budget,
+                });
+            }
+        }
+        if stop.is_some() {
+            break;
+        }
+        let mut meter = Meter::new(&per_label);
+        if !editor.hide_label(l, &mut meter)? {
+            return Err(PetriError::Precondition(format!(
+                "hiding of {l} did not converge within {hide_budget} contractions"
+            )));
+        }
+        // Interleaved structural cleanup: keeps the worklist small for
+        // the next label instead of letting product places accrete.
+        editor.reduce();
+    }
+
+    let mut net = editor.finish()?;
+    // Out of budget (skip the cleanup pass) or nothing changed since
+    // pruning (the pass provably finds nothing).
+    if stop.is_none() && editor.edits() != edits_after_prune {
+        match net.reachability_bounded(budget) {
+            Bounded::Complete(rg2) => {
+                let dead2 = dead_transitions_rg(&net, &rg2);
+                dead_removed += dead2.len();
+                net = remove_dead(&net, &dead2);
+            }
+            Bounded::Exhausted { info, .. } => stop = Some(info),
+        }
+    }
+    let reduction = Reduction {
+        net,
+        dead_removed,
+        composed_transitions,
+    };
+    Ok(match stop {
+        None => Bounded::Complete(reduction),
+        Some(info) => Bounded::Exhausted {
+            partial: reduction,
+            info,
+        },
+    })
+}
+
+/// Reduces `module` against a known environment (Section 5.2):
+/// `hide(module ‖ env, A_env \ A_module)`, with dead transitions removed.
+///
+/// The composition step restricts the module's behaviour to what the
+/// environment can actually drive (Theorem 5.1:
+/// `project(L(M1‖M2), A1) ⊆ L(M1)`), so downstream synthesis sees fewer
+/// cases. This is [`verify_against_environment`] with the module's
+/// alphabet kept and no outputs to check; it describes the pipeline and
+/// its budget stops.
 ///
 /// # Errors
 ///
@@ -114,93 +237,10 @@ pub fn reduce_against_environment<L: Label>(
     budget: &Budget,
     hide_budget: usize,
 ) -> Result<Bounded<Reduction<L>>, PetriError> {
-    let composed = parallel(module, env)?;
-    let composed_transitions = composed.transition_count();
-    let built = composed.reachability_bounded(budget);
-    let mut stop = built.exhausted().copied();
-    let mut dead_removed = 0usize;
-
-    let mut editor = NetEditor::from_net(&composed);
-    if let Bounded::Complete(rg) = &built {
-        // Original transition ids are still valid arena slots here (the
-        // editor has performed no contraction yet).
-        let dead = dead_transitions_rg(&composed, rg);
-        dead_removed = dead.len();
-        editor.remove_transitions(&dead);
-    }
-    let edits_after_prune = editor.edits();
-
-    let keep: BTreeSet<L> = module.alphabet().clone();
-    let hidden: BTreeSet<L> = composed
-        .alphabet()
-        .iter()
-        .filter(|l| !keep.contains(l))
-        .cloned()
-        .collect();
-    let per_label = Budget::new(usize::MAX, hide_budget);
-    for l in &hidden {
-        if stop.is_none() {
-            if let Some(resource) = budget.interrupted() {
-                stop = Some(Exhausted {
-                    resource,
-                    states_explored: 0,
-                    transitions_explored: 0,
-                    budget: *budget,
-                });
-            }
-        }
-        if stop.is_some() {
-            break;
-        }
-        let mut meter = Meter::new(&per_label);
-        if !editor.hide_label(l, &mut meter)? {
-            return Err(PetriError::Precondition(format!(
-                "hiding of {l} did not converge within {hide_budget} contractions"
-            )));
-        }
-        // Interleaved structural cleanup: keeps the worklist small for
-        // the next label instead of letting product places accrete.
-        editor.reduce();
-    }
-
-    let net = editor.finish()?;
-    let reduction = if stop.is_some() || editor.edits() == edits_after_prune {
-        // Out of budget (skip the cleanup pass) or nothing changed
-        // since pruning (the pass provably finds nothing).
-        Reduction {
-            net,
-            dead_removed,
-            composed_transitions,
-        }
-    } else {
-        let built2 = net.reachability_bounded(budget);
-        match built2 {
-            Bounded::Complete(rg2) => {
-                let dead2 = dead_transitions_rg(&net, &rg2);
-                let net = remove_dead(&net, &dead2);
-                Reduction {
-                    net,
-                    dead_removed: dead_removed + dead2.len(),
-                    composed_transitions,
-                }
-            }
-            Bounded::Exhausted { info, .. } => {
-                stop = Some(info);
-                Reduction {
-                    net,
-                    dead_removed,
-                    composed_transitions,
-                }
-            }
-        }
-    };
-    Ok(match stop {
-        None => Bounded::Complete(reduction),
-        Some(info) => Bounded::Exhausted {
-            partial: reduction,
-            info,
-        },
-    })
+    let comp = parallel_tracked_common(module, env)?;
+    let none = BTreeSet::new();
+    verify_against_environment(&comp, &module.alphabet(), &none, &none, budget, hide_budget)
+        .reduction
 }
 
 /// Empirical closure evidence for the paper's Propositions 5.2–5.4 on a

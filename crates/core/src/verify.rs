@@ -29,7 +29,8 @@
 use crate::parallel::Composition;
 use cpn_petri::graph::{solve_difference_constraints, DiffConstraint};
 use cpn_petri::{
-    AlphaSet, Budget, Label, Marking, Meter, PlaceId, PlaceMask, StateId, Sym, Verdict,
+    AlphaSet, Bounded, Budget, Label, Marking, Meter, PlaceId, PlaceMask, ReachabilityGraph,
+    StateId, Sym, Verdict,
 };
 use std::collections::BTreeSet;
 use std::fmt;
@@ -55,7 +56,7 @@ impl fmt::Display for Side {
 
 /// A receptiveness violation: the producer can commit to `label` while
 /// the consumer is not ready.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ReceptivenessFailure<L: Label> {
     /// The synchronized action that can mis-fire.
     pub label: L,
@@ -69,7 +70,7 @@ pub struct ReceptivenessFailure<L: Label> {
 
 /// The failures behind a [`Verdict::Fails`] receptiveness verdict
 /// (Proposition 5.6: the composition is receptive iff there are none).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ReceptivenessReport<L: Label> {
     /// All failures found; never empty inside `Verdict::Fails`.
     pub failures: Vec<ReceptivenessFailure<L>>,
@@ -84,7 +85,7 @@ pub struct ReceptivenessReport<L: Label> {
 ///
 /// Obligations identify actions by their composed-net [`Sym`]; the label
 /// is resolved only when a failure is reported.
-struct Obligation {
+pub(crate) struct Obligation {
     sym: Sym,
     producer: Side,
     producer_pre: BTreeSet<PlaceId>,
@@ -111,7 +112,7 @@ fn output_syms<L: Label>(comp: &Composition<L>, outputs: &BTreeSet<L>) -> AlphaS
     outputs.iter().filter_map(|l| comp.net.sym_of(l)).collect()
 }
 
-fn obligations<L: Label>(
+pub(crate) fn obligations<L: Label>(
     comp: &Composition<L>,
     left_outputs: &BTreeSet<L>,
     right_outputs: &BTreeSet<L>,
@@ -205,7 +206,7 @@ pub fn check_receptiveness<L: Label>(
 ) -> Verdict<ReceptivenessReport<L>> {
     let obs = obligations(comp, left_outputs, right_outputs);
     let built = comp.net.reachability_bounded(budget);
-    scan_obligations(comp, &obs, built)
+    scan_obligations(comp, &obs, &built)
 }
 
 /// Stubborn-set variant of [`check_receptiveness`]: same tri-state
@@ -237,15 +238,15 @@ pub fn check_receptiveness_stubborn<L: Label>(
     }
     let watched: Vec<PlaceId> = watched.into_iter().collect();
     let built = comp.net.reachability_stubborn_bounded(budget, &watched);
-    scan_obligations(comp, &obs, built)
+    scan_obligations(comp, &obs, &built)
 }
 
 /// Shared failure scan: probes every explored marking against every
 /// obligation and folds the exploration outcome into a [`Verdict`].
-fn scan_obligations<L: Label>(
+pub(crate) fn scan_obligations<L: Label>(
     comp: &Composition<L>,
     obs: &[Obligation],
-    built: cpn_petri::Bounded<cpn_petri::ReachabilityGraph>,
+    built: &Bounded<ReachabilityGraph>,
 ) -> Verdict<ReceptivenessReport<L>> {
     let exhausted = built.exhausted().copied();
     let rg = built.value();

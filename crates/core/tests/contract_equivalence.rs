@@ -1,7 +1,7 @@
 //! Differential property suite for the contraction engine: the
 //! [`NetEditor`]-backed hiding pipeline must be **bit-identical** to the
 //! reference chain of single-step `hide_transition` rebuilds
-//! ([`hide_labels_bounded_legacy`]) — same places in the same order,
+//! ([`oracle::hide_labels`]) — same places in the same order,
 //! same transitions in the same order, same marking, same alphabet, and
 //! the same [`Bounded::Exhausted`] prefix (net *and* statistics) when a
 //! budget runs out mid-label. Full `PetriNet` equality is strictly
@@ -18,11 +18,9 @@
 //!
 //! All randomized cases replay under `CPN_TESTKIT_SEED`.
 
-use cpn_core::{
-    hide_label, hide_labels_bounded, hide_labels_bounded_legacy, hide_transition, CoreError,
-    NetEditor,
-};
+use cpn_core::{hide_label, hide_labels_bounded, hide_transition, CoreError, NetEditor};
 use cpn_petri::{Budget, PetriNet, TransitionId};
+use cpn_testkit::oracle;
 use cpn_testkit::{check, prop_assert, prop_assume, NetStrategy, PropFail, PropResult, RawNet};
 use cpn_trace::Language;
 use std::collections::BTreeSet;
@@ -71,7 +69,7 @@ fn engines_agree(
 ) -> PropResult {
     let budget = Budget::new(usize::MAX, contraction_cap);
     let v2 = hide_labels_bounded(net, labels, &budget);
-    let legacy = hide_labels_bounded_legacy(net, labels, &budget);
+    let legacy = oracle::hide_labels(net, labels, &budget);
     match (v2, legacy) {
         (Ok(v2), Ok(legacy)) => {
             prop_assert!(

@@ -1,16 +1,18 @@
 //! Differential oracle: the polynomial structural receptiveness check
 //! (Theorem 5.7, difference constraints over marked-graph flows) against
 //! the exhaustive state-graph verification (Proposition 5.5/5.6) on
-//! generated live-safe marked-graph compositions.
+//! generated live-safe marked-graph compositions; and the one-pass
+//! `verify_against_environment` against the separate receptiveness check
+//! and reduction it answers for.
 //!
 //! Driven by the deterministic `cpn-testkit` harness at ≥100 cases:
 //! failures print a case seed, replayable via `CPN_TESTKIT_SEED=<seed>`.
 
 use cpn_core::{
     check_receptiveness, check_receptiveness_structural_mg, parallel_tracked_common,
-    ReceptivenessReport,
+    reduce_against_environment, verify_against_environment, ReceptivenessReport,
 };
-use cpn_petri::{Budget, PetriNet, Verdict};
+use cpn_petri::{Budget, CancelScope, PetriNet, Verdict};
 use cpn_testkit::{any_bool, check_with, prop_assert, prop_assert_eq, usize_in, Config};
 use std::collections::BTreeSet;
 
@@ -175,4 +177,55 @@ fn structural_budget_sweep_agrees_with_exhaustive() {
         }
     }
     assert!(unknowns > 0, "no budget stopped the structural check");
+}
+
+/// The one-pass pipeline against the two calls it replaces, on the ring
+/// pairs under state caps that stop the exploration at the start, part
+/// way and not at all, and under a cancellation that has already fired:
+/// its verdict is `check_receptiveness`'s, which explores the same
+/// composition on its own, and its reduction is
+/// `reduce_against_environment`'s, stop report included.
+#[test]
+fn one_pass_verify_matches_check_and_reduce() {
+    let cancelled = CancelScope::new();
+    cancelled.cancel();
+    let (mut stopped, mut complete) = (0, 0);
+    for stages in 1..5 {
+        for right_start in 0..2 * stages {
+            let p = ring(stages, 0, "a");
+            let c = ring(stages, right_start, "b");
+            let louts = outputs(stages, "req");
+            let routs = outputs(stages, "ack");
+            let comp = parallel_tracked_common(&p, &c).unwrap();
+            let budgets = [0usize, 1, 2, 5].map(Budget::states).into_iter().chain([
+                Budget::default(),
+                Budget::default().with_cancel(cancelled.token()),
+            ]);
+            for budget in budgets {
+                let check =
+                    verify_against_environment(&comp, &p.alphabet(), &louts, &routs, &budget, 1000);
+                let context = format!("stages={stages} start={right_start} budget={budget:?}");
+                assert_eq!(
+                    check.receptiveness,
+                    check_receptiveness(&comp, &louts, &routs, &budget),
+                    "{context}"
+                );
+                let reduction = check.reduction.unwrap();
+                assert_eq!(
+                    reduction,
+                    reduce_against_environment(&p, &c, &budget, 1000).unwrap(),
+                    "{context}"
+                );
+                if reduction.is_complete() {
+                    complete += 1;
+                } else {
+                    stopped += 1;
+                }
+            }
+        }
+    }
+    assert!(
+        stopped > 0 && complete > 0,
+        "{stopped} stopped, {complete} complete"
+    );
 }

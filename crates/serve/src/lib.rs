@@ -45,8 +45,9 @@
 //! * `stream=true` requests emit non-final [`Response::Progress`]
 //!   frames while long explorations run.
 //! * [`Request::Verify`] runs the paper pipeline server-side: compose
-//!   `module ‖ env`, check receptiveness, reduce against the
-//!   environment — answered with [`Response::VerifyResult`].
+//!   `module ‖ env`, then check receptiveness and reduce against the
+//!   environment from one exploration of the composition — answered
+//!   with [`Response::VerifyResult`].
 //! * [`Request::Stats`] reports live service and cache counters.
 //!
 //! [`Budget`]: cpn_petri::Budget

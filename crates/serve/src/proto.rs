@@ -127,11 +127,11 @@ pub enum Request {
         doc: String,
     },
     /// The paper pipeline server-side (v2): compose `module ‖ env`,
-    /// check receptiveness of the composition
-    /// (`cpn_core::check_receptiveness`), and reduce the module against
-    /// the environment (`cpn_core::reduce_against_environment` — dead
-    /// pruning, hiding of the environment-internal labels, structural
-    /// reduction).
+    /// then check receptiveness of the composition and reduce the module
+    /// against the environment (dead pruning, hiding of the
+    /// environment-internal labels, structural reduction), both from one
+    /// exploration of the composition
+    /// (`cpn_core::verify_against_environment`).
     Verify {
         /// Name of the module net inside `doc`.
         module: String,
@@ -143,7 +143,8 @@ pub enum Request {
         louts: Vec<String>,
         /// Labels the environment drives (outputs of the right operand).
         routs: Vec<String>,
-        /// State cap for both exploration passes.
+        /// State cap for the exploration of the composition and for the
+        /// cleanup pass after hiding.
         max_states: usize,
         /// Per-request wall-clock deadline in milliseconds.
         deadline_ms: Option<u64>,
@@ -629,6 +630,9 @@ impl fmt::Display for Receptive {
 }
 
 /// Result of a server-side verify pipeline.
+///
+/// `reduced_transitions.is_some() == stopped.is_none()`: a reply either
+/// completed every stage or names the resource that stopped it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct VerifySummary {
     /// The receptiveness verdict for `module ‖ env`.
@@ -645,8 +649,8 @@ pub struct VerifySummary {
     pub stopped: Option<String>,
     /// Transitions of the composition before reduction.
     pub composed_transitions: usize,
-    /// Transitions of the reduced module, when the reduction stage ran
-    /// (it is skipped when the budget dies earlier).
+    /// Transitions of the reduced module, when the reduction completed
+    /// (`None` exactly when `stopped` is set).
     pub reduced_transitions: Option<usize>,
     /// Dead transitions removed by the reduction stage.
     pub dead_removed: usize,

@@ -61,7 +61,7 @@ use crate::proto::{
     Request, Response, StatsReply, VerifySummary,
 };
 use crate::transport::{Conn, Endpoint, Listener};
-use cpn_core::{check_receptiveness, parallel_tracked_common, reduce_against_environment};
+use cpn_core::{parallel_tracked_common, verify_against_environment};
 use cpn_format::ParseLimits;
 use cpn_petri::{
     reachability_bounded_compiled, Bounded, Budget, CancelScope, CoverabilityOutcome,
@@ -1250,10 +1250,7 @@ fn handle_request_opts(
 
     let cached = match shared.cache.get_or_compile(doc, net_name) {
         Ok(c) => c,
-        Err(CacheMiss::Parse(msg)) => return Response::BadRequest(format!("parse error: {msg}")),
-        Err(CacheMiss::NoSuchNet(name)) => {
-            return Response::BadRequest(format!("no net named `{name}` in document"))
-        }
+        Err(miss) => return miss.into(),
     };
 
     let summary = if is_cover {
@@ -1366,9 +1363,21 @@ fn explore_reach(
     }
 }
 
-/// The paper pipeline server-side: compose, check receptiveness, reduce
-/// against the environment — each stage under the one shared budget,
-/// each stage boundary streamed when asked.
+/// A document that does not parse, or lacks the requested net, is the
+/// client's error.
+impl From<CacheMiss> for Response {
+    fn from(miss: CacheMiss) -> Response {
+        Response::BadRequest(match miss {
+            CacheMiss::Parse(msg) => format!("parse error: {msg}"),
+            CacheMiss::NoSuchNet(name) => format!("no net named `{name}` in document"),
+        })
+    }
+}
+
+/// The paper pipeline server-side: compose, then check receptiveness and
+/// reduce against the environment from one exploration of the
+/// composition, under the one shared budget; each stage boundary is
+/// streamed when asked.
 fn handle_verify(
     shared: &Shared,
     request: &Request,
@@ -1402,17 +1411,11 @@ fn handle_verify(
     // pairs parses it once.
     let module_net = match shared.cache.get_or_compile(doc, module) {
         Ok(c) => c,
-        Err(CacheMiss::Parse(msg)) => return Response::BadRequest(format!("parse error: {msg}")),
-        Err(CacheMiss::NoSuchNet(name)) => {
-            return Response::BadRequest(format!("no net named `{name}` in document"))
-        }
+        Err(miss) => return miss.into(),
     };
     let env_net = match shared.cache.get_or_compile(doc, env) {
         Ok(c) => c,
-        Err(CacheMiss::Parse(msg)) => return Response::BadRequest(format!("parse error: {msg}")),
-        Err(CacheMiss::NoSuchNet(name)) => {
-            return Response::BadRequest(format!("no net named `{name}` in document"))
-        }
+        Err(miss) => return miss.into(),
     };
     let louts: BTreeSet<String> = louts.iter().cloned().collect();
     let routs: BTreeSet<String> = routs.iter().cloned().collect();
@@ -1426,50 +1429,48 @@ fn handle_verify(
         ctx.progress("composed", 0, composed_transitions);
     }
 
-    // Stage 2: receptiveness of the composition (Propositions 5.5/5.6).
-    let verdict = check_receptiveness(&comp, &louts, &routs, &budget);
-    let (receptive, failures, states, edges, mut stopped) = match verdict {
-        Verdict::Holds => (Receptive::Yes, Vec::new(), 0, 0, None),
+    let check = verify_against_environment(
+        &comp,
+        &module_net.net.alphabet(),
+        &louts,
+        &routs,
+        &budget,
+        *hide_budget,
+    );
+    let (receptive, failures, states, edges) = match check.receptiveness {
+        Verdict::Holds => (Receptive::Yes, Vec::new(), 0, 0),
         Verdict::Fails(report) => {
             let labels = report.failures.into_iter().map(|f| f.label).collect();
-            (Receptive::No, labels, 0, 0, None)
+            (Receptive::No, labels, 0, 0)
         }
         Verdict::Unknown(info) => (
             Receptive::Unknown,
             Vec::new(),
             info.states_explored,
             info.transitions_explored,
-            Some(info.resource.to_string()),
         ),
     };
     if let Some(ctx) = stream {
         ctx.progress("checked", states, edges);
     }
 
-    // Stage 3: reduce the module against the environment — skipped
-    // entirely once the budget is spent (the partial receptiveness
-    // verdict is already the most the client can get).
-    let mut reduced_transitions = None;
-    let mut dead_removed = 0;
-    if budget.interrupted().is_none() && stopped.is_none() {
-        match reduce_against_environment(&module_net.net, &env_net.net, &budget, *hide_budget) {
-            Ok(Bounded::Complete(red)) => {
-                reduced_transitions = Some(red.net.transition_count());
-                dead_removed = red.dead_removed;
-                if let Some(ctx) = stream {
-                    ctx.progress("reduced", 0, red.net.transition_count());
-                }
+    let (reduced_transitions, dead_removed, stopped) = match check.reduction {
+        Ok(Bounded::Complete(red)) => {
+            if let Some(ctx) = stream {
+                ctx.progress("reduced", 0, red.net.transition_count());
             }
-            Ok(Bounded::Exhausted { partial, info }) => {
-                dead_removed = partial.dead_removed;
-                stopped = Some(info.resource.to_string());
-            }
-            // Divergent hiding is a property of the submitted nets
-            // (unbounded internal behaviour), not of the server: typed
-            // rejection, like a parse failure.
-            Err(err) => return Response::BadRequest(format!("reduction failed: {err}")),
+            (Some(red.net.transition_count()), red.dead_removed, None)
         }
-    }
+        // An `Unknown` verdict stopped the same exploration, so this is
+        // its stop too.
+        Ok(Bounded::Exhausted { partial, info }) => {
+            (None, partial.dead_removed, Some(info.resource.to_string()))
+        }
+        // Divergent hiding is a property of the submitted nets
+        // (unbounded internal behaviour), not of the server: typed
+        // rejection, like a parse failure.
+        Err(err) => return Response::BadRequest(format!("reduction failed: {err}")),
+    };
 
     Response::VerifyResult(VerifySummary {
         receptive,

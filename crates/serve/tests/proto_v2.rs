@@ -3,6 +3,8 @@
 //! results and umbrella deadlines, live stats with cache counters,
 //! streaming progress frames, and pipelined correlation.
 
+use cpn_core::{check_receptiveness, parallel_tracked_common, reduce_against_environment};
+use cpn_petri::{Bounded, Budget, PetriNet, Verdict};
 use cpn_serve::frame::{
     encode_frame, read_frame, read_handshake, read_handshake_in, write_handshake_version,
     MIN_PROTO_VERSION, PROTO_VERSION,
@@ -10,8 +12,9 @@ use cpn_serve::frame::{
 use cpn_serve::proto::{split_corr, with_corr};
 use cpn_serve::{
     BatchItem, Client, Endpoint, PipelinedClient, Receptive, Request, Response, Server,
-    ServerConfig,
+    ServerConfig, VerifySummary,
 };
+use std::collections::BTreeSet;
 use std::io::Write;
 use std::time::Duration;
 
@@ -209,6 +212,174 @@ fn verify_runs_the_paper_pipeline_server_side() {
             );
         }
         other => panic!("expected VerifyResult, got {other:?}"),
+    }
+    drop(client);
+    handle.begin_drain();
+    let stats = join.join().expect("server");
+    assert_eq!(stats.panics, 0);
+}
+
+/// A requester of two lanes (one and two handshakes) against a worker
+/// that takes one private step `e` per request: hiding the `e` steps
+/// changes the composition, so the reduction runs its cleanup pass.
+const PRIVATE_STEP_DOC: &str = r#"net requester {
+    places { m0* m1 n0* n1 n2 n3 }
+    transition "r0" { pre: m0; post: m1 }
+    transition "a0" { pre: m1; post: m0 }
+    transition "r1" { pre: n0; post: n1 }
+    transition "a1" { pre: n1; post: n2 }
+    transition "r2" { pre: n2; post: n3 }
+    transition "a2" { pre: n3; post: n0 }
+}
+
+net worker {
+    places { x0* x1 x2 y0* y1 y2 y3 y4 y5 }
+    transition "r0" { pre: x0; post: x1 }
+    transition "e0" { pre: x1; post: x2 }
+    transition "a0" { pre: x2; post: x0 }
+    transition "r1" { pre: y0; post: y1 }
+    transition "e1" { pre: y1; post: y2 }
+    transition "a1" { pre: y2; post: y3 }
+    transition "r2" { pre: y3; post: y4 }
+    transition "e2" { pre: y4; post: y5 }
+    transition "a2" { pre: y5; post: y0 }
+}"#;
+
+/// The nets named `module` and `env` in `doc`.
+fn parse_pair(doc: &str, (module, env): (&str, &str)) -> (PetriNet<String>, PetriNet<String>) {
+    let nets = cpn_format::parse(doc).expect("document parses").nets;
+    let net = |name: &str| {
+        let found = nets.iter().find(|(n, _)| n == name);
+        found.expect("net in document").1.clone()
+    };
+    (net(module), net(env))
+}
+
+/// The verify pipeline as two calls that each explore the composition:
+/// `check_receptiveness`, then `reduce_against_environment` unless the
+/// check stopped. With no deadline in play the server must answer the
+/// same.
+fn two_call_reference(
+    (module, env): &(PetriNet<String>, PetriNet<String>),
+    louts: &BTreeSet<String>,
+    routs: &BTreeSet<String>,
+    budget: &Budget,
+    hide_budget: usize,
+) -> VerifySummary {
+    let comp = parallel_tracked_common(module, env).expect("pair composes");
+    let mut summary = VerifySummary {
+        receptive: Receptive::Yes,
+        failures: Vec::new(),
+        states: 0,
+        edges: 0,
+        stopped: None,
+        composed_transitions: comp.net.transition_count(),
+        reduced_transitions: None,
+        dead_removed: 0,
+    };
+    match check_receptiveness(&comp, louts, routs, budget) {
+        Verdict::Holds => {}
+        Verdict::Fails(report) => {
+            summary.receptive = Receptive::No;
+            summary.failures = report.failures.into_iter().map(|f| f.label).collect();
+        }
+        Verdict::Unknown(info) => {
+            summary.receptive = Receptive::Unknown;
+            summary.states = info.states_explored;
+            summary.edges = info.transitions_explored;
+            summary.stopped = Some(info.resource.to_string());
+        }
+    }
+    if summary.stopped.is_none() {
+        match reduce_against_environment(module, env, budget, hide_budget) {
+            Ok(Bounded::Complete(red)) => {
+                summary.reduced_transitions = Some(red.net.transition_count());
+                summary.dead_removed = red.dead_removed;
+            }
+            Ok(Bounded::Exhausted { partial, info }) => {
+                summary.dead_removed = partial.dead_removed;
+                summary.stopped = Some(info.resource.to_string());
+            }
+            Err(err) => panic!("reduction failed: {err}"),
+        }
+    }
+    summary
+}
+
+/// Every state cap from 0 to one past the composition's state count, on
+/// a receptive pair, a non-receptive pair and a pair whose reduction
+/// hides private steps: the server's one-pass verify answers exactly
+/// what the two-call pipeline answers, and every reply either completed
+/// the reduction or names its stop.
+#[test]
+fn verify_budget_sweep_matches_two_call_reference() {
+    let (ep, handle, join) = start();
+    let mut client = Client::connect(&ep).expect("connect");
+    let labels = |ls: &[&str]| -> Vec<String> { ls.iter().map(|l| l.to_string()).collect() };
+    let cases = [
+        (
+            HANDSHAKE_DOC,
+            ("producer", "consumer"),
+            labels(&["req"]),
+            labels(&["ack"]),
+        ),
+        (
+            BROKEN_DOC,
+            ("producer", "consumer"),
+            labels(&["req"]),
+            labels(&["ack"]),
+        ),
+        (
+            PRIVATE_STEP_DOC,
+            ("requester", "worker"),
+            labels(&["r0", "r1", "r2"]),
+            labels(&["a0", "a1", "a2"]),
+        ),
+    ];
+    let hide_budget = 10_000;
+    for (doc, (module, env), louts, routs) in cases {
+        let lset: BTreeSet<String> = louts.iter().cloned().collect();
+        let rset: BTreeSet<String> = routs.iter().cloned().collect();
+        let pair = parse_pair(doc, (module, env));
+        let comp = parallel_tracked_common(&pair.0, &pair.1).expect("pair composes");
+        let states = comp.net.reachability_bounded(&Budget::default());
+        let states = states.complete().expect("small pair").state_count();
+        let (mut complete, mut stopped) = (0, 0);
+        for max_states in 0..=states + 1 {
+            let req = Request::Verify {
+                module: module.into(),
+                env: env.into(),
+                louts: louts.clone(),
+                routs: routs.clone(),
+                max_states,
+                deadline_ms: None,
+                hide_budget,
+                stream: false,
+                doc: doc.into(),
+            };
+            let budget = Budget::states(max_states);
+            let expected = two_call_reference(&pair, &lset, &rset, &budget, hide_budget);
+            match client.request(&req).expect("verify") {
+                Response::VerifyResult(v) => {
+                    assert_eq!(v, expected, "{module}/{env} max_states={max_states}");
+                    assert_eq!(
+                        v.reduced_transitions.is_some(),
+                        v.stopped.is_none(),
+                        "{v:?}"
+                    );
+                    if v.stopped.is_none() {
+                        complete += 1;
+                    } else {
+                        stopped += 1;
+                    }
+                }
+                other => panic!("expected VerifyResult, got {other:?}"),
+            }
+        }
+        assert!(
+            complete > 0 && stopped > 0,
+            "{module}/{env}: {complete}/{stopped}"
+        );
     }
     drop(client);
     handle.begin_drain();

@@ -1,4 +1,6 @@
-//! Reference explorers the exploration kernel is differentiated against.
+//! Reference implementations the fast paths are differentiated against:
+//! [`hide_labels`] for the contraction engine, and [`reachability`] for
+//! the exploration kernel.
 //!
 //! [`reachability`] builds `RG(N)` the interpreted way: the net's own
 //! [`PetriNet::is_enabled`] and [`PetriNet::fire`] over [`Marking`]s,
@@ -23,10 +25,11 @@
 //! assert!(rg.exhausted.is_none());
 //! ```
 
+use cpn_core::{hide_transition, CoreError};
 use cpn_petri::{
-    Budget, Exhausted, Label, Marking, Meter, PetriNet, Resource, StateId, TransitionId,
+    Bounded, Budget, Exhausted, Label, Marking, Meter, PetriNet, Resource, StateId, TransitionId,
 };
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 /// A reachability graph as the reference explorer builds it.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -118,4 +121,36 @@ pub fn reachability<L: Label>(net: &PetriNet<L>, budget: &Budget) -> Reachabilit
         edges,
         exhausted: meter.report(),
     }
+}
+
+/// The reference `cpn_core::hide_labels_bounded` must match exactly,
+/// partial results included: one [`hide_transition`] rebuild per
+/// contraction, rescanning `transitions_with_label` from the first match
+/// every round (the rebuild renumbers transitions, so a resume cursor
+/// would skip late-inserted duplicates).
+///
+/// # Errors
+///
+/// Structural contraction errors surface as [`CoreError`]; running out
+/// of budget does not.
+pub fn hide_labels<L: Label>(
+    net: &PetriNet<L>,
+    labels: &BTreeSet<L>,
+    budget: &Budget,
+) -> Result<Bounded<PetriNet<L>>, CoreError> {
+    let mut meter = Meter::new(budget);
+    let mut current = net.clone();
+    for l in labels {
+        loop {
+            let Some(t) = current.transitions_with_label(l).next() else {
+                current.undeclare_label(l);
+                break;
+            };
+            if !meter.take_transition() {
+                return Ok(meter.finish(current));
+            }
+            current = hide_transition(&current, t)?;
+        }
+    }
+    Ok(meter.finish(current))
 }

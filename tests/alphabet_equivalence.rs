@@ -19,11 +19,9 @@
 //!
 //! All randomized cases replay under `CPN_TESTKIT_SEED`.
 
-use cpn_core::{
-    common_alphabet, hide_labels_bounded, hide_labels_bounded_legacy, parallel, project,
-    rename_injective,
-};
+use cpn_core::{common_alphabet, hide_labels_bounded, parallel, project, rename_injective};
 use cpn_petri::{Budget, PetriNet};
+use cpn_testkit::oracle;
 use cpn_testkit::{check, prop_assert, prop_assume, NetStrategy, PropFail, PropResult, RawNet};
 use cpn_trace::Language;
 use std::collections::{BTreeMap, BTreeSet};
@@ -85,7 +83,7 @@ fn law_hide_sweep_matches_reference(raw: &RawNet) -> PropResult {
         for cap in [0usize, 1, 2, 3, 200] {
             let budget = Budget::new(usize::MAX, cap);
             let symbolized = hide_labels_bounded(&net, &labels, &budget);
-            let reference = hide_labels_bounded_legacy(&net, &labels, &budget);
+            let reference = oracle::hide_labels(&net, &labels, &budget);
             match (symbolized, reference) {
                 (Ok(s), Ok(r)) => prop_assert!(
                     s == r,

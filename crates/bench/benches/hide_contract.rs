@@ -5,8 +5,8 @@
 //! * `tau_ring(segments, taus)` — marked-graph rings with
 //!   `segments * taus` distinct hidden labels (many small worklists,
 //!   product-place churn);
-//! * `cip_chain_workload(modules)` — 2-phase-expanded CIP pipelines with
-//!   the interior request wires hidden (the Section 6 derivation shape).
+//! * `cpn_testkit::cip_chain(modules)` — 2-phase-expanded CIP pipelines
+//!   with the request wires hidden (the Section 6 derivation shape).
 //!
 //! Every timed closure re-asserts the engines produce *equal* nets, so
 //! the sweep doubles as a smoke check of the bit-identity contract.
@@ -54,7 +54,7 @@ fn main() {
     }
     let chains: &[usize] = if full { &[4, 8, 12] } else { &[4, 6] };
     for &modules in chains {
-        let (net, hidden) = cpn_bench::cip_chain_workload(modules);
+        let (net, hidden) = cpn_testkit::cip_chain(modules);
         sweep(&mut group, &format!("cip_chain/{modules}"), &net, &hidden);
     }
     group.finish();

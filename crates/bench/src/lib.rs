@@ -190,67 +190,6 @@ pub fn tau_ring(segments: usize, taus: usize) -> (PetriNet<String>, BTreeSet<Str
     (net, hidden)
 }
 
-/// A CIP **pipeline chain** of `modules` modules connected by control
-/// channels `c0 … c{modules-2}`, expanded with 2-phase handshake
-/// signalling and composed into one net. Module `i` receives on
-/// `c{i-1}` and sends on `c{i}` (ends do one of the two).
-///
-/// Returns the composed net and the hide set: the *request* wires of
-/// every interior channel (the acknowledge wires stay observable, so
-/// no hidden cycle — hence no divergence — exists). This is the
-/// Section 6 derivation shape at benchmark scale: hiding the internal
-/// wiring of a module chain.
-pub fn cip_chain_workload(
-    modules: usize,
-) -> (
-    cpn_petri::PetriNet<cpn_stg::StgLabel>,
-    BTreeSet<cpn_stg::StgLabel>,
-) {
-    use cpn_cip::{ChannelSpec, CipGraph, HandshakeProtocol, Module};
-    assert!(modules >= 2);
-    let mut graph = CipGraph::new();
-    let mut ids = Vec::new();
-    for i in 0..modules {
-        let mut m = Module::new(format!("m{i}"));
-        let p = m.add_place("idle");
-        m.set_initial(p, 1);
-        if i == 0 {
-            m.add_send([p], "c0", None, [p]).expect("send");
-        } else if i == modules - 1 {
-            m.add_recv([p], format!("c{}", i - 1).as_str(), [p])
-                .expect("recv");
-        } else {
-            let q = m.add_place("got");
-            m.add_recv([p], format!("c{}", i - 1).as_str(), [q])
-                .expect("recv");
-            m.add_send([q], format!("c{i}").as_str(), None, [p])
-                .expect("send");
-        }
-        ids.push(graph.add_module(m));
-    }
-    for i in 0..modules - 1 {
-        graph
-            .add_channel_edge(
-                ids[i],
-                ids[i + 1],
-                ChannelSpec::control(format!("c{i}").as_str()),
-            )
-            .expect("channel");
-    }
-    let expanded = graph
-        .expand(HandshakeProtocol::TwoPhase)
-        .expect("expansion");
-    let composed = expanded.compose_all().expect("composition");
-    let hidden = composed
-        .net()
-        .alphabet()
-        .iter()
-        .filter(|l| l.signal_name().is_some_and(|s| s.name().ends_with("_req")))
-        .cloned()
-        .collect();
-    (composed.net().clone(), hidden)
-}
-
 /// `k` independent two-phase cycles synchronized pairwise on shared
 /// labels — a pipeline whose composed state space is exponential in `k`
 /// while the composed *net* is linear (the "no unfolding" claim).
@@ -346,7 +285,7 @@ mod tests {
 
     #[test]
     fn cip_chain_workload_hides_cleanly_both_engines() {
-        let (net, hidden) = cip_chain_workload(4);
+        let (net, hidden) = cpn_testkit::cip_chain(4);
         assert!(!hidden.is_empty());
         let budget = cpn_petri::Budget::new(usize::MAX, 100_000);
         let v2 = cpn_core::hide_labels_bounded(&net, &hidden, &budget).unwrap();

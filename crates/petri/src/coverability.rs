@@ -6,8 +6,8 @@
 //! terminates on every net, reporting either a finite token bound or an
 //! unboundedness witness.
 
-use crate::budget::{Bounded, Budget, Meter};
-use crate::compiled::OMEGA;
+use crate::budget::{Bounded, Budget, Meter, Resource};
+use crate::compiled::{CompiledNet, OMEGA};
 use crate::label::Label;
 use crate::net::{PetriNet, PlaceId};
 use crate::store::MarkingStore;
@@ -71,16 +71,32 @@ impl CoverabilityTree {
     /// The budget's state cap bounds tree nodes; its transition cap
     /// bounds ω-firings examined. The construction always terminates in
     /// theory, but the budget guards against pathological blowup in
-    /// practice. When the budget runs out, the partial tree is returned
-    /// in [`Bounded::Exhausted`]: an `Unbounded` outcome on a partial
+    /// practice. When the budget runs out, or the node store refuses a
+    /// node ([`Resource::Storage`]), the partial tree is returned in
+    /// [`Bounded::Exhausted`]: an `Unbounded` outcome on a partial
     /// tree is definite (ω witnesses are real), but a `Bounded { bound }`
     /// outcome only covers the explored prefix.
     pub fn build_bounded<L: Label>(
         net: &PetriNet<L>,
         budget: &Budget,
     ) -> Bounded<CoverabilityTree> {
+        Self::build_compiled(&net.compile(), net.initial_marking().as_slice(), budget)
+    }
+
+    /// [`build_bounded`](Self::build_bounded) on a pre-compiled net from
+    /// the initial marking `m0`, producing the same tree as on the
+    /// source net.
+    ///
+    /// The entry point for callers that amortize [`PetriNet::compile`]
+    /// across many constructions, as
+    /// [`reachability_bounded_compiled`](crate::reachability_bounded_compiled)
+    /// is for reachability.
+    pub fn build_compiled(
+        compiled: &CompiledNet,
+        m0: &[u32],
+        budget: &Budget,
+    ) -> Bounded<CoverabilityTree> {
         let mut meter = Meter::new(budget);
-        let compiled = net.compile();
         let transitions = compiled.transition_count() as u32;
 
         // ω-markings live in the interned arena with the sentinel
@@ -90,7 +106,7 @@ impl CoverabilityTree {
         // tree needs no boxed `Tokens` rows until it is materialized for
         // the public [`markings`](Self::markings) accessor.
         let mut store = MarkingStore::new(compiled.place_count());
-        let interned = store.intern(net.initial_marking().as_slice());
+        let interned = store.intern(m0);
         debug_assert_eq!(interned, (0, true));
         // Parent pointers drive the acceleration check; `u32::MAX` marks
         // the root.
@@ -142,8 +158,9 @@ impl CoverabilityTree {
                     break 'explore;
                 }
                 let Ok(id) = store.insert_new_hashed(&next, hash) else {
-                    // The 32-bit id space is exhausted; hand back the
-                    // prefix explored so far.
+                    // The 32-bit id space or the allocator is exhausted;
+                    // hand back the prefix explored so far.
+                    meter.stop(Resource::Storage);
                     break 'explore;
                 };
                 parent.push(cur);
@@ -166,7 +183,7 @@ impl CoverabilityTree {
             })
             .collect();
         let mut witnesses: Vec<PlaceId> = Vec::new();
-        for p in net.place_ids() {
+        for p in (0..compiled.place_count()).map(PlaceId::from_index) {
             if markings.iter().any(|m| m[p.index()] == Tokens::Omega) {
                 witnesses.push(p);
             }

@@ -230,8 +230,8 @@ impl ReachabilityGraph {
     }
 
     /// Bytes resident in the marking arena and its hash index — the
-    /// counter reported as `peak_resident_marking_bytes` in
-    /// `BENCH_explore.json`.
+    /// memory per state that `kernel_equivalence::marking_rows_are_packed`
+    /// bounds.
     pub fn resident_marking_bytes(&self) -> usize {
         self.store.resident_bytes()
     }

@@ -50,6 +50,16 @@ fn coverability_bound_matches_reachability() {
         &raw_net(),
         |raw| {
             let net = raw.build_indexed();
+            // The compiled entry builds the same tree, partial ones
+            // included: a 2-node budget stops every net with more.
+            let (compiled, m0) = (net.compile(), net.initial_marking());
+            for budget in [Budget::states(40_000), Budget::states(2)] {
+                let source = CoverabilityTree::build_bounded(&net, &budget);
+                let pre = CoverabilityTree::build_compiled(&compiled, m0.as_slice(), &budget);
+                prop_assert_eq!(source.exhausted(), pre.exhausted());
+                prop_assert_eq!(source.value().markings(), pre.value().markings());
+                prop_assert_eq!(source.value().outcome(), pre.value().outcome());
+            }
             let Some(tree) =
                 CoverabilityTree::build_bounded(&net, &Budget::states(40_000)).complete()
             else {

@@ -42,8 +42,8 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 /// A parsed and compiled net, shared between workers.
 #[derive(Debug)]
 pub struct CachedNet {
-    /// The validated source net (used by analyses that need labels or
-    /// the interpreter, e.g. coverability).
+    /// The validated source net (used by analyses that need labels,
+    /// e.g. verify's composition).
     pub net: PetriNet<String>,
     /// The compiled firing rule for the hot explorers.
     pub compiled: CompiledNet,

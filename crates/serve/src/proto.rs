@@ -587,11 +587,18 @@ fn encode_doc_request(
 }
 
 /// How far an exploration got, complete or not.
+///
+/// A stopped answer reports what was charged to the budget, as a
+/// stopped `verify` does, so a `stopped=states` answer reads `states`
+/// equal to the effective state cap.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ExploreSummary {
-    /// Distinct states (or tree nodes) discovered.
+    /// Distinct states (or tree nodes) discovered; when stopped, the
+    /// states charged to the budget.
     pub states: usize,
-    /// Edges examined.
+    /// Edges examined: the graph's edges for a complete `reach`, 0 for
+    /// a complete `cover`, and the transitions charged to the budget
+    /// when stopped.
     pub edges: usize,
     /// `None` if the exploration completed; otherwise the resource that
     /// ran out first (`states`, `transitions`, `deadline`, `cancelled`).
@@ -692,9 +699,11 @@ pub struct ProgressUpdate {
     /// Pipeline stage (`explore` for sliced reachability; `composed`,
     /// `checked`, `reduced` for the verify pipeline).
     pub stage: String,
-    /// States discovered so far (stage-specific).
+    /// States discovered so far (stage-specific; for `explore`, the
+    /// states charged to the slice's budget).
     pub states: usize,
-    /// Edges examined so far (stage-specific).
+    /// Edges examined so far (stage-specific; for `explore`, the
+    /// transitions charged to the slice's budget).
     pub edges: usize,
 }
 

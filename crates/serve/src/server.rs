@@ -1257,7 +1257,7 @@ fn handle_request_opts(
         let budget = Budget::states(cap)
             .with_deadline_at(deadline)
             .with_cancel(shared.cancel.token());
-        match CoverabilityTree::build_bounded(&cached.net, &budget) {
+        match CoverabilityTree::build_compiled(&cached.compiled, &cached.m0, &budget) {
             Bounded::Complete(tree) => {
                 let detail = match tree.outcome() {
                     CoverabilityOutcome::Bounded { bound } => format!("bounded={bound}"),
@@ -1272,8 +1272,8 @@ fn handle_request_opts(
                     detail,
                 }
             }
-            Bounded::Exhausted { partial, info } => ExploreSummary {
-                states: partial.markings().len(),
+            Bounded::Exhausted { info, .. } => ExploreSummary {
+                states: info.states_explored,
                 edges: info.transitions_explored,
                 stopped: Some(info.resource.to_string()),
                 detail: String::new(),
@@ -1344,17 +1344,17 @@ fn explore_reach(
                     detail: format!("bound={}", rg.token_bound()),
                 }
             }
-            Bounded::Exhausted { partial, info } => {
+            Bounded::Exhausted { info, .. } => {
                 if slice < cap && matches!(info.resource, Resource::States) {
                     if let Some(ctx) = stream {
-                        ctx.progress("explore", partial.state_count(), partial.edge_count());
+                        ctx.progress("explore", info.states_explored, info.transitions_explored);
                     }
                     slice = slice.saturating_mul(4).min(cap);
                     continue;
                 }
                 return ExploreSummary {
-                    states: partial.state_count(),
-                    edges: partial.edge_count(),
+                    states: info.states_explored,
+                    edges: info.transitions_explored,
                     stopped: Some(info.resource.to_string()),
                     detail: String::new(),
                 };

@@ -4,7 +4,9 @@
 //! streaming progress frames, and pipelined correlation.
 
 use cpn_core::{check_receptiveness, parallel_tracked_common, reduce_against_environment};
-use cpn_petri::{Bounded, Budget, PetriNet, Verdict};
+use cpn_petri::{
+    reachability_bounded_compiled, Bounded, Budget, CoverabilityTree, PetriNet, Verdict,
+};
 use cpn_serve::frame::{
     encode_frame, read_frame, read_handshake, read_handshake_in, write_handshake_version,
     MIN_PROTO_VERSION, PROTO_VERSION,
@@ -380,6 +382,81 @@ fn verify_budget_sweep_matches_two_call_reference() {
             complete > 0 && stopped > 0,
             "{module}/{env}: {complete}/{stopped}"
         );
+    }
+    drop(client);
+    handle.begin_drain();
+    let stats = join.join().expect("server");
+    assert_eq!(stats.panics, 0);
+}
+
+/// Every state cap from 0 to one past the state (or tree node) count,
+/// for reach and cover: a stopped answer reports what was charged to the
+/// budget, as a stopped verify does, so a `stopped=states` answer reads
+/// `states` equal to the cap; reach answers what the kernel returns
+/// under the same budget, and cover what the Karp–Miller build returns.
+#[test]
+fn stopped_explorations_report_the_budget_counts() {
+    let (ep, handle, join) = start();
+    let mut client = Client::connect(&ep).expect("connect");
+    let boom = explosive_doc(3);
+    for (doc, name) in [(SMALL_NET, "small"), (boom.as_str(), "boom")] {
+        let nets = cpn_format::parse(doc).expect("document parses").nets;
+        let net = &nets.iter().find(|(n, _)| n == name).expect("net").1;
+        let (compiled, m0) = (net.compile(), net.initial_marking());
+        // (states, edges, stop) as the server must answer them.
+        let expect = |is_cover: bool, budget: &Budget| {
+            let built = if is_cover {
+                CoverabilityTree::build_bounded(net, budget).map(|t| (t.markings().len(), 0))
+            } else {
+                reachability_bounded_compiled(&compiled, m0.as_slice(), budget)
+                    .map(|rg| (rg.state_count(), rg.edge_count()))
+            };
+            match built {
+                Bounded::Complete((states, edges)) => (states, edges, None),
+                Bounded::Exhausted { info, .. } => (
+                    info.states_explored,
+                    info.transitions_explored,
+                    Some(info.resource.to_string()),
+                ),
+            }
+        };
+        for (verb, is_cover) in [("reach", false), ("cover", true)] {
+            let (total, _, stopped) = expect(is_cover, &Budget::default());
+            assert!(stopped.is_none(), "{verb} {name} completes");
+            for max_states in 0..=total + 1 {
+                let (net, doc) = (name.to_owned(), doc.to_owned());
+                let req = if is_cover {
+                    Request::Cover {
+                        net,
+                        max_states,
+                        deadline_ms: None,
+                        threads: 1,
+                        doc,
+                    }
+                } else {
+                    Request::Reach {
+                        net,
+                        max_states,
+                        deadline_ms: None,
+                        threads: 1,
+                        stream: false,
+                        doc,
+                    }
+                };
+                let at = format!("{verb} {name} max_states={max_states}");
+                let Response::Result(s) = client.request(&req).expect("explore") else {
+                    panic!("{at}: expected a Result");
+                };
+                assert_eq!(
+                    (s.states, s.edges, s.stopped.clone()),
+                    expect(is_cover, &Budget::states(max_states)),
+                    "{at}"
+                );
+                if s.stopped.as_deref() == Some("states") {
+                    assert_eq!(s.states, max_states, "{at}: states must equal the cap");
+                }
+            }
+        }
     }
     drop(client);
     handle.begin_drain();

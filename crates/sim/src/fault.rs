@@ -507,248 +507,6 @@ fn rebuild_stg(
     Stg::from_parts(net, stg.signals().clone(), guards).ok()
 }
 
-/// The pre-symbolization injector path, kept verbatim as a differential
-/// oracle: `fault_properties.rs` asserts each symbolized injector
-/// produces the same mutant (same site, same structure, same labels)
-/// from the same `(seed, class, trial)`.
-#[doc(hidden)]
-pub mod reference {
-    use super::*;
-
-    /// Generic rebuild: fresh interner, one label clone per transition.
-    pub fn rebuild_net_generic<L: Label>(
-        net: &PetriNet<L>,
-        mut tweak: impl FnMut(usize, &mut Vec<PlaceId>, &mut Vec<PlaceId>),
-    ) -> Option<PetriNet<L>> {
-        let mut out: PetriNet<L> = PetriNet::new();
-        let m0 = net.initial_marking();
-        let mut pmap: BTreeMap<PlaceId, PlaceId> = BTreeMap::new();
-        for (old, place) in net.places() {
-            let new = out.add_place(place.name().to_owned());
-            out.set_initial(new, m0.tokens(old));
-            pmap.insert(old, new);
-        }
-        for (i, (tid, t)) in net.transitions().enumerate() {
-            let mut pre: Vec<PlaceId> = t.preset().iter().map(|p| pmap[p]).collect();
-            let mut post: Vec<PlaceId> = t.postset().iter().map(|p| pmap[p]).collect();
-            tweak(i, &mut pre, &mut post);
-            out.add_transition(pre, net.label_of(tid).clone(), post)
-                .ok()?;
-        }
-        Some(out)
-    }
-
-    /// Generic STG rebuild with label-valued `keep`/`relabel` closures.
-    pub fn rebuild_stg_generic(
-        stg: &Stg,
-        mut keep: impl FnMut(usize, &StgLabel) -> bool,
-        mut relabel: impl FnMut(usize, StgLabel) -> StgLabel,
-    ) -> Option<Stg> {
-        let mut net: PetriNet<StgLabel> = PetriNet::new();
-        let m0 = stg.net().initial_marking();
-        let mut pmap: BTreeMap<PlaceId, PlaceId> = BTreeMap::new();
-        for (old, place) in stg.net().places() {
-            let new = net.add_place(place.name().to_owned());
-            net.set_initial(new, m0.tokens(old));
-            pmap.insert(old, new);
-        }
-        let mut guards = BTreeMap::new();
-        for (i, (tid, t)) in stg.net().transitions().enumerate() {
-            if !keep(i, stg.net().label_of(tid)) {
-                continue;
-            }
-            let pre: Vec<PlaceId> = t.preset().iter().map(|p| pmap[p]).collect();
-            let post: Vec<PlaceId> = t.postset().iter().map(|p| pmap[p]).collect();
-            let new_tid = net
-                .add_transition(pre, relabel(i, stg.net().label_of(tid).clone()), post)
-                .ok()?;
-            let g = stg.guard(tid);
-            if !g.is_true() {
-                guards.insert(new_tid, g);
-            }
-        }
-        Stg::from_parts(net, stg.signals().clone(), guards).ok()
-    }
-
-    /// [`inject_arc_drop`](super::inject_arc_drop) on the generic rebuild.
-    pub fn inject_arc_drop<L: Label>(
-        net: &PetriNet<L>,
-        rng: &mut TestRng,
-    ) -> Option<(PetriNet<L>, Fault)> {
-        let mut candidates: Vec<(usize, ArcSide, PlaceId)> = Vec::new();
-        for (i, (_, t)) in net.transitions().enumerate() {
-            if t.preset().len() + t.postset().len() < 2 {
-                continue;
-            }
-            for &p in t.preset() {
-                candidates.push((i, ArcSide::Pre, p));
-            }
-            for &p in t.postset() {
-                candidates.push((i, ArcSide::Post, p));
-            }
-        }
-        if candidates.is_empty() {
-            return None;
-        }
-        let (ti, side, victim) = *rng.choose(&candidates);
-        let out = rebuild_net_generic(net, |i, pre, post| {
-            if i == ti {
-                match side {
-                    ArcSide::Pre => pre.retain(|&p| p != victim),
-                    ArcSide::Post => post.retain(|&p| p != victim),
-                }
-            }
-        })?;
-        let name = place_name(net, victim);
-        let side_name = if side == ArcSide::Pre {
-            "preset"
-        } else {
-            "postset"
-        };
-        Some((
-            out,
-            Fault {
-                class: FaultClass::ArcDrop,
-                description: format!("dropped {name} from the {side_name} of transition #{ti}"),
-            },
-        ))
-    }
-
-    /// [`inject_arc_dup`](super::inject_arc_dup) on the generic rebuild.
-    pub fn inject_arc_dup<L: Label>(
-        net: &PetriNet<L>,
-        rng: &mut TestRng,
-    ) -> Option<(PetriNet<L>, Fault)> {
-        let all_places: Vec<PlaceId> = net.places().map(|(p, _)| p).collect();
-        let mut candidates: Vec<(usize, ArcSide, PlaceId)> = Vec::new();
-        for (i, (_, t)) in net.transitions().enumerate() {
-            for &p in &all_places {
-                if !t.preset().contains(&p) {
-                    candidates.push((i, ArcSide::Pre, p));
-                }
-                if !t.postset().contains(&p) {
-                    candidates.push((i, ArcSide::Post, p));
-                }
-            }
-        }
-        if candidates.is_empty() {
-            return None;
-        }
-        let (ti, side, extra) = *rng.choose(&candidates);
-        let out = rebuild_net_generic(net, |i, pre, post| {
-            if i == ti {
-                match side {
-                    ArcSide::Pre => pre.push(extra),
-                    ArcSide::Post => post.push(extra),
-                }
-            }
-        })?;
-        let name = place_name(net, extra);
-        let side_name = if side == ArcSide::Pre {
-            "preset"
-        } else {
-            "postset"
-        };
-        Some((
-            out,
-            Fault {
-                class: FaultClass::ArcDup,
-                description: format!(
-                    "added stray arc {name} to the {side_name} of transition #{ti}"
-                ),
-            },
-        ))
-    }
-
-    /// [`inject_edge_flip`](super::inject_edge_flip) on the generic rebuild.
-    pub fn inject_edge_flip(stg: &Stg, rng: &mut TestRng) -> Option<(Stg, Fault)> {
-        let flippable: Vec<usize> = stg
-            .net()
-            .transitions()
-            .enumerate()
-            .filter(|(_, (tid, _))| {
-                matches!(
-                    stg.net().label_of(*tid).edge(),
-                    Some(Edge::Rise | Edge::Fall)
-                )
-            })
-            .map(|(i, _)| i)
-            .collect();
-        if flippable.is_empty() {
-            return None;
-        }
-        let ti = *rng.choose(&flippable);
-        let mut description = String::new();
-        let out = rebuild_stg_generic(
-            stg,
-            |_, _| true,
-            |i, label| {
-                if i != ti {
-                    return label;
-                }
-                let StgLabel::Signal(s, e) = label else {
-                    return label;
-                };
-                let flipped = if e == Edge::Rise {
-                    Edge::Fall
-                } else {
-                    Edge::Rise
-                };
-                description = format!("flipped {s}{e} to {s}{flipped}");
-                StgLabel::Signal(s, flipped)
-            },
-        )?;
-        Some((
-            out,
-            Fault {
-                class: FaultClass::EdgeFlip,
-                description,
-            },
-        ))
-    }
-
-    /// [`inject_stuck_wire`](super::inject_stuck_wire) on the generic
-    /// rebuild, with the original per-signal transition re-scans.
-    pub fn inject_stuck_wire(stg: &Stg, rng: &mut TestRng) -> Option<(Stg, Fault)> {
-        let signals: Vec<Signal> = stg
-            .net()
-            .alphabet()
-            .iter()
-            .filter_map(|l| l.signal_name().cloned())
-            .collect::<BTreeSet<_>>()
-            .into_iter()
-            .collect();
-        let total = stg.net().transition_count();
-        let candidates: Vec<&Signal> = signals
-            .iter()
-            .filter(|s| {
-                let mine = stg
-                    .net()
-                    .transitions()
-                    .filter(|&(tid, _)| stg.net().label_of(tid).signal_name() == Some(s))
-                    .count();
-                mine > 0 && mine < total
-            })
-            .collect();
-        if candidates.is_empty() {
-            return None;
-        }
-        let s = (*rng.choose(&candidates)).clone();
-        let out = rebuild_stg_generic(
-            stg,
-            |_, label| label.signal_name() != Some(&s),
-            |_, label| label,
-        )?;
-        Some((
-            out,
-            Fault {
-                class: FaultClass::StuckWire,
-                description: format!("wire {s} stuck: all its transitions removed"),
-            },
-        ))
-    }
-}
-
 /// Applies a net-level fault to an STG's underlying net, carrying the
 /// signal declarations and guards over (transition identities are
 /// preserved by net-level mutations).

@@ -21,7 +21,9 @@
 //!   marked-graph rings (optionally live-safe), STGs and CIP modules.
 //! * [`workload`] — parametric large-scale exploration nets with
 //!   closed-form state counts (`sync_pipeline_net`, `sync_mesh`,
-//!   `cip_chain`), the inputs for the kernel benchmarks.
+//!   `cip_chain`), the inputs for the kernel benchmarks; `cip_chain`
+//!   also returns its internal wires for the hiding and reduction
+//!   suites.
 //! * [`oracle`] — the interpreted reference explorer the exploration
 //!   kernel's equivalence suites compare against.
 //! * [`mutate`] — seeded corruption of text documents ([`DocMutator`]:

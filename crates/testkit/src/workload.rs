@@ -17,6 +17,8 @@
 //!   shape at depth.
 
 use cpn_petri::PetriNet;
+use cpn_stg::StgLabel;
+use std::collections::BTreeSet;
 
 /// The synchronized two-phase pipeline of `k` stages as a single net.
 ///
@@ -122,15 +124,19 @@ pub fn sync_mesh_states(w: usize, h: usize, tokens: u32) -> u64 {
 /// Module `i` receives on channel `c_{i−1}` and sends on `c_i` (the ends
 /// do one of the two), so the chain is the Section 6 derivation shape at
 /// depth: composition cost grows with `modules` while the state space
-/// grows with the number of in-flight handshakes. Returns the composed
-/// net; hide the `*_req` wires to reproduce the benchmark's hiding
-/// workload.
+/// grows with the number of in-flight handshakes.
+///
+/// Returns the composed net and its internal alphabet: the *request*
+/// wires (`*_req`) of every channel. The acknowledge wires stay
+/// observable, so no hidden cycle — hence no divergence — exists; this
+/// is the hiding and reduction workload of the contraction and
+/// reduction suites.
 ///
 /// # Panics
 ///
 /// Panics if `modules < 2` or if expansion/composition fails (they
 /// cannot for this well-formed chain).
-pub fn cip_chain(modules: usize) -> PetriNet<cpn_stg::StgLabel> {
+pub fn cip_chain(modules: usize) -> (PetriNet<StgLabel>, BTreeSet<StgLabel>) {
     use cpn_cip::{ChannelSpec, CipGraph, HandshakeProtocol, Module};
     assert!(modules >= 2, "a chain needs at least two modules");
     let mut graph = CipGraph::new();
@@ -162,13 +168,18 @@ pub fn cip_chain(modules: usize) -> PetriNet<cpn_stg::StgLabel> {
             )
             .expect("channel");
     }
-    graph
+    let composed = graph
         .expand(HandshakeProtocol::TwoPhase)
         .expect("expansion")
         .compose_all()
-        .expect("composition")
-        .net()
-        .clone()
+        .expect("composition");
+    let net = composed.net().clone();
+    let hidden = net
+        .alphabet()
+        .into_iter()
+        .filter(|l| l.signal_name().is_some_and(|s| s.name().ends_with("_req")))
+        .collect();
+    (net, hidden)
 }
 
 #[cfg(test)]
@@ -211,8 +222,9 @@ mod tests {
 
     #[test]
     fn cip_chain_composes_and_explores() {
-        let net = cip_chain(4);
+        let (net, hidden) = cip_chain(4);
         assert!(net.place_count() > 0);
+        assert!(!hidden.is_empty() && hidden.is_subset(&net.alphabet()));
         let rg = match net.reachability_bounded(&Budget::states(1 << 16)) {
             Bounded::Complete(rg) => rg,
             Bounded::Exhausted { .. } => panic!("budget too small for chain of 4"),

@@ -448,55 +448,6 @@ fn verdicts_agree_along_the_deadline_axis() {
 // Paper corpora: Figure 5/7 protocol models and a composed CIP chain
 // ---------------------------------------------------------------------
 
-/// A CIP pipeline chain of `modules` modules on control channels,
-/// two-phase-expanded and composed (the Section 6 derivation shape);
-/// the interior request wires are the internal alphabet.
-fn cip_chain(modules: usize) -> (PetriNet<cpn::stg::StgLabel>, BTreeSet<cpn::stg::StgLabel>) {
-    use cpn::cip::{ChannelSpec, CipGraph, HandshakeProtocol, Module};
-    let mut graph = CipGraph::new();
-    let mut ids = Vec::new();
-    for i in 0..modules {
-        let mut m = Module::new(format!("m{i}"));
-        let p = m.add_place("idle");
-        m.set_initial(p, 1);
-        if i == 0 {
-            m.add_send([p], "c0", None, [p]).expect("send");
-        } else if i == modules - 1 {
-            m.add_recv([p], format!("c{}", i - 1).as_str(), [p])
-                .expect("recv");
-        } else {
-            let q = m.add_place("got");
-            m.add_recv([p], format!("c{}", i - 1).as_str(), [q])
-                .expect("recv");
-            m.add_send([q], format!("c{i}").as_str(), None, [p])
-                .expect("send");
-        }
-        ids.push(graph.add_module(m));
-    }
-    for i in 0..modules - 1 {
-        graph
-            .add_channel_edge(
-                ids[i],
-                ids[i + 1],
-                ChannelSpec::control(format!("c{i}").as_str()),
-            )
-            .expect("channel");
-    }
-    let composed = graph
-        .expand(HandshakeProtocol::TwoPhase)
-        .expect("expansion")
-        .compose_all()
-        .expect("composition");
-    let hidden = composed
-        .net()
-        .alphabet()
-        .iter()
-        .filter(|l| l.signal_name().is_some_and(|s| s.name().ends_with("_req")))
-        .cloned()
-        .collect();
-    (composed.net().clone(), hidden)
-}
-
 /// Verdict + deadlock differential on one corpus net with a given
 /// internal alphabet.
 fn check_corpus<L: cpn::petri::Label + std::fmt::Debug>(
@@ -549,36 +500,82 @@ fn corpora_fig5_fig7_and_cip_chain() {
     check_corpus("fig7-receiver", fig7.net(), &BTreeSet::new());
 
     for modules in [2usize, 3] {
-        let (net, hidden) = cip_chain(modules);
+        let (net, hidden) = cpn_testkit::cip_chain(modules);
         check_corpus(&format!("cip-chain-{modules}"), &net, &hidden);
     }
 }
 
-/// The headline claim behind `BENCH_reduce.json`: on the composed CIP
-/// chain, reduction of the internal request wires plus the stubborn
-/// filter shrinks the explored state count substantially.
+/// The headline claim of §5e, with its exact numbers: on composed CIP
+/// chains, reducing the internal request wires removes one redundant
+/// place per module, the stubborn filter shrinks the explored state
+/// count, and all four modes (full, stubborn, reduced,
+/// reduced+stubborn) agree on deadlock freedom.
 #[test]
 fn cip_chain_reduction_plus_stubborn_shrinks_exploration() {
-    let (net, hidden) = cip_chain(4);
-    let (reduced, stats) = reduce_for_analysis(&net, &hidden).expect("reduction");
-    assert!(stats.total() > 0, "the chain must actually reduce");
+    // (modules, net p/t, reduced p/t, states per mode: full, stubborn,
+    // reduced, reduced+stubborn)
+    let rows = [
+        (4, (12, 6), (9, 6), [10usize, 8, 10, 8]),
+        (8, (28, 14), (21, 14), [338, 44, 338, 44]),
+        (12, (44, 22), (33, 22), [11_482, 112, 11_482, 112]),
+    ];
     let budget = Budget::states(1_000_000);
-    let Bounded::Complete(full) = net.reachability_bounded(&budget) else {
-        panic!("full exploration must complete");
-    };
-    let Bounded::Complete(both) = reduced.reachability_stubborn_bounded(&budget, &[]) else {
-        panic!("reduced+stubborn exploration must complete");
-    };
-    assert!(
-        both.state_count() < full.state_count(),
-        "reduced+stubborn must explore fewer states ({} vs {})",
-        both.state_count(),
-        full.state_count()
-    );
-    // Deadlock verdict carried across the combined pipeline.
-    assert_eq!(
-        full.deadlock_states().is_empty(),
-        both.deadlock_states().is_empty(),
-        "deadlock-freedom flipped across reduce+stubborn"
-    );
+    for (modules, size, reduced_size, states) in rows {
+        let (net, hidden) = cpn_testkit::cip_chain(modules);
+        let (reduced, stats) = reduce_for_analysis(&net, &hidden).expect("reduction");
+        assert!(
+            stats.total() > 0,
+            "chain {modules}: the chain must actually reduce"
+        );
+        assert_eq!(
+            (net.place_count(), net.transition_count()),
+            size,
+            "chain {modules}: net size"
+        );
+        assert_eq!(
+            (reduced.place_count(), reduced.transition_count()),
+            reduced_size,
+            "chain {modules}: reduced net size"
+        );
+        assert_eq!(
+            stats,
+            cpn::core::ReductionStats {
+                redundant_places: modules - 1,
+                ..Default::default()
+            },
+            "chain {modules}: reductions applied"
+        );
+        let modes = [
+            ("full", net.reachability_bounded(&budget)),
+            ("stubborn", net.reachability_stubborn_bounded(&budget, &[])),
+            ("reduced", reduced.reachability_bounded(&budget)),
+            (
+                "reduced+stubborn",
+                reduced.reachability_stubborn_bounded(&budget, &[]),
+            ),
+        ];
+        let mut counts = Vec::new();
+        let mut deadlock_free = Vec::new();
+        for (mode, explored) in modes {
+            let Bounded::Complete(rg) = explored else {
+                panic!("chain {modules}: {mode} exploration must complete");
+            };
+            counts.push(rg.state_count());
+            deadlock_free.push(rg.deadlock_states().is_empty());
+        }
+        assert_eq!(
+            counts, states,
+            "chain {modules}: states (full, stubborn, reduced, reduced+stubborn)"
+        );
+        assert!(
+            counts[3] < counts[0],
+            "chain {modules}: reduced+stubborn must explore fewer states"
+        );
+        // Deadlock verdict carried across both techniques and their
+        // combination.
+        assert!(
+            deadlock_free.iter().all(|&d| d == deadlock_free[0]),
+            "chain {modules}: deadlock-freedom flipped across modes {deadlock_free:?}"
+        );
+    }
 }

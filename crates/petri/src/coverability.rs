@@ -7,7 +7,7 @@
 //! unboundedness witness.
 
 use crate::budget::{Bounded, Budget, Meter, Resource};
-use crate::compiled::{CompiledNet, OMEGA};
+use crate::compiled::{CompiledNet, EnableScratch, OMEGA};
 use crate::label::Label;
 use crate::net::{PetriNet, PlaceId};
 use crate::store::MarkingStore;
@@ -97,7 +97,6 @@ impl CoverabilityTree {
         budget: &Budget,
     ) -> Bounded<CoverabilityTree> {
         let mut meter = Meter::new(budget);
-        let transitions = compiled.transition_count() as u32;
 
         // ω-markings live in the interned arena with the sentinel
         // encoding of `compiled`: ω is [`OMEGA`], finite counts clamp at
@@ -116,6 +115,8 @@ impl CoverabilityTree {
 
         let mut next: Vec<u32> = Vec::with_capacity(store.stride());
         let mut occ: Vec<u64> = Vec::new();
+        let mut scratch = EnableScratch::default();
+        let mut enabled: Vec<u32> = Vec::new();
         let mut work = vec![0u32];
         'explore: while let Some(cur) = work.pop() {
             // Per-node deadline/cancel poll (coarse-ticked in the meter).
@@ -123,12 +124,12 @@ impl CoverabilityTree {
                 break 'explore;
             }
             compiled.occupancy_into(store.get(cur as usize), &mut occ);
-            for t in 0..transitions {
+            // Only enabled transitions are charged, in ascending order,
+            // as the reachability kernel charges them.
+            compiled.enabled_into(&occ, &mut scratch, &mut enabled);
+            for &t in &enabled {
                 if !meter.take_transition() {
                     break 'explore;
-                }
-                if !compiled.is_enabled(&occ, t) {
-                    continue;
                 }
                 compiled.fire_omega_into(store.get(cur as usize), t, &mut next);
                 // Acceleration: if next strictly covers an ancestor, set
@@ -296,5 +297,52 @@ mod tests {
         let info = *built.exhausted().expect("budget of 1 is exhausted");
         assert_eq!(info.states_explored, 1);
         assert_eq!(built.value().markings().len(), 1);
+    }
+
+    /// `n` independent toggles `a_i <-> b_i`, every `a_i` marked:
+    /// `2n` transitions, `n` of them enabled in every marking.
+    fn toggles(n: usize) -> PetriNet<String> {
+        let mut net: PetriNet<String> = PetriNet::new();
+        for i in 0..n {
+            let a = net.add_place(format!("a{i}"));
+            let b = net.add_place(format!("b{i}"));
+            net.add_transition([a], format!("on{i}"), [b]).unwrap();
+            net.add_transition([b], format!("off{i}"), [a]).unwrap();
+            net.set_initial(a, 1);
+        }
+        net
+    }
+
+    #[test]
+    fn only_enabled_transitions_are_charged() {
+        // A 4-cycle enables one of its four transitions in each of its
+        // four markings: four firings build the whole tree.
+        let mut ring: PetriNet<&str> = PetriNet::new();
+        let ps: Vec<PlaceId> = (0..4).map(|i| ring.add_place(format!("p{i}"))).collect();
+        for i in 0..4 {
+            ring.add_transition([ps[i]], "t", [ps[(i + 1) % 4]])
+                .unwrap();
+        }
+        ring.set_initial(ps[0], 1);
+        let built = CoverabilityTree::build_bounded(&ring, &Budget::new(usize::MAX, 4));
+        assert!(built.is_complete(), "stopped: {:?}", built.exhausted());
+        assert_eq!(built.value().markings().len(), 4);
+
+        // The same cap means the same work as in the reachability
+        // kernel: under a 3-state cap both stop at the third firing.
+        let net = toggles(3);
+        let budget = Budget::states(3);
+        let tree = CoverabilityTree::build_bounded(&net, &budget);
+        let info = *tree.exhausted().expect("3 states cannot hold the tree");
+        assert_eq!(info.resource, Resource::States);
+        assert_eq!(info.transitions_explored, 3);
+        let compiled = net.compile();
+        let rg = crate::reachability_bounded_compiled(
+            &compiled,
+            net.initial_marking().as_slice(),
+            &budget,
+        );
+        let kernel = *rg.exhausted().expect("3 states cannot hold the graph");
+        assert_eq!(kernel.transitions_explored, info.transitions_explored);
     }
 }

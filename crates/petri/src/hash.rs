@@ -22,6 +22,38 @@ const FNV128_OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
 /// 128-bit FNV-1a prime.
 const FNV128_PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
 
+/// `FNV128_PRIME^k mod 2^128` for `k = 0..=8`. Absorbing a zero byte
+/// only multiplies the state by the prime (xor with zero is the
+/// identity), so `k` zero bytes multiply it by `FNV128_PRIME^k`.
+const FNV128_POW: [u128; 9] = {
+    let mut pow = [1u128; 9];
+    let mut k = 1;
+    while k < 9 {
+        pow[k] = pow[k - 1].wrapping_mul(FNV128_PRIME);
+        k += 1;
+    }
+    pow
+};
+
+/// [`FNV128_POW`] modulo `2^64`: the prime's high part is `2^88`, so
+/// modulo `2^64` the prime is `0x13b`.
+const FNV128_LOW_POW: [u64; 9] = {
+    let mut pow = [1u64; 9];
+    let mut k = 0;
+    while k < 9 {
+        pow[k] = FNV128_POW[k] as u64;
+        k += 1;
+    }
+    pow
+};
+
+/// How many low-order bytes of `v` are significant: the rest of its
+/// little-endian bytes are zero.
+#[inline]
+fn live_bytes(v: u64) -> usize {
+    8 - (v.leading_zeros() / 8) as usize
+}
+
 /// FNV-1a, 64-bit: tiny, allocation-free, good dispersion on text.
 ///
 /// The seed hash of the testkit harness and the byte-level fast-path
@@ -81,9 +113,12 @@ impl Fnv128 {
         self.write(&v.to_le_bytes());
     }
 
-    /// Absorbs a `u64` in little-endian byte order.
+    /// Absorbs a `u64` in little-endian byte order. Its high zero bytes
+    /// cost one multiply by a power of the prime, not one per byte.
     pub fn write_u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
+        let live = live_bytes(v);
+        self.write(&v.to_le_bytes()[..live]);
+        self.state = self.state.wrapping_mul(FNV128_POW[8 - live]);
     }
 
     /// Absorbs a length-prefixed byte string, so `("ab", "c")` and
@@ -96,6 +131,44 @@ impl Fnv128 {
     /// The current hash state.
     #[must_use]
     pub fn finish(&self) -> u128 {
+        self.state
+    }
+}
+
+/// The low 64 bits of [`Fnv128`], computed in 64-bit arithmetic.
+///
+/// The 128-bit prime is `2^88 + 0x13b`, so modulo `2^64` a step is
+/// `low = (low ^ byte) * 0x13b`: the low half of the state never reads
+/// the high half. Over any input, `finish` equals `Fnv128::finish`
+/// truncated to `u64`, at a quarter of the multiply width. The
+/// refinement signatures of [`crate::netid`] are this truncation.
+#[derive(Clone, Debug)]
+pub(crate) struct Fnv128Low {
+    state: u64,
+}
+
+impl Fnv128Low {
+    /// A fresh hasher at the low half of the FNV-1a-128 offset basis.
+    pub(crate) fn new() -> Self {
+        Fnv128Low {
+            state: FNV128_OFFSET as u64,
+        }
+    }
+
+    /// Absorbs a `u64` in little-endian byte order, as
+    /// [`Fnv128::write_u64`] does.
+    #[inline]
+    pub(crate) fn write_u64(&mut self, v: u64) {
+        let live = live_bytes(v);
+        for &b in &v.to_le_bytes()[..live] {
+            self.state ^= u64::from(b);
+            self.state = self.state.wrapping_mul(FNV128_LOW_POW[1]);
+        }
+        self.state = self.state.wrapping_mul(FNV128_LOW_POW[8 - live]);
+    }
+
+    /// The low 64 bits of the FNV-1a-128 state.
+    pub(crate) fn finish(&self) -> u64 {
         self.state
     }
 }
@@ -137,6 +210,42 @@ mod tests {
         h.write(b"foo");
         h.write(b"bar");
         assert_eq!(h.finish(), fnv1a_128(b"foobar"));
+    }
+
+    /// Values with every count of high zero bytes, and a few others.
+    fn sample_u64s() -> Vec<u64> {
+        let mut v: Vec<u64> = (0..64).map(|s| 1u64 << s).collect();
+        v.extend((0..64).map(|s| u64::MAX >> s));
+        v.extend([0, 0x5E9A_11AD, 0xC0, 0xBB, 0x0100_0000_0000_0000, 42]);
+        v
+    }
+
+    #[test]
+    fn write_u64_matches_its_bytes() {
+        for &x in &sample_u64s() {
+            let mut fast = Fnv128::new();
+            fast.write_u64(x);
+            fast.write_u64(x ^ 0xff);
+            let mut bytes = Fnv128::new();
+            bytes.write(&x.to_le_bytes());
+            bytes.write(&(x ^ 0xff).to_le_bytes());
+            assert_eq!(fast.finish(), bytes.finish(), "value {x:#x}");
+        }
+    }
+
+    #[test]
+    fn low_half_matches_the_truncated_wide_hash() {
+        let mut low = Fnv128Low::new();
+        let mut wide = Fnv128::new();
+        assert_eq!(low.finish(), wide.finish() as u64);
+        for &x in &sample_u64s() {
+            low.write_u64(x);
+            let mut bytes = wide.clone();
+            bytes.write(&x.to_le_bytes());
+            wide.write_u64(x);
+            assert_eq!(wide.finish(), bytes.finish());
+            assert_eq!(low.finish(), wide.finish() as u64, "value {x:#x}");
+        }
     }
 
     #[test]

@@ -28,13 +28,35 @@
 //! 3. **Refinement**: each round recolors every place by the sorted
 //!    multiset of (adjacent transition color, consumer/producer role)
 //!    and every transition by its label color plus the sorted colors of
-//!    its preset and postset, until the partition stabilizes.
+//!    its preset and postset, until the partition stabilizes. A round
+//!    hashes each signature with FNV-1a-128 truncated to 64 bits and
+//!    ranks elements by (old color, signature), so it is a fixpoint
+//!    exactly when no class count grew.
 //! 4. **Individualization**: while some place color class has more than
 //!    one member, the first member of the smallest-ranked class is
-//!    given a fresh color and refinement is re-run.
+//!    given a fresh color and refinement is re-run. Usually that round
+//!    changes nothing, and a cheaper test decides so exactly. The
+//!    individualization changed one place color and no transition
+//!    color, so every place still hashes like the rest of its class,
+//!    and only the transitions adjacent to the individualized place can
+//!    hash differently. Rehashing just those decides it: a transition
+//!    class stays whole iff its touched members rehash to one
+//!    signature and, if it has untouched members, that signature is
+//!    the old one they keep. These are the 64-bit signatures the round
+//!    would rank, so the test agrees with the round even on a hash
+//!    collision. When no class splits, the colors stand and the round
+//!    is skipped; otherwise the full refinement runs.
 //!
 //! The resulting place order is total, and transitions are then sorted
-//! by (canonical label, canonical preset, canonical postset).
+//! by (canonical label, canonical preset, canonical postset). One
+//! serializer writes the canonical bytes: into a buffer for
+//! [`canonical_form`], straight into the FNV-1a-128 hasher for
+//! [`NetId::of`].
+//!
+//! `cpn_testkit::oracle::canonical_form` keeps the reference
+//! canonicalizer, which reruns the full refinement after every
+//! individualization; the property suite checks that both produce the
+//! same bytes.
 //!
 //! # Guarantees
 //!
@@ -52,11 +74,13 @@
 //!   (a cache miss, never a false hit): greedy individualization picks
 //!   a representative without a backtracking canonical search.
 
-use crate::hash::Fnv128;
+use crate::hash::{Fnv128, Fnv128Low};
 use crate::label::Label;
+use crate::marking::Marking;
 use crate::net::{PetriNet, PlaceId, TransitionId};
 use crate::Sym;
 use std::fmt;
+use std::fmt::Write as _;
 
 /// A content-addressed structural identity: the canonical-form hash.
 ///
@@ -72,7 +96,7 @@ impl NetId {
     #[must_use]
     pub fn of<L: Label>(net: &PetriNet<L>) -> NetId {
         let mut h = Fnv128::new();
-        h.write(&canonical_form(net));
+        Canonical::of(net).serialize(net, &mut h);
         NetId(h.finish())
     }
 
@@ -121,7 +145,20 @@ pub struct CanonicalOrder {
 /// Computes the canonical place/transition/label orderings of a net.
 #[must_use]
 pub fn canonical_order<L: Label>(net: &PetriNet<L>) -> CanonicalOrder {
-    Canonicalizer::new(net).run()
+    let canonical = Canonical::of(net);
+    CanonicalOrder {
+        places: canonical
+            .places
+            .iter()
+            .map(|&p| PlaceId::from_index(p as usize))
+            .collect(),
+        transitions: canonical
+            .transitions
+            .iter()
+            .map(|&t| TransitionId::from_index(t as usize))
+            .collect(),
+        labels: canonical.labels,
+    }
 }
 
 /// The canonical serialization of a net: a byte string that is equal
@@ -130,14 +167,18 @@ pub fn canonical_order<L: Label>(net: &PetriNet<L>) -> CanonicalOrder {
 /// 128-bit FNV-1a hash of these bytes.
 #[must_use]
 pub fn canonical_form<L: Label>(net: &PetriNet<L>) -> Vec<u8> {
-    let order = canonical_order(net);
-    serialize(net, &order)
+    let mut out = Vec::new();
+    Canonical::of(net).serialize(net, &mut out);
+    out
 }
 
 impl<L: Label> PetriNet<L> {
     /// This net's content-addressed structural identity (see
-    /// [`NetId`]). `O((P + T) · rounds)` with small constants; cache
-    /// the result rather than recomputing in hot loops.
+    /// [`NetId`]). `O((P + T + A) · rounds)`, where `A` counts arcs and
+    /// a round sorts and hashes every element's neighbour colors once;
+    /// an individualization that splits nothing costs only the degree
+    /// of its place, not a round. Cache the result rather than
+    /// recomputing in hot loops.
     #[must_use]
     pub fn net_id(&self) -> NetId {
         NetId::of(self)
@@ -148,21 +189,161 @@ const ROLE_CONSUMER: u64 = 0xC0;
 const ROLE_PRODUCER: u64 = 0xBB;
 const SEP: u64 = 0x5E9A_11AD;
 
-/// Working state of the refinement + individualization loop. Colors are
-/// dense ranks (canonically numbered by sorting round signatures), so
-/// equal structures get equal rank vectors regardless of arena order.
-struct Canonicalizer<'a, L: Label> {
-    net: &'a PetriNet<L>,
-    /// Canonical label index per transition (label-sorted dense rank).
-    t_label: Vec<u64>,
-    /// Canonical label index → symbol.
-    label_order: Vec<Sym>,
-    place_color: Vec<u64>,
-    trans_color: Vec<u64>,
+/// One side (places or transitions) of the coloring. Colors are dense
+/// ranks `0..classes` of sorted round signatures, so equal structures
+/// get equal color vectors regardless of arena order.
+#[derive(Default)]
+struct Partition {
+    /// Color per element.
+    color: Vec<u32>,
+    /// Members per color class; its length is the class count.
+    size: Vec<u32>,
+    /// The latest round's signature per element.
+    sig: Vec<u64>,
+    /// Scratch of [`split`](Self::split): the first member seen per
+    /// class, and the `(color, sig, element)` sort keys.
+    first: Vec<u32>,
+    keys: Vec<(u32, u64, u32)>,
 }
 
-impl<'a, L: Label> Canonicalizer<'a, L> {
-    fn new(net: &'a PetriNet<L>) -> Self {
+impl Partition {
+    /// Colors every element by the dense rank of its `raw` key.
+    fn ranked(raw: Vec<u64>) -> Partition {
+        let n = raw.len();
+        let mut part = Partition {
+            color: vec![0; n],
+            size: if n == 0 { Vec::new() } else { vec![n as u32] },
+            sig: raw,
+            ..Partition::default()
+        };
+        part.split();
+        part
+    }
+
+    /// Recolors every element by the dense rank of `(color, sig)`;
+    /// returns whether any class split. Keying on the old color first
+    /// keeps class numbering aligned round over round: when no class
+    /// splits, the ranks reproduce the dense old colors exactly, so the
+    /// round is a fixpoint iff the class count did not grow, and then
+    /// nothing is rewritten.
+    fn split(&mut self) -> bool {
+        self.first.clear();
+        self.first.resize(self.size.len(), u32::MAX);
+        let uniform = self
+            .color
+            .iter()
+            .zip(&self.sig)
+            .enumerate()
+            .all(|(i, (&c, &s))| {
+                let first = &mut self.first[c as usize];
+                if *first == u32::MAX {
+                    *first = i as u32;
+                }
+                self.sig[*first as usize] == s
+            });
+        if uniform {
+            return false;
+        }
+        self.keys.clear();
+        self.keys.extend(
+            self.color
+                .iter()
+                .zip(&self.sig)
+                .enumerate()
+                .map(|(i, (&c, &s))| (c, s, i as u32)),
+        );
+        self.keys.sort_unstable();
+        self.size.clear();
+        let mut last = None;
+        for &(c, s, i) in &self.keys {
+            if last != Some((c, s)) {
+                last = Some((c, s));
+                self.size.push(0);
+            }
+            let rank = self.size.len() - 1;
+            self.size[rank] += 1;
+            self.color[i as usize] = rank as u32;
+        }
+        true
+    }
+}
+
+/// Working state of the refinement + individualization loop, over flat
+/// adjacency arrays built once per call.
+struct Canonicalizer {
+    /// Canonical label index → symbol.
+    label_order: Vec<Sym>,
+    /// Canonical label index per transition.
+    t_label: Vec<u64>,
+    /// Transition `t`'s preset is `t_arcs[t_off[2t]..t_off[2t + 1]]`
+    /// and its postset `t_arcs[t_off[2t + 1]..t_off[2t + 2]]`, each as
+    /// ascending place indices.
+    t_off: Vec<usize>,
+    t_arcs: Vec<u32>,
+    /// Place `p`'s arcs are `p_arcs[p_off[p]..p_off[p + 1]]`, each
+    /// `t << 1 | is_producer`, ascending: a self-loop's two arcs are
+    /// adjacent.
+    p_off: Vec<usize>,
+    p_arcs: Vec<usize>,
+    /// The initial marking.
+    tokens: Marking,
+    place: Partition,
+    trans: Partition,
+    /// Scratch: the sorted neighbour colors of the element being hashed.
+    scratch: Vec<u64>,
+    /// Scratch: `(transition, new signature)` around an individualized
+    /// place.
+    touched: Vec<(usize, u64)>,
+}
+
+/// The signature of a transition: its color, label, and the sorted
+/// colors of its preset and postset.
+fn trans_sig(
+    color: u32,
+    label: u64,
+    pre: &[u32],
+    post: &[u32],
+    place_color: &[u32],
+    scratch: &mut Vec<u64>,
+) -> u64 {
+    let mut h = Fnv128Low::new();
+    h.write_u64(u64::from(color));
+    h.write_u64(label);
+    for side in [pre, post] {
+        h.write_u64(SEP);
+        scratch.clear();
+        scratch.extend(side.iter().map(|&p| u64::from(place_color[p as usize])));
+        scratch.sort_unstable();
+        for &c in scratch.iter() {
+            h.write_u64(c);
+        }
+    }
+    h.finish()
+}
+
+/// The signature of a place: its color and the sorted multiset of its
+/// adjacent transitions' colors tagged by role.
+fn place_sig(color: u32, arcs: &[usize], trans_color: &[u32], scratch: &mut Vec<u64>) -> u64 {
+    scratch.clear();
+    scratch.extend(arcs.iter().map(|&a| {
+        let role = if a & 1 == 0 {
+            ROLE_CONSUMER
+        } else {
+            ROLE_PRODUCER
+        };
+        u64::from(trans_color[a >> 1]).wrapping_mul(4) ^ role
+    }));
+    scratch.sort_unstable();
+    let mut h = Fnv128Low::new();
+    h.write_u64(u64::from(color).wrapping_mul(2).wrapping_add(1));
+    for &c in scratch.iter() {
+        h.write_u64(c);
+    }
+    h.finish()
+}
+
+impl Canonicalizer {
+    fn new<L: Label>(net: &PetriNet<L>) -> Self {
         // Canonical label order: every symbol that is in the alphabet
         // or on a transition, sorted by the label's `Ord` (interner
         // independent). Symbols that are interned but neither declared
@@ -179,126 +360,184 @@ impl<'a, L: Label> Canonicalizer<'a, L> {
         for (rank, &s) in used.iter().enumerate() {
             rank_of_sym[s.index()] = rank as u64;
         }
-        let t_label: Vec<u64> = net
-            .transitions()
-            .map(|(_, t)| rank_of_sym[t.sym().index()])
-            .collect();
-        Canonicalizer {
-            net,
-            t_label,
-            label_order: used,
-            place_color: Vec::new(),
-            trans_color: Vec::new(),
-        }
-    }
 
-    /// Dense canonical re-ranking: replaces each signature by its rank
-    /// among the sorted distinct signatures. Equal structures produce
-    /// equal signature multisets, so ranks are construction-order free.
-    fn rank<T: Ord>(sigs: &[T]) -> Vec<u64> {
-        let mut distinct: Vec<&T> = sigs.iter().collect();
-        distinct.sort_unstable();
-        distinct.dedup();
-        sigs.iter()
-            .map(|s| distinct.partition_point(|d| *d < s) as u64)
-            .collect()
-    }
-
-    /// One refinement round; returns the new (place, transition) colors.
-    fn refine_round(&self) -> (Vec<u64>, Vec<u64>) {
-        let net = self.net;
-        let mut p_sig: Vec<Vec<u64>> = self
-            .place_color
-            .iter()
-            .map(|&c| vec![c.wrapping_mul(2).wrapping_add(1)])
-            .collect();
-        let mut t_sig: Vec<u64> = Vec::with_capacity(net.transition_count());
-        let mut scratch: Vec<u64> = Vec::new();
-        for (ti, (_, t)) in net.transitions().enumerate() {
-            let tc = self.trans_color[ti];
-            for p in t.preset() {
-                p_sig[p.index()].push(tc.wrapping_mul(4) ^ ROLE_CONSUMER);
-            }
-            for p in t.postset() {
-                p_sig[p.index()].push(tc.wrapping_mul(4) ^ ROLE_PRODUCER);
-            }
-            let mut h = Fnv128::new();
-            h.write_u64(tc);
-            h.write_u64(self.t_label[ti]);
-            h.write_u64(SEP);
-            scratch.clear();
-            scratch.extend(t.preset().iter().map(|p| self.place_color[p.index()]));
-            scratch.sort_unstable();
-            for &c in &scratch {
-                h.write_u64(c);
-            }
-            h.write_u64(SEP);
-            scratch.clear();
-            scratch.extend(t.postset().iter().map(|p| self.place_color[p.index()]));
-            scratch.sort_unstable();
-            for &c in &scratch {
-                h.write_u64(c);
-            }
-            t_sig.push(h.finish() as u64);
-        }
-        // Rank by (old color, signature): the refined partition always
-        // refines the old one, so keying on the old color first keeps
-        // class numbering aligned round over round — once the partition
-        // is stable the color *vector* is exactly reproduced, which is
-        // what the fixpoint test compares (ranking raw signature hashes
-        // alone can permute stable classes forever).
-        let p_pair: Vec<(u64, u64)> = p_sig
-            .into_iter()
-            .enumerate()
-            .map(|(pi, mut sig)| {
-                sig[1..].sort_unstable();
-                let mut h = Fnv128::new();
-                for c in sig {
-                    h.write_u64(c);
+        let (places, transitions) = (net.place_count(), net.transition_count());
+        let mut t_label = Vec::with_capacity(transitions);
+        let mut t_off = Vec::with_capacity(2 * transitions + 1);
+        let mut t_arcs = Vec::new();
+        let mut degree = vec![0; places + 1];
+        t_off.push(0);
+        for (_, t) in net.transitions() {
+            t_label.push(rank_of_sym[t.sym().index()]);
+            for side in [t.preset(), t.postset()] {
+                for p in side {
+                    t_arcs.push(p.index() as u32);
+                    degree[p.index() + 1] += 1;
                 }
-                (self.place_color[pi], h.finish() as u64)
-            })
-            .collect();
-        let t_pair: Vec<(u64, u64)> = t_sig
-            .into_iter()
-            .enumerate()
-            .map(|(ti, sig)| (self.trans_color[ti], sig))
-            .collect();
-        (Self::rank(&p_pair), Self::rank(&t_pair))
-    }
-
-    /// Refines to a stable partition from the current colors.
-    fn refine_to_fixpoint(&mut self) {
-        // Each strict refinement increases the distinct color count, so
-        // the loop runs at most P + T productive rounds plus one.
-        loop {
-            let (p, t) = self.refine_round();
-            if p == self.place_color && t == self.trans_color {
-                return;
+                t_off.push(t_arcs.len());
             }
-            self.place_color = p;
-            self.trans_color = t;
+        }
+        // Counting sort of the arcs by place: prefix sums give each
+        // place's slot range, and filling in transition order keeps
+        // every place's arcs ascending.
+        for p in 0..places {
+            degree[p + 1] += degree[p];
+        }
+        let p_off = degree;
+        let mut fill = p_off.clone();
+        let mut p_arcs = vec![0; t_arcs.len()];
+        for t in 0..transitions {
+            for role in 0..2 {
+                for &p in &t_arcs[t_off[2 * t + role]..t_off[2 * t + role + 1]] {
+                    let slot = &mut fill[p as usize];
+                    p_arcs[*slot] = t << 1 | role;
+                    *slot += 1;
+                }
+            }
+        }
+
+        // Initial colors: a place by its token count, a transition by
+        // its label and preset/postset sizes.
+        let tokens = net.initial_marking();
+        let place = Partition::ranked(tokens.as_slice().iter().map(|&m| u64::from(m)).collect());
+        let trans = Partition::ranked(
+            (0..transitions)
+                .map(|t| {
+                    let mut h = Fnv128Low::new();
+                    h.write_u64(t_label[t]);
+                    h.write_u64((t_off[2 * t + 1] - t_off[2 * t]) as u64);
+                    h.write_u64((t_off[2 * t + 2] - t_off[2 * t + 1]) as u64);
+                    h.finish()
+                })
+                .collect(),
+        );
+        Canonicalizer {
+            label_order: used,
+            t_label,
+            t_off,
+            t_arcs,
+            p_off,
+            p_arcs,
+            tokens,
+            place,
+            trans,
+            scratch: Vec::new(),
+            touched: Vec::new(),
         }
     }
 
-    fn run(mut self) -> CanonicalOrder {
-        let net = self.net;
-        // Initial colors.
-        let m0 = net.initial_marking();
-        let p_sig: Vec<u64> = net.place_ids().map(|p| u64::from(m0.tokens(p))).collect();
-        let t_sig: Vec<u64> = net
-            .transitions()
-            .enumerate()
-            .map(|(ti, (_, t))| {
-                let mut h = Fnv128::new();
-                h.write_u64(self.t_label[ti]);
-                h.write_u64(t.preset().len() as u64);
-                h.write_u64(t.postset().len() as u64);
-                h.finish() as u64
-            })
-            .collect();
-        self.place_color = Self::rank(&p_sig);
-        self.trans_color = Self::rank(&t_sig);
+    fn preset(&self, t: usize) -> &[u32] {
+        &self.t_arcs[self.t_off[2 * t]..self.t_off[2 * t + 1]]
+    }
+
+    fn postset(&self, t: usize) -> &[u32] {
+        &self.t_arcs[self.t_off[2 * t + 1]..self.t_off[2 * t + 2]]
+    }
+
+    /// Transition `t`'s signature under the current place colors.
+    fn trans_sig(&mut self, t: usize) -> u64 {
+        let (a, m, b) = (
+            self.t_off[2 * t],
+            self.t_off[2 * t + 1],
+            self.t_off[2 * t + 2],
+        );
+        trans_sig(
+            self.trans.color[t],
+            self.t_label[t],
+            &self.t_arcs[a..m],
+            &self.t_arcs[m..b],
+            &self.place.color,
+            &mut self.scratch,
+        )
+    }
+
+    /// One refinement round: every place and transition is rehashed
+    /// from the old colors of both sides, then both are recolored.
+    /// Returns whether any class split.
+    fn round(&mut self) -> bool {
+        for t in 0..self.trans.color.len() {
+            self.trans.sig[t] = self.trans_sig(t);
+        }
+        for p in 0..self.place.color.len() {
+            let (a, b) = (self.p_off[p], self.p_off[p + 1]);
+            self.place.sig[p] = place_sig(
+                self.place.color[p],
+                &self.p_arcs[a..b],
+                &self.trans.color,
+                &mut self.scratch,
+            );
+        }
+        // Both sides recolor, whichever splits.
+        self.place.split() | self.trans.split()
+    }
+
+    /// Refines to a stable partition from the current colors. Each
+    /// strict refinement grows the class count, so this runs at most
+    /// P + T productive rounds plus the one that confirms the fixpoint,
+    /// which leaves every class's shared signature in `trans.sig`.
+    fn refine_to_fixpoint(&mut self) {
+        while self.round() {}
+    }
+
+    /// Gives place `p` of a stable partition a fresh color (the next
+    /// rank, above every other) and decides whether the next round is
+    /// a fixpoint, so that the colors are stable as they stand.
+    ///
+    /// It is, unless a transition class splits: transition colors did
+    /// not change, so every place keeps the signature it shared with
+    /// its class, and only the transitions adjacent to `p` see a new
+    /// place color. A transition class stays whole iff its touched
+    /// members all rehash to one signature and, if it has untouched
+    /// members, that signature is the class's old one. Comparing the
+    /// same 64-bit signatures the round would rank makes the test
+    /// exact, at the cost of hashing `p`'s neighbours.
+    fn individualize(&mut self, p: usize) -> bool {
+        let old = self.place.color[p] as usize;
+        self.place.size[old] -= 1;
+        self.place.color[p] = self.place.size.len() as u32;
+        self.place.size.push(1);
+
+        self.touched.clear();
+        for i in self.p_off[p]..self.p_off[p + 1] {
+            let t = self.p_arcs[i] >> 1;
+            if self.touched.last().is_some_and(|&(last, _)| last == t) {
+                // The second arc of a self-loop.
+                continue;
+            }
+            let sig = self.trans_sig(t);
+            self.touched.push((t, sig));
+        }
+        let trans = &self.trans;
+        let quiet = self.touched.iter().all(|&(t, sig)| {
+            let class = trans.color[t];
+            let mut members = 0;
+            for &(u, other) in &self.touched {
+                if trans.color[u] == class {
+                    if other != sig {
+                        return false;
+                    }
+                    members += 1;
+                }
+            }
+            members == trans.size[class as usize] || sig == trans.sig[t]
+        });
+        if quiet {
+            for &(t, sig) in &self.touched {
+                self.trans.sig[t] = sig;
+            }
+        }
+        quiet
+    }
+
+    /// The first place of the smallest ambiguous place class from
+    /// class `from` up, with that class.
+    fn first_ambiguous(&self, from: usize) -> Option<(usize, usize)> {
+        let class = (from..self.place.size.len()).find(|&c| self.place.size[c] > 1)?;
+        let p = self.place.color.iter().position(|&c| c as usize == class)?;
+        Some((class, p))
+    }
+
+    fn run(mut self) -> Canonical {
         self.refine_to_fixpoint();
 
         // Greedy individualization until the place partition is
@@ -306,111 +545,127 @@ impl<'a, L: Label> Canonicalizer<'a, L> {
         // ambiguous class is isomorphism-invariant whenever the tied
         // members are automorphic (the common case — e.g. parallel
         // places between identically-labeled transitions); see the
-        // module docs for the non-automorphic caveat.
-        loop {
-            let n = self.place_color.len();
-            let mut count = vec![0u32; n + 1];
-            for &c in &self.place_color {
-                count[c as usize] += 1;
+        // module docs for the non-automorphic caveat. A quiet
+        // individualization keeps every other color, so the smallest
+        // ambiguous class can only move up until a full refinement
+        // renumbers the classes.
+        let mut from = 0;
+        while let Some((class, p)) = self.first_ambiguous(from) {
+            from = class;
+            if !self.individualize(p) {
+                self.refine_to_fixpoint();
+                from = 0;
             }
-            let Some(first_ambiguous) = self
-                .place_color
-                .iter()
-                .enumerate()
-                .filter(|&(_, &c)| count[c as usize] > 1)
-                .min_by_key(|&(i, &c)| (c, i))
-                .map(|(i, _)| i)
-            else {
-                break;
-            };
-            // A fresh color strictly above every existing rank.
-            self.place_color[first_ambiguous] = n as u64;
-            self.place_color = Self::rank(&self.place_color);
-            self.refine_to_fixpoint();
         }
 
-        // Final orders.
-        let mut places: Vec<PlaceId> = net.place_ids().collect();
-        places.sort_by_key(|p| self.place_color[p.index()]);
-        let mut canon_pos = vec![0u32; places.len()];
-        for (pos, p) in places.iter().enumerate() {
-            canon_pos[p.index()] = pos as u32;
+        // Final orders: the place partition is discrete, so a place's
+        // color is its canonical position.
+        let mut places = vec![0u32; self.place.color.len()];
+        for (p, &c) in self.place.color.iter().enumerate() {
+            places[c as usize] = p as u32;
         }
-        let mut transitions: Vec<(Vec<u32>, TransitionId)> = net
-            .transitions()
-            .enumerate()
-            .map(|(ti, (id, t))| {
-                let mut key = Vec::with_capacity(3 + t.preset().len() + t.postset().len());
-                key.push(self.t_label[ti] as u32);
-                key.push(t.preset().len() as u32);
-                let mut pre: Vec<u32> = t.preset().iter().map(|p| canon_pos[p.index()]).collect();
-                pre.sort_unstable();
-                key.extend(pre);
-                key.push(t.postset().len() as u32);
-                let mut post: Vec<u32> = t.postset().iter().map(|p| canon_pos[p.index()]).collect();
-                post.sort_unstable();
-                key.extend(post);
-                (key, id)
-            })
-            .collect();
-        transitions.sort();
-        CanonicalOrder {
-            places,
-            transitions: transitions.into_iter().map(|(_, id)| id).collect(),
+        let transitions = self.t_label.len();
+        let mut keys = Vec::with_capacity(3 * transitions + self.t_arcs.len());
+        let mut key_off = Vec::with_capacity(transitions + 1);
+        key_off.push(0u32);
+        for t in 0..transitions {
+            keys.push(self.t_label[t] as u32);
+            for side in [self.preset(t), self.postset(t)] {
+                keys.push(side.len() as u32);
+                let start = keys.len();
+                keys.extend(side.iter().map(|&p| self.place.color[p as usize]));
+                keys[start..].sort_unstable();
+            }
+            key_off.push(keys.len() as u32);
+        }
+        let key = |t: u32| &keys[key_off[t as usize] as usize..key_off[t as usize + 1] as usize];
+        let mut order: Vec<u32> = (0..transitions as u32).collect();
+        order.sort_unstable_by(|&a, &b| key(a).cmp(key(b)).then(a.cmp(&b)));
+        let rows = order.iter().flat_map(|&t| key(t)).copied().collect();
+        Canonical {
             labels: self.label_order,
+            places,
+            transitions: order,
+            rows,
+            tokens: self.tokens,
         }
     }
 }
 
-/// Serializes a net through a canonical order. Field boundaries are
-/// length-prefixed so no two distinct structures share bytes.
-fn serialize<L: Label>(net: &PetriNet<L>, order: &CanonicalOrder) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(b"CPNCANON1");
-    push_u64(&mut out, net.place_count() as u64);
-    push_u64(&mut out, net.transition_count() as u64);
-    push_u64(&mut out, order.labels.len() as u64);
-    for &s in &order.labels {
-        let text = net.resolve(s).to_string();
-        push_u64(&mut out, text.len() as u64);
-        out.extend_from_slice(text.as_bytes());
-        out.push(u8::from(net.alphabet_syms().contains(s)));
-    }
-    let m0 = net.initial_marking();
-    for &p in &order.places {
-        push_u64(&mut out, u64::from(m0.tokens(p)));
-    }
-    let mut label_rank = vec![u64::MAX; net.interner().len()];
-    for (rank, &s) in order.labels.iter().enumerate() {
-        label_rank[s.index()] = rank as u64;
-    }
-    let mut canon_pos = vec![0u64; net.place_count()];
-    for (pos, p) in order.places.iter().enumerate() {
-        canon_pos[p.index()] = pos as u64;
-    }
-    for &tid in &order.transitions {
-        let t = net.transition(tid);
-        push_u64(&mut out, label_rank[t.sym().index()]);
-        let mut pre: Vec<u64> = t.preset().iter().map(|p| canon_pos[p.index()]).collect();
-        pre.sort_unstable();
-        push_u64(&mut out, pre.len() as u64);
-        for v in pre {
-            push_u64(&mut out, v);
-        }
-        let mut post: Vec<u64> = t.postset().iter().map(|p| canon_pos[p.index()]).collect();
-        post.sort_unstable();
-        push_u64(&mut out, post.len() as u64);
-        for v in post {
-            push_u64(&mut out, v);
-        }
-    }
-    out
+/// A net's canonical order, with the transition rows the serializer
+/// writes.
+struct Canonical {
+    /// Canonical label index → symbol.
+    labels: Vec<Sym>,
+    /// Canonical position → original place index.
+    places: Vec<u32>,
+    /// Canonical position → original transition index.
+    transitions: Vec<u32>,
+    /// Every transition's row in canonical order, concatenated: label
+    /// index, preset size, sorted canonical preset, postset size,
+    /// sorted canonical postset.
+    rows: Vec<u32>,
+    /// The initial marking.
+    tokens: Marking,
 }
 
-fn push_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
+/// Where the canonical serializer writes: a byte buffer for
+/// [`canonical_form`], the hasher itself for [`NetId::of`].
+trait Sink {
+    fn put(&mut self, bytes: &[u8]);
+    fn put_u64(&mut self, v: u64);
 }
 
+impl Sink for Vec<u8> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+
+    fn put_u64(&mut self, v: u64) {
+        self.extend_from_slice(&v.to_le_bytes());
+    }
+}
+
+impl Sink for Fnv128 {
+    fn put(&mut self, bytes: &[u8]) {
+        self.write(bytes);
+    }
+
+    fn put_u64(&mut self, v: u64) {
+        self.write_u64(v);
+    }
+}
+
+impl Canonical {
+    fn of<L: Label>(net: &PetriNet<L>) -> Canonical {
+        Canonicalizer::new(net).run()
+    }
+
+    /// Serializes the net through its canonical order, every number as
+    /// a little-endian `u64`. Field boundaries are length-prefixed so
+    /// no two distinct structures share bytes.
+    fn serialize<L: Label>(&self, net: &PetriNet<L>, out: &mut impl Sink) {
+        out.put(b"CPNCANON1");
+        out.put_u64(self.places.len() as u64);
+        out.put_u64(self.transitions.len() as u64);
+        out.put_u64(self.labels.len() as u64);
+        let mut text = String::new();
+        for &s in &self.labels {
+            text.clear();
+            // Writing into a `String` cannot fail.
+            let _ = write!(text, "{}", net.resolve(s));
+            out.put_u64(text.len() as u64);
+            out.put(text.as_bytes());
+            out.put(&[u8::from(net.alphabet_syms().contains(s))]);
+        }
+        for &p in &self.places {
+            out.put_u64(u64::from(self.tokens.as_slice()[p as usize]));
+        }
+        for &v in &self.rows {
+            out.put_u64(u64::from(v));
+        }
+    }
+}
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
@@ -509,6 +764,105 @@ mod tests {
             net
         };
         assert_eq!(build(false).net_id(), build(true).net_id());
+    }
+
+    /// Builds `copies` disjoint copies of `raw` as a net of this crate
+    /// (the testkit builds nets of its own `cpn-petri` instance).
+    fn build_copies(raw: &cpn_testkit::RawNet, copies: usize) -> PetriNet<String> {
+        let mut net: PetriNet<String> = PetriNet::new();
+        for c in 0..copies {
+            let ps: Vec<PlaceId> = (0..raw.places)
+                .map(|i| net.add_place(format!("c{c}p{i}")))
+                .collect();
+            for t in &raw.transitions {
+                let pre = t.pre.iter().map(|&p| ps[p]);
+                let post = t.post.iter().map(|&p| ps[p]);
+                net.add_transition(pre, format!("t{}", t.label), post)
+                    .unwrap();
+            }
+            for (i, &m) in raw.marking.iter().enumerate() {
+                net.set_initial(ps[i], m);
+            }
+        }
+        net
+    }
+
+    /// Runs the individualization loop, checking at every step that the
+    /// quiet test predicts the full round it replaces: quiet exactly
+    /// when that round splits no class, and then the colors stand.
+    /// Returns the (quiet, full-round) individualization counts.
+    fn check_quiet_test(net: &PetriNet<String>) -> (usize, usize) {
+        let mut c = Canonicalizer::new(net);
+        c.refine_to_fixpoint();
+        let (mut quiet, mut loud) = (0, 0);
+        while let Some((_, p)) = c.first_ambiguous(0) {
+            let predicted = c.individualize(p);
+            let colors = (c.place.color.clone(), c.trans.color.clone());
+            let split = c.round();
+            assert_eq!(predicted, !split, "quiet test disagrees with the round");
+            if predicted {
+                assert_eq!(colors, (c.place.color.clone(), c.trans.color.clone()));
+                quiet += 1;
+            } else {
+                c.refine_to_fixpoint();
+                loud += 1;
+            }
+        }
+        (quiet, loud)
+    }
+
+    #[test]
+    fn quiet_test_predicts_the_round() {
+        use cpn_testkit::{check, NetStrategy, Strategy, TestRng};
+        #[derive(Clone, Debug)]
+        struct Copied;
+        impl Strategy for Copied {
+            type Value = (cpn_testkit::RawNet, usize);
+            fn generate(&self, rng: &mut TestRng) -> Self::Value {
+                let raw = NetStrategy::new(8, 8, 2).max_tokens(2).generate(rng);
+                (raw, rng.gen_range(1..5))
+            }
+        }
+        check("quiet_test_predicts_the_round", &Copied, |(raw, copies)| {
+            check_quiet_test(&build_copies(raw, *copies));
+            Ok(())
+        });
+    }
+
+    #[test]
+    fn twin_places_individualize_quietly_and_lanes_do_not() {
+        // Twin places between one fork and one join: the fork and join
+        // classes are singletons, touched whole.
+        let mut twins: PetriNet<String> = PetriNet::new();
+        let src = twins.add_place("src");
+        let lanes: Vec<PlaceId> = (0..4).map(|i| twins.add_place(format!("l{i}"))).collect();
+        twins
+            .add_transition([src], "fork".to_owned(), lanes.clone())
+            .unwrap();
+        twins
+            .add_transition(lanes, "join".to_owned(), [src])
+            .unwrap();
+        twins.set_initial(src, 1);
+        assert_eq!(check_quiet_test(&twins), (3, 0));
+        // Two copies of a two-place cycle: individualizing one copy's
+        // place splits the shared transition classes.
+        let copies = cpn_testkit::RawNet {
+            places: 2,
+            transitions: vec![
+                cpn_testkit::RawTransition {
+                    pre: vec![0],
+                    label: 0,
+                    post: vec![1],
+                },
+                cpn_testkit::RawTransition {
+                    pre: vec![1],
+                    label: 1,
+                    post: vec![0],
+                },
+            ],
+            marking: vec![1, 0],
+        };
+        assert_eq!(check_quiet_test(&build_copies(&copies, 2)), (0, 1));
     }
 
     #[test]

@@ -17,11 +17,21 @@
 //! * **sensitivity** — structural mutations (token bumps, dropped
 //!   transitions, alphabet growth) produce different ids.
 //!
+//! * **oracle agreement** — on nets built to tie (few labels, copied
+//!   components, twin places, duplicate transitions, self-loops), the
+//!   canonical bytes and order equal those of the full-refinement
+//!   reference canonicalizer in `cpn_testkit::oracle`, and `NetId` is
+//!   the FNV-1a-128 hash of the reference bytes.
+//!
 //! Driven by the deterministic `cpn-testkit` harness: failures print a
 //! case seed, replayable via `CPN_TESTKIT_SEED=<seed>`.
 
-use cpn_petri::{canonical_form, NetId, PetriNet, PlaceId};
-use cpn_testkit::{check, prop_assert, prop_assert_eq, NetStrategy, RawNet, Strategy, TestRng};
+use cpn_petri::hash::fnv1a_128;
+use cpn_petri::{canonical_form, canonical_order, NetId, PetriNet, PlaceId};
+use cpn_testkit::{
+    check, oracle, prop_assert, prop_assert_eq, NetStrategy, PropResult, RawNet, RawTransition,
+    Strategy, TestRng,
+};
 use std::collections::BTreeSet;
 
 /// Random nets: up to 6 places, up to 6 transitions over 3 label
@@ -307,4 +317,181 @@ fn net_id_is_deterministic_and_stable_across_calls() {
             Ok(())
         },
     );
+}
+
+/// Nets built to tie: a random component of 2–6 places over 1–3
+/// labels, copied 1–6 times, with up to two hub places that every copy
+/// feeds or drains through one transition, then duplicated transitions
+/// and self-loops; markings up to 3, and up to 38 places. Copies are
+/// automorphic, so refinement leaves their places tied and greedy
+/// individualization does the rest.
+#[derive(Clone, Debug)]
+struct TiedNets;
+
+impl Strategy for TiedNets {
+    type Value = RawNet;
+
+    fn generate(&self, rng: &mut TestRng) -> RawNet {
+        let labels = rng.gen_range(1..4);
+        let part = NetStrategy::new(6, 6, labels).max_tokens(3).generate(rng);
+        let copies = rng.gen_range(1..7);
+        let hubs = rng.gen_range(0..3);
+        let places = part.places * copies + hubs;
+        let same_marking = rng.gen_bool();
+        let mut transitions = Vec::new();
+        let mut marking = Vec::new();
+        for c in 0..copies {
+            let shift = |ps: &[usize]| ps.iter().map(|&p| p + c * part.places).collect();
+            for t in &part.transitions {
+                transitions.push(RawTransition {
+                    pre: shift(&t.pre),
+                    label: t.label,
+                    post: shift(&t.post),
+                });
+            }
+            for &m in &part.marking {
+                marking.push(if same_marking {
+                    m
+                } else {
+                    rng.gen_range_u32(0..4)
+                });
+            }
+        }
+        for h in 0..hubs {
+            let hub = part.places * copies + h;
+            let local = rng.below(part.places);
+            let label = rng.below(labels);
+            let feeds = rng.gen_bool();
+            for c in 0..copies {
+                let p = c * part.places + local;
+                let (pre, post) = if feeds { (p, hub) } else { (hub, p) };
+                transitions.push(RawTransition {
+                    pre: vec![pre],
+                    label,
+                    post: vec![post],
+                });
+            }
+            marking.push(rng.gen_range_u32(0..4));
+        }
+        for _ in 0..rng.gen_range(0..3) {
+            let t = transitions[rng.below(transitions.len())].clone();
+            transitions.push(t);
+        }
+        for _ in 0..rng.gen_range(0..3) {
+            let p = rng.below(places);
+            transitions.push(RawTransition {
+                pre: vec![p],
+                label: rng.below(labels),
+                post: vec![p],
+            });
+        }
+        RawNet {
+            places,
+            transitions,
+            marking,
+        }
+    }
+
+    fn shrink(&self, raw: &RawNet) -> Vec<RawNet> {
+        NetStrategy::new(64, 64, 3).shrink(raw)
+    }
+}
+
+/// The canonical bytes, order and id of `net` equal the reference
+/// canonicalizer's.
+fn agrees_with_oracle(net: &PetriNet<String>) -> PropResult {
+    let reference = oracle::canonical_form(net);
+    prop_assert_eq!(
+        canonical_form(net),
+        reference.clone(),
+        "canonical bytes differ from the reference canonicalizer"
+    );
+    let (fast, slow) = (canonical_order(net), oracle::canonical_order(net));
+    prop_assert_eq!(fast.places, slow.places, "canonical place order differs");
+    prop_assert_eq!(fast.transitions, slow.transitions);
+    prop_assert_eq!(fast.labels, slow.labels);
+    prop_assert_eq!(
+        net.net_id().as_u128(),
+        fnv1a_128(&reference),
+        "NetId is not the hash of the reference bytes"
+    );
+    Ok(())
+}
+
+#[test]
+fn canonical_form_matches_the_reference_canonicalizer() {
+    check(
+        "canonical_form_matches_the_reference_canonicalizer",
+        &TiedNets,
+        |raw| agrees_with_oracle(&build_reference(raw, |l| format!("t{l}"))),
+    );
+}
+
+/// `k` lanes of `len` places from one `fork` to one `join` transition,
+/// every lane's steps labeled alike, with the token on a shared
+/// source. One-place lanes are twin places: each individualization
+/// touches only `fork` and `join`, whole singleton classes, so it
+/// changes nothing. Longer lanes hold `step` transitions whose class an
+/// individualization splits, so the full round must run.
+fn lanes(k: usize, len: usize) -> PetriNet<String> {
+    let mut net: PetriNet<String> = PetriNet::new();
+    let src = net.add_place("src");
+    let mut heads = Vec::new();
+    let mut tails = Vec::new();
+    for lane in 0..k {
+        let mut prev = net.add_place(format!("l{lane}_0"));
+        heads.push(prev);
+        for i in 1..len {
+            let next = net.add_place(format!("l{lane}_{i}"));
+            net.add_transition([prev], "step".to_owned(), [next])
+                .expect("lane step");
+            prev = next;
+        }
+        tails.push(prev);
+    }
+    net.add_transition([src], "fork".to_owned(), heads)
+        .expect("fork");
+    net.add_transition(tails, "join".to_owned(), [src])
+        .expect("join");
+    net.set_initial(src, 1);
+    net
+}
+
+/// A ring of `n` stages, each holding two twin places between the
+/// stage's `go` and the next stage's `go`, with every `go` labeled
+/// alike.
+fn twin_ring(n: usize) -> PetriNet<String> {
+    let mut net: PetriNet<String> = PetriNet::new();
+    let pairs: Vec<[PlaceId; 2]> = (0..n)
+        .map(|i| {
+            [
+                net.add_place(format!("a{i}")),
+                net.add_place(format!("b{i}")),
+            ]
+        })
+        .collect();
+    for i in 0..n {
+        net.add_transition(pairs[i], "go".to_owned(), pairs[(i + 1) % n])
+            .expect("ring stage");
+    }
+    for p in pairs[0] {
+        net.set_initial(p, 1);
+    }
+    net
+}
+
+#[test]
+fn symmetric_families_match_the_reference_canonicalizer() {
+    let mut nets = Vec::new();
+    for k in 1..=12 {
+        for len in 1..=3 {
+            nets.push(lanes(k, len));
+        }
+    }
+    nets.extend((1..=10).map(twin_ring));
+    for net in &nets {
+        if let Err(fail) = agrees_with_oracle(net) {
+            panic!("{fail:?} on {} places", net.place_count());
+        }
+    }
 }

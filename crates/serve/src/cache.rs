@@ -27,7 +27,7 @@
 //! zero overhead on the hit path beyond a counter store. Evicting an
 //! entry also purges every byte-tier alias that pointed at it.
 
-use cpn_format::{parse_with_limits, ParseLimits};
+use cpn_format::{parse_with_limits, Document, ParseLimits};
 use cpn_petri::{CompiledNet, NetId, PetriNet};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -211,7 +211,48 @@ impl NetCache {
     /// poisoned negative entry would outlive a client's fixed resubmit)
     /// but do count as misses.
     pub fn get_or_compile(&self, doc: &str, name: &str) -> Result<Arc<CachedNet>, CacheMiss> {
-        let key = (fnv1a(doc.as_bytes()), name.to_owned());
+        self.lookup(doc, fnv1a(doc.as_bytes()), name, &mut None, false)
+    }
+
+    /// The compiled nets for `names` inside one `doc`, in order, from
+    /// at most one parse. Lookups are counted and refreshed exactly as
+    /// that many [`get_or_compile`](Self::get_or_compile) calls in a
+    /// row: a byte hit, structural hit or miss per name.
+    ///
+    /// # Errors
+    ///
+    /// The [`CacheMiss`] of the first lookup that fails, as the calls
+    /// in a row would return it; the names after it are not looked up.
+    pub fn get_or_compile_many(
+        &self,
+        doc: &str,
+        names: &[&str],
+    ) -> Result<Vec<Arc<CachedNet>>, CacheMiss> {
+        let hash = fnv1a(doc.as_bytes());
+        let mut parsed = None;
+        names
+            .iter()
+            .enumerate()
+            .map(|(i, name)| {
+                let again = names[i + 1..].contains(name);
+                self.lookup(doc, hash, name, &mut parsed, again)
+            })
+            .collect()
+    }
+
+    /// One lookup of `name` in `doc` (whose FNV-1a hash is `hash`).
+    /// `parsed` holds the document once a byte miss has parsed it, for
+    /// the lookups after this one; a net compiled here is moved out of
+    /// it unless `again` says a later lookup names it too.
+    fn lookup(
+        &self,
+        doc: &str,
+        hash: u64,
+        name: &str,
+        parsed: &mut Option<Document>,
+        again: bool,
+    ) -> Result<Arc<CachedNet>, CacheMiss> {
+        let key = (hash, name.to_owned());
         {
             let mut inner = self.lock();
             if let Some(&id) = inner.by_bytes.get(&key) {
@@ -233,23 +274,21 @@ impl NetCache {
         }
         // Parse outside the lock: a slow adversarial document must not
         // serialize every other worker's lookups.
-        let outcome = parse_with_limits(doc, &self.limits)
-            .map_err(|e| CacheMiss::Parse(e.to_string()))
-            .and_then(|parsed| {
-                parsed
-                    .nets
-                    .into_iter()
-                    .find_map(|(n, net)| (n == name).then_some(net))
-                    .ok_or_else(|| CacheMiss::NoSuchNet(name.to_owned()))
-            });
-        let net = match outcome {
-            Ok(net) => net,
-            Err(miss) => {
-                self.lock().misses += 1;
-                return Err(miss);
-            }
+        let document = match parsed {
+            Some(document) => document,
+            None => match parse_with_limits(doc, &self.limits) {
+                Ok(document) => parsed.insert(document),
+                Err(e) => {
+                    self.lock().misses += 1;
+                    return Err(CacheMiss::Parse(e.to_string()));
+                }
+            },
         };
-        let id = net.net_id();
+        let Some(pos) = document.nets.iter().position(|(n, _)| n == name) else {
+            self.lock().misses += 1;
+            return Err(CacheMiss::NoSuchNet(name.to_owned()));
+        };
+        let id = document.nets[pos].1.net_id();
         {
             // Structural probe: the canonical identity may already be
             // resident under a different spelling. Count the miss here
@@ -263,6 +302,13 @@ impl NetCache {
             }
             inner.misses += 1;
         }
+        let net = if again {
+            document.nets[pos].1.clone()
+        } else {
+            // `remove` keeps the order, so a later name still finds its
+            // first net.
+            document.nets.remove(pos).1
+        };
         // Compile outside the lock for the same reason as the parse.
         let compiled = net.compile();
         let m0 = net.initial_marking().as_slice().to_vec();
@@ -472,6 +518,65 @@ mod tests {
         // Re-looking up the evicted net is a genuine miss again.
         cache.get_or_compile(DOC, "n").unwrap();
         assert_eq!(cache.full_stats().misses, 3);
+    }
+
+    /// Two nets in one document.
+    const PAIR: &str = "net m { places { p* q } transition \"a\" { pre: p; post: q } }\n\
+                        net e { places { r* s } transition \"b\" { pre: r; post: s } }";
+
+    /// `PAIR` respelled: byte-distinct, both nets structurally the same.
+    const PAIR_RESPELLED: &str = "net m {\n  places { x*  y }\n  transition \"a\" { pre: x; post: y }\n}\n\
+                                  net e {\n  places { u*  v }\n  transition \"b\" { pre: u; post: v }\n}\n";
+
+    #[test]
+    fn many_names_count_as_lookups_in_a_row() {
+        let many = NetCache::new(8, ParseLimits::default());
+        let single = NetCache::new(8, ParseLimits::default());
+        // Fresh (two misses), respelled (two structural hits), then
+        // byte-identical (two byte hits).
+        for doc in [PAIR, PAIR_RESPELLED, PAIR] {
+            let nets = many.get_or_compile_many(doc, &["m", "e"]).unwrap();
+            let one_by_one = [
+                single.get_or_compile(doc, "m").unwrap(),
+                single.get_or_compile(doc, "e").unwrap(),
+            ];
+            assert_eq!(many.full_stats(), single.full_stats());
+            let ids = |nets: &[Arc<CachedNet>]| nets.iter().map(|n| n.id).collect::<Vec<_>>();
+            assert_eq!(ids(&nets), ids(&one_by_one));
+        }
+        let stats = many.full_stats();
+        assert_eq!(
+            (stats.misses, stats.structural_hits, stats.byte_hits),
+            (2, 2, 2)
+        );
+        // A missing second name fails after the first is counted.
+        assert_eq!(
+            many.get_or_compile_many(PAIR, &["m", "ghost"]).unwrap_err(),
+            CacheMiss::NoSuchNet("ghost".to_owned())
+        );
+        single.get_or_compile(PAIR, "m").unwrap();
+        single.get_or_compile(PAIR, "ghost").unwrap_err();
+        assert_eq!(many.full_stats(), single.full_stats());
+    }
+
+    #[test]
+    fn one_name_twice_is_a_miss_then_a_byte_hit() {
+        let cache = NetCache::new(8, ParseLimits::default());
+        let nets = cache.get_or_compile_many(DOC, &["n", "n"]).unwrap();
+        assert!(Arc::ptr_eq(&nets[0], &nets[1]));
+        let stats = cache.full_stats();
+        assert_eq!((stats.misses, stats.byte_hits, stats.len), (1, 1, 1));
+    }
+
+    #[test]
+    fn a_malformed_document_is_one_miss() {
+        let cache = NetCache::new(8, ParseLimits::default());
+        assert!(matches!(
+            cache.get_or_compile_many("net n {", &["n", "m"]),
+            Err(CacheMiss::Parse(_))
+        ));
+        assert_eq!(cache.full_stats().misses, 1);
+        assert!(cache.is_empty());
     }
 
     #[test]

@@ -1407,16 +1407,13 @@ fn handle_verify(
         .with_cancel(shared.cancel.token());
 
     // Both nets come out of the same cache the single-request paths
-    // use, so a batch fanning one document across many (module, env)
-    // pairs parses it once.
-    let module_net = match shared.cache.get_or_compile(doc, module) {
-        Ok(c) => c,
+    // use, from at most one parse of the document, so a batch fanning
+    // one document across many (module, env) pairs parses it once.
+    let nets = match shared.cache.get_or_compile_many(doc, &[module, env]) {
+        Ok(nets) => nets,
         Err(miss) => return miss.into(),
     };
-    let env_net = match shared.cache.get_or_compile(doc, env) {
-        Ok(c) => c,
-        Err(miss) => return miss.into(),
-    };
+    let (module_net, env_net) = (&nets[0], &nets[1]);
     let louts: BTreeSet<String> = louts.iter().cloned().collect();
     let routs: BTreeSet<String> = routs.iter().cloned().collect();
 

@@ -24,8 +24,10 @@
 //!   `cip_chain`), the inputs for the kernel benchmarks; `cip_chain`
 //!   also returns its internal wires for the hiding and reduction
 //!   suites.
-//! * [`oracle`] — the interpreted reference explorer the exploration
-//!   kernel's equivalence suites compare against.
+//! * [`oracle`] — the reference implementations the fast paths'
+//!   equivalence suites compare against: the interpreted explorer, the
+//!   one-rebuild-per-contraction hiding loop and the full-refinement
+//!   `NetId` canonicalizer.
 //! * [`mutate`] — seeded corruption of text documents ([`DocMutator`]:
 //!   truncation, byte flips, garbage splices, brace floods) for parser
 //!   robustness tests.

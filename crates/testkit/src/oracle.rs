@@ -1,6 +1,7 @@
 //! Reference implementations the fast paths are differentiated against:
-//! [`hide_labels`] for the contraction engine, and [`reachability`] for
-//! the exploration kernel.
+//! [`hide_labels`] for the contraction engine, [`reachability`] for
+//! the exploration kernel, and [`canonical_form`] / [`canonical_order`]
+//! for the `NetId` canonicalizer.
 //!
 //! [`reachability`] builds `RG(N)` the interpreted way: the net's own
 //! [`PetriNet::is_enabled`] and [`PetriNet::fire`] over [`Marking`]s,
@@ -30,6 +31,9 @@ use cpn_petri::{
     Bounded, Budget, Exhausted, Label, Marking, Meter, PetriNet, Resource, StateId, TransitionId,
 };
 use std::collections::{BTreeSet, HashMap};
+
+mod canonical;
+pub use canonical::{canonical_form, canonical_order};
 
 /// A reachability graph as the reference explorer builds it.
 #[derive(Clone, Debug, PartialEq, Eq)]

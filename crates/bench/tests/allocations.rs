@@ -1,19 +1,20 @@
-//! Allocation-ratio floors for the contraction engine and the interned
-//! alphabet layer: on each workload the generic label-level path (the
-//! `cpn_testkit::oracle` rebuild, owned label sets, label-level trace
-//! filtering) must allocate at least `floor` times as often as the
-//! symbolized path that replaced it.
+//! Allocation-ratio floors for the contraction engine, its reduction
+//! rules and the interned alphabet layer: on each workload the generic
+//! path (the `cpn_testkit::oracle` rebuilds, owned label sets,
+//! label-level trace filtering) must allocate at least `floor` times as
+//! often as the path that replaced it.
 //!
 //! Allocation *counts* are deterministic for a given standard library
 //! but move with it, so only the ratios are gated, each at the floor of
-//! the ratio first recorded for the workload (EXPERIMENTS.md, ABL3 and
-//! the alphabet-layer rows).
+//! the ratio first recorded for the workload (EXPERIMENTS.md, ABL3,
+//! ABL10 and the alphabet-layer rows).
 //!
 //! One test per binary: the counting allocator below is this binary's
 //! global allocator, and counts only the calling thread's allocations,
 //! so the harness's own threads cannot leak into a count.
 
 use cpn_petri::{AlphaSet, Budget, Label, PetriNet};
+use cpn_testkit::RawRing;
 use cpn_trace::Language;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -104,6 +105,38 @@ fn check_hide<L: Label>(workload: &str, floor: u64, net: &PetriNet<L>, hidden: &
     check_floor(workload, floor, &mut || run(true), &mut || run(false));
 }
 
+/// The verify shape: a module of request/acknowledge lanes (`lanes[i]`
+/// handshakes each, a ring `r a r a …`) composed with an environment
+/// whose lanes put a private step `e` between each request and its
+/// acknowledge, with every `e` hidden and nothing reduced yet.
+fn lane_pair(lanes: &[usize]) -> PetriNet<String> {
+    let mut composed: Option<PetriNet<String>> = None;
+    let mut hidden = BTreeSet::new();
+    for (i, &h) in lanes.iter().enumerate() {
+        let one_token = |n: usize| (0..n).map(|k| u32::from(k == 0)).collect();
+        let module = RawRing {
+            n: 2 * h,
+            marks: one_token(2 * h),
+        }
+        .build_with(|k| format!("{}{i}_{}", ["r", "a"][k % 2], k / 2));
+        let env = RawRing {
+            n: 3 * h,
+            marks: one_token(3 * h),
+        }
+        .build_with(|k| format!("{}{i}_{}", ["r", "e", "a"][k % 3], k / 3));
+        hidden.extend((0..h).map(|k| format!("e{i}_{k}")));
+        let lane = cpn_core::parallel(&module, &env).expect("a lane composes");
+        composed = Some(match composed {
+            None => lane,
+            Some(acc) => cpn_core::parallel(&acc, &lane).expect("disjoint lanes compose"),
+        });
+    }
+    let composed = composed.expect("at least one lane");
+    cpn_core::hide_labels_bounded(&composed, &hidden, &Budget::unlimited())
+        .expect("the private steps hide")
+        .into_value()
+}
+
 /// Two nets over large, partially overlapping alphabets (one shared
 /// label in four), for the sync-set workload.
 fn sync_pair(labels: usize) -> (PetriNet<String>, PetriNet<String>) {
@@ -161,6 +194,38 @@ fn symbolized_paths_allocate_a_fraction_of_the_generic_ones() {
         let (net, hidden) = cpn_testkit::cip_chain(modules);
         check_hide(&format!("hide cip_chain/{modules}"), floor, &net, &hidden);
     }
+
+    // Reduction rules: the reference rebuilds the net per rule pass and
+    // keeps signatures in `BTreeSet`s, the editor reuses its buffers.
+    let net = lane_pair(&[1, 2, 3]);
+    let reduce = || {
+        let mut editor = cpn_core::NetEditor::from_net(&net);
+        let stats = editor.reduce();
+        (
+            editor.finish().expect("the reduced net materializes"),
+            stats,
+        )
+    };
+    let expect = reduce();
+    assert!(
+        expect.1.total() > 0,
+        "the lane pair has something to reduce"
+    );
+    assert_eq!(
+        cpn_testkit::oracle::reduce(&net).expect("the reference reduces"),
+        expect,
+        "reduction paths must agree"
+    );
+    check_floor(
+        "reduce lane_pair/1,2,3",
+        8,
+        &mut || {
+            black_box(cpn_testkit::oracle::reduce(&net).expect("the reference reduces"));
+        },
+        &mut || {
+            black_box(reduce());
+        },
+    );
 
     // Sync set of a composition: owned label-set intersection vs the
     // bitset-backed common alphabet.

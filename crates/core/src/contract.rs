@@ -6,19 +6,19 @@
 //! [`PetriNet`] per contraction, re-scanning all transitions for the
 //! preset/postset precondition. That is fine for one contraction and
 //! quadratic for a hiding pass. This module provides the production
-//! path: a [`NetEditor`] holding the net in tombstoned arenas with three
-//! persistent indexes —
-//!
-//! * label → transitions (the hiding worklist),
-//! * place → consumers (transitions reading it),
-//! * place → producers (transitions feeding it),
+//! path: a [`NetEditor`] holding the net in tombstoned arenas with flat
+//! adjacency — every preset, postset, consumer row (place → transitions
+//! reading it) and producer row (place → transitions feeding it) is a
+//! sorted `Vec<u32>`, and one sorted `(symbol, transition)` vector
+//! serves as the hiding worklist —
 //!
 //! so that each contraction is an **in-place splice** (delete `t`, mint
 //! the product places, rewrite the adjacent transitions, append the
-//! virtual duplicates), the both-sides precondition is an index
-//! intersection, and multi-label hiding drains a correctly-maintained
+//! virtual duplicates), the both-sides precondition is a merge of
+//! consumer rows, and multi-label hiding drains a correctly-maintained
 //! worklist: a duplicate that carries a hidden label is re-enqueued by
-//! the same index update that registers it.
+//! the same index update that registers it. Nothing is sized by the
+//! interner, which keeps every label a net ever carried.
 //!
 //! # Order replication
 //!
@@ -26,17 +26,17 @@
 //! always contracts the *first* transition carrying the label, and its
 //! rebuild inserts every virtual duplicate immediately after the real
 //! variant it was copied from. The editor replicates that order exactly
-//! with a **path key** per transition: original transition `i` carries
-//! key `[i]`; a duplicate of `u` carries `key(u) ++ [c]` with a globally
-//! decreasing counter `c`. Lexicographic order on keys then equals the
-//! legacy net order at every step (a duplicate sorts right behind its
-//! parent, and a later-round duplicate of the same parent sorts before
-//! an earlier one, exactly as repeated rebuilds interleave them), so the
-//! engine selects the same contraction at every step, produces
-//! bit-identical results, and reports bit-identical
-//! [`Bounded::Exhausted`](cpn_petri::Bounded) prefixes — the contract
-//! the differential property suite in `tests/contract_equivalence.rs`
-//! enforces.
+//! with a **path key** per transition, stored back to back in one key
+//! arena: original transition `i` carries key `[i]`; a duplicate of `u`
+//! carries `key(u) ++ [c]` with a globally decreasing counter `c`.
+//! Lexicographic order on keys then equals the legacy net order at every
+//! step (a duplicate sorts right behind its parent, and a later-round
+//! duplicate of the same parent sorts before an earlier one, exactly as
+//! repeated rebuilds interleave them), so the engine selects the same
+//! contraction at every step, produces bit-identical results, and
+//! reports bit-identical [`Bounded::Exhausted`](cpn_petri::Bounded)
+//! prefixes — the contract the differential property suite in
+//! `tests/contract_equivalence.rs` enforces.
 //!
 //! # Reduction rules
 //!
@@ -59,7 +59,13 @@
 //!
 //! [`reduce`](NetEditor::reduce) runs the three to a joint fixpoint —
 //! the between-contraction cleanup that stops product-place accretion in
-//! long hiding chains.
+//! long hiding chains. The two signature rules hash each element's rows
+//! into a scratch buffer the editor keeps, sort it by hash and then by
+//! the rows themselves, and compare neighbours: a pass allocates nothing
+//! once the buffers have grown, and equal signatures meet whatever the
+//! hashes do. The survivor of each class is the one first in order — the
+//! least path key, the lowest place slot — as the reference
+//! `cpn_testkit::oracle::reduce` checks.
 //!
 //! # Safe-net reduction
 //!
@@ -76,7 +82,8 @@
 use cpn_petri::{
     AlphaSet, Budget, Interner, Label, Meter, PetriError, PetriNet, PlaceId, Sym, TransitionId,
 };
-use std::collections::{BTreeMap, BTreeSet};
+use std::cmp::Ordering;
+use std::collections::BTreeSet;
 
 /// A place record in the editor arena.
 #[derive(Clone, Debug)]
@@ -85,15 +92,26 @@ struct PlaceRec {
     tokens: u32,
 }
 
-/// A transition record in the editor arena. The label is an interned
-/// [`Sym`] in the editor's symbol space; `key` is the path key that
-/// replicates the legacy rebuild order (see the module docs).
+/// A transition record in the editor arena: sorted, duplicate-free
+/// place rows, the label as an interned [`Sym`] in the editor's symbol
+/// space, and the `(start, len)` of its path key in the key arena (see
+/// the module docs).
 #[derive(Clone, Debug)]
 struct TransRec {
-    preset: BTreeSet<u32>,
+    preset: Vec<u32>,
     sym: Sym,
-    postset: BTreeSet<u32>,
-    key: Vec<u32>,
+    postset: Vec<u32>,
+    key: (u32, u32),
+}
+
+/// Buffers the rule passes and contractions reuse, so that a pass
+/// allocates nothing once they have grown.
+#[derive(Clone, Debug, Default)]
+struct Scratch {
+    /// `(signature hash, slot)` of one signature pass.
+    sigs: Vec<(u64, u32)>,
+    /// Slots a pass collects: consumers, successors, pruning stack.
+    slots: Vec<u32>,
 }
 
 /// Counts of what [`NetEditor::reduce`] removed.
@@ -137,27 +155,31 @@ impl ReductionStats {
 ///
 /// Build one with [`NetEditor::from_net`], edit, then materialize the
 /// result with [`NetEditor::finish`]. See the module docs for the
-/// invariants (tombstoned arenas, persistent indexes, path-key order).
+/// invariants (tombstoned arenas, sorted adjacency rows, path-key
+/// order).
 #[derive(Clone, Debug)]
 pub struct NetEditor<L: Label> {
     places: Vec<Option<PlaceRec>>,
     transitions: Vec<Option<TransRec>>,
+    /// Every transition's path key, back to back.
+    keys: Vec<u32>,
+    /// `(symbol, slot)` of every live transition, sorted, so the
+    /// transitions carrying one label form a run (the hiding worklist).
+    by_sym: Vec<(Sym, u32)>,
     /// The symbol space, snapshotted from the source net (append-only).
     interner: Interner<L>,
     alphabet: AlphaSet,
-    /// symbol → live transitions carrying it (the hiding worklist),
-    /// dense by symbol index.
-    label_index: Vec<BTreeSet<u32>>,
     /// place → live transitions with the place in their preset.
-    consumers: Vec<BTreeSet<u32>>,
+    consumers: Vec<Vec<u32>>,
     /// place → live transitions with the place in their postset.
-    producers: Vec<BTreeSet<u32>>,
+    producers: Vec<Vec<u32>>,
     /// Globally decreasing duplicate counter (see module docs).
     dup_counter: u32,
     live_places: usize,
     live_transitions: usize,
     contractions: usize,
     edits: usize,
+    scratch: Scratch,
 }
 
 impl<L: Label> NetEditor<L> {
@@ -175,40 +197,45 @@ impl<L: Label> NetEditor<L> {
                 })
             })
             .collect();
-        let mut consumers = vec![BTreeSet::new(); places.len()];
-        let mut producers = vec![BTreeSet::new(); places.len()];
-        let interner = net.interner().clone();
-        let mut label_index: Vec<BTreeSet<u32>> = vec![BTreeSet::new(); interner.len()];
+        let mut consumers = vec![Vec::new(); places.len()];
+        let mut producers = vec![Vec::new(); places.len()];
+        let rows = |s: &BTreeSet<PlaceId>| s.iter().map(|p| p.index() as u32).collect();
         let mut transitions = Vec::with_capacity(net.transition_count());
         for (id, t) in net.transitions() {
             let i = id.index() as u32;
             for &p in t.preset() {
-                consumers[p.index()].insert(i);
+                consumers[p.index()].push(i);
             }
             for &p in t.postset() {
-                producers[p.index()].insert(i);
+                producers[p.index()].push(i);
             }
-            label_index[t.sym().index()].insert(i);
             transitions.push(Some(TransRec {
-                preset: t.preset().iter().map(|p| p.index() as u32).collect(),
+                preset: rows(t.preset()),
                 sym: t.sym(),
-                postset: t.postset().iter().map(|p| p.index() as u32).collect(),
-                key: vec![i],
+                postset: rows(t.postset()),
+                key: (i, 1),
             }));
         }
+        let mut by_sym: Vec<(Sym, u32)> = net
+            .transitions()
+            .map(|(id, t)| (t.sym(), id.index() as u32))
+            .collect();
+        by_sym.sort_unstable();
         NetEditor {
             live_places: places.len(),
             live_transitions: transitions.len(),
             places,
             transitions,
-            interner,
+            keys: (0..net.transition_count() as u32).collect(),
+            by_sym,
+            interner: net.interner().clone(),
             alphabet: net.alphabet_syms().clone(),
-            label_index,
             consumers,
             producers,
             dup_counter: u32::MAX,
             contractions: 0,
             edits: 0,
+            scratch: Scratch::default(),
         }
     }
 
@@ -241,38 +268,39 @@ impl<L: Label> NetEditor<L> {
     fn add_place_rec(&mut self, name: String, tokens: u32) -> u32 {
         let id = self.places.len() as u32;
         self.places.push(Some(PlaceRec { name, tokens }));
-        self.consumers.push(BTreeSet::new());
-        self.producers.push(BTreeSet::new());
+        self.consumers.push(Vec::new());
+        self.producers.push(Vec::new());
         self.live_places += 1;
         id
     }
 
-    fn add_transition_rec(
-        &mut self,
-        preset: BTreeSet<u32>,
-        sym: Sym,
-        postset: BTreeSet<u32>,
-        key: Vec<u32>,
-    ) -> u32 {
+    /// Appends a duplicate of the transition whose path key spans
+    /// `parent` in the key arena; the duplicate's key is
+    /// `key(parent) ++ [c]` for the next counter value `c`.
+    fn add_duplicate(&mut self, preset: Vec<u32>, sym: Sym, postset: Vec<u32>, parent: (u32, u32)) {
         let id = self.transitions.len() as u32;
+        let (start, len) = parent;
+        let key = (self.keys.len() as u32, len + 1);
+        self.keys
+            .extend_from_within(start as usize..(start + len) as usize);
+        self.keys.push(self.dup_counter);
+        self.dup_counter -= 1;
+        // The new slot is the highest, so pushing keeps each row sorted.
         for &p in &preset {
-            self.consumers[p as usize].insert(id);
+            self.consumers[p as usize].push(id);
         }
         for &p in &postset {
-            self.producers[p as usize].insert(id);
+            self.producers[p as usize].push(id);
         }
-        if self.label_index.len() <= sym.index() {
-            self.label_index.resize(sym.index() + 1, BTreeSet::new());
-        }
-        self.label_index[sym.index()].insert(id);
         self.transitions.push(Some(TransRec {
             preset,
             sym,
             postset,
             key,
         }));
+        let at = self.by_sym.partition_point(|&e| e < (sym, id));
+        self.by_sym.insert(at, (sym, id));
         self.live_transitions += 1;
-        id
     }
 
     /// Unlinks a transition from every index and tombstones it,
@@ -281,12 +309,14 @@ impl<L: Label> NetEditor<L> {
         let rec = self.transitions.get_mut(t)?.take()?;
         let tid = t as u32;
         for &p in &rec.preset {
-            self.consumers[p as usize].remove(&tid);
+            remove_sorted(&mut self.consumers[p as usize], tid);
         }
         for &p in &rec.postset {
-            self.producers[p as usize].remove(&tid);
+            remove_sorted(&mut self.producers[p as usize], tid);
         }
-        self.label_index[rec.sym.index()].remove(&tid);
+        if let Ok(i) = self.by_sym.binary_search(&(rec.sym, tid)) {
+            self.by_sym.remove(i);
+        }
         self.live_transitions -= 1;
         self.edits += 1;
         Some(rec)
@@ -301,18 +331,32 @@ impl<L: Label> NetEditor<L> {
         self.producers[p].clear();
     }
 
+    /// The path key of a transition record.
+    fn key(&self, rec: &TransRec) -> &[u32] {
+        &self.keys[rec.key.0 as usize..(rec.key.0 + rec.key.1) as usize]
+    }
+
+    /// The path key of live slot `t` (empty for a dead one).
+    fn key_of(&self, t: u32) -> &[u32] {
+        self.transitions[t as usize]
+            .as_ref()
+            .map_or(&[], |rec| self.key(rec))
+    }
+
     /// The live transition carrying `sym` that is first in legacy net
-    /// order (minimal path key).
+    /// order (minimal path key) — a scan of its run in the symbol index.
     fn first_with_sym(&self, sym: Sym) -> Option<usize> {
-        let set = self.label_index.get(sym.index())?;
-        let mut best: Option<(&[u32], u32)> = None;
-        for &tid in set {
-            let key = self.transitions[tid as usize].as_ref()?.key.as_slice();
-            if best.is_none_or(|(bk, _)| key < bk) {
-                best = Some((key, tid));
-            }
-        }
-        best.map(|(_, tid)| tid as usize)
+        let at = self.by_sym.partition_point(|&(s, _)| s < sym);
+        self.by_sym[at..]
+            .iter()
+            .take_while(|&&(s, _)| s == sym)
+            .min_by(|a, b| self.key_of(a.1).cmp(self.key_of(b.1)))
+            .map(|&(_, t)| t as usize)
+    }
+
+    /// Whether place `p` is live, unmarked and fed by no transition.
+    fn stranded(&self, p: usize) -> bool {
+        self.places[p].as_ref().is_some_and(|r| r.tokens == 0) && self.producers[p].is_empty()
     }
 
     // ------------------------------------------------------------------
@@ -334,123 +378,133 @@ impl<L: Label> NetEditor<L> {
     /// and [`PetriError::Precondition`] for an empty preset/postset or a
     /// transition consuming from both sides of `t`.
     pub fn contract(&mut self, t: usize) -> Result<(), PetriError> {
-        let (p, q) = {
-            let Some(rec) = self.transitions.get(t).and_then(|r| r.as_ref()) else {
-                return Err(PetriError::UnknownTransition(t as u32));
-            };
-            if rec.preset.intersection(&rec.postset).next().is_some() {
-                return Err(PetriError::HideSelfLoop(t as u32));
-            }
-            if rec.preset.is_empty() || rec.postset.is_empty() {
-                return Err(PetriError::Precondition(
-                    "contraction needs a non-empty preset and postset".to_owned(),
-                ));
-            }
-            (rec.preset.clone(), rec.postset.clone())
+        let tid = t as u32;
+        let Some(rec) = self.transitions.get(t).and_then(Option::as_ref) else {
+            return Err(PetriError::UnknownTransition(tid));
         };
+        if intersects(&rec.preset, &rec.postset) {
+            return Err(PetriError::HideSelfLoop(tid));
+        }
+        if rec.preset.is_empty() || rec.postset.is_empty() {
+            return Err(PetriError::Precondition(
+                "contraction needs a non-empty preset and postset".to_owned(),
+            ));
+        }
+        if let Some(&x) = rec
+            .preset
+            .iter()
+            .chain(&rec.postset)
+            .find(|&&x| self.places[x as usize].is_none())
+        {
+            return Err(PetriError::UnknownPlace(x));
+        }
 
-        // Both-sides precondition as an index intersection: a transition
+        // Both-sides precondition over the consumer rows: a transition
         // consuming from p *and* q would need two tokens from one
         // product place — inexpressible with set-valued arcs.
-        let mut p_consumers: BTreeSet<u32> = BTreeSet::new();
-        for &x in &p {
-            p_consumers.extend(self.consumers[x as usize].iter().copied());
+        let mut work = std::mem::take(&mut self.scratch.slots);
+        work.clear();
+        for &x in &rec.preset {
+            work.extend_from_slice(&self.consumers[x as usize]);
         }
-        p_consumers.remove(&(t as u32));
-        for &y in &q {
-            if let Some(&uid) = self.consumers[y as usize]
+        work.sort_unstable();
+        work.dedup();
+        let both = rec.postset.iter().find_map(|&y| {
+            self.consumers[y as usize]
                 .iter()
-                .find(|&&u| u != t as u32 && p_consumers.contains(&u))
-            {
-                return Err(PetriError::Precondition(format!(
-                    "transition t{uid} consumes from both the preset and the postset of the hidden transition"
-                )));
-            }
+                .find(|&&u| u != tid && work.binary_search(&u).is_ok())
+        });
+        if let Some(&uid) = both {
+            self.scratch.slots = work;
+            return Err(PetriError::Precondition(format!(
+                "transition t{uid} consumes from both the preset and the postset of the hidden transition"
+            )));
         }
 
-        self.detach(t);
+        let Some(TransRec {
+            preset: p,
+            postset: q,
+            ..
+        }) = self.detach(t)
+        else {
+            return Err(PetriError::UnknownTransition(tid));
+        };
 
         // Successors (consumers of q) snapshot — rewriting below only
-        // touches p-membership, so q-membership stays as captured.
-        let successors: BTreeSet<u32> = q
-            .iter()
-            .flat_map(|&y| self.consumers[y as usize].iter().copied())
-            .collect();
-
-        // Mint the product places (p_i, q_j), marked with M0(p_i).
-        let mut row: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
-        let mut all_products: BTreeSet<u32> = BTreeSet::new();
-        for &pi in &p {
-            let (name_pi, tokens_pi) = match self.places[pi as usize].as_ref() {
-                Some(rec) => (rec.name.clone(), rec.tokens),
-                None => return Err(PetriError::UnknownPlace(pi)),
-            };
-            let mut r = Vec::with_capacity(q.len());
-            for &qj in &q {
-                let name_qj = match self.places[qj as usize].as_ref() {
-                    Some(rec) => rec.name.clone(),
-                    None => return Err(PetriError::UnknownPlace(qj)),
-                };
-                let id = self.add_place_rec(format!("({name_pi},{name_qj})"), tokens_pi);
-                r.push(id);
-                all_products.insert(id);
-            }
-            row.insert(pi, r);
+        // touches p-membership, and no successor consumes from p.
+        work.clear();
+        for &y in &q {
+            work.extend_from_slice(&self.consumers[y as usize]);
         }
+        work.sort_unstable();
+        work.dedup();
 
-        // Rewrite every p-adjacent transition onto the product rows.
+        // Mint the product places (p_i, q_j), marked with M0(p_i): the
+        // row of p_i is the slot range base + i·|q| .. base + (i+1)·|q|.
+        let base = self.places.len() as u32;
+        let width = q.len() as u32;
         for &pi in &p {
-            let r = row[&pi].clone();
+            for &qj in &q {
+                let (name, tokens) = match (&self.places[pi as usize], &self.places[qj as usize]) {
+                    (Some(a), Some(b)) => (format!("({},{})", a.name, b.name), a.tokens),
+                    _ => unreachable!("the places of a live transition are checked live above"),
+                };
+                self.add_place_rec(name, tokens);
+            }
+        }
+        let products = base..base + p.len() as u32 * width;
+
+        // Rewrite every p-adjacent transition onto the product rows. Each
+        // row's slots exceed every existing place, so appending keeps the
+        // rows sorted.
+        for (i, &pi) in p.iter().enumerate() {
+            let row = base + i as u32 * width..base + (i as u32 + 1) * width;
             for uid in std::mem::take(&mut self.consumers[pi as usize]) {
                 if let Some(rec) = self.transitions[uid as usize].as_mut() {
-                    rec.preset.remove(&pi);
-                    rec.preset.extend(r.iter().copied());
+                    remove_sorted(&mut rec.preset, pi);
+                    rec.preset.extend(row.clone());
                 }
-                for &np in &r {
-                    self.consumers[np as usize].insert(uid);
+                for np in row.clone() {
+                    self.consumers[np as usize].push(uid);
                 }
             }
             for uid in std::mem::take(&mut self.producers[pi as usize]) {
                 if let Some(rec) = self.transitions[uid as usize].as_mut() {
-                    rec.postset.remove(&pi);
-                    rec.postset.extend(r.iter().copied());
+                    remove_sorted(&mut rec.postset, pi);
+                    rec.postset.extend(row.clone());
                 }
-                for &np in &r {
-                    self.producers[np as usize].insert(uid);
+                for np in row.clone() {
+                    self.producers[np as usize].push(uid);
                 }
             }
         }
 
         // One virtual duplicate per successor: consume the complete
         // pending firing of t plus the non-q preset, re-emit the q
-        // places the successor does not consume itself.
-        for &uid in &successors {
+        // places the successor does not consume itself. A successor
+        // reads no p place, so its preset holds no product place and the
+        // duplicate always differs from it.
+        for &uid in &work {
             let Some(rec) = self.transitions[uid as usize].as_ref() else {
                 continue;
             };
-            let mut vpre = all_products.clone();
-            for &x in &rec.preset {
-                if !q.contains(&x) {
-                    vpre.insert(x);
-                }
-            }
-            if vpre == rec.preset {
-                // Degenerate duplicate identical to the real variant
-                // (the pure marked-graph collapse case).
-                continue;
-            }
+            let mut vpre: Vec<u32> = rec
+                .preset
+                .iter()
+                .copied()
+                .filter(|x| q.binary_search(x).is_err())
+                .collect();
+            vpre.extend(products.clone());
             let mut vpost = rec.postset.clone();
             for &qj in &q {
-                if !rec.preset.contains(&qj) {
-                    vpost.insert(qj);
+                if rec.preset.binary_search(&qj).is_err() {
+                    insert_sorted(&mut vpost, qj);
                 }
             }
-            let sym = rec.sym;
-            let mut key = rec.key.clone();
-            key.push(self.dup_counter);
-            self.dup_counter -= 1;
-            self.add_transition_rec(vpre, sym, vpost, key);
+            let (sym, key) = (rec.sym, rec.key);
+            self.add_duplicate(vpre, sym, vpost, key);
         }
+        self.scratch.slots = work;
 
         for &pi in &p {
             self.tombstone_place(pi as usize);
@@ -463,7 +517,7 @@ impl<L: Label> NetEditor<L> {
     /// first (legacy-order) transition carrying `label`, charging one
     /// transition per contraction against `meter`.
     ///
-    /// Worklist invariant: the label index *is* the worklist. A
+    /// Worklist invariant: the symbol index *is* the worklist. A
     /// contraction that duplicates a transition carrying `label`
     /// re-enqueues the duplicate through the same index update that
     /// registers it, so no separate rescan is needed; path-key selection
@@ -538,34 +592,79 @@ impl<L: Label> NetEditor<L> {
     // Structural reduction rules (each exactly trace-preserving)
     // ------------------------------------------------------------------
 
-    /// Collapses duplicate transitions (same label, preset and postset)
-    /// to the one earliest in legacy order. Returns the number removed.
-    pub fn dedup_transitions(&mut self) -> usize {
-        let mut order: Vec<(&[u32], usize)> = self
-            .transitions
-            .iter()
-            .enumerate()
-            .filter_map(|(i, t)| t.as_ref().map(|t| (t.key.as_slice(), i)))
-            .collect();
-        order.sort_unstable_by(|a, b| a.0.cmp(b.0));
-        let mut seen: BTreeSet<(Sym, Vec<u32>, Vec<u32>)> = BTreeSet::new();
-        let mut kill: Vec<usize> = Vec::new();
-        for (_, i) in order {
-            if let Some(rec) = self.transitions[i].as_ref() {
-                let sig = (
-                    rec.sym,
-                    rec.preset.iter().copied().collect(),
-                    rec.postset.iter().copied().collect(),
-                );
-                if !seen.insert(sig) {
-                    kill.push(i);
+    /// Orders live transitions `a` and `b` by label, preset and postset.
+    fn cmp_transitions(&self, a: u32, b: u32) -> Ordering {
+        match (&self.transitions[a as usize], &self.transitions[b as usize]) {
+            (Some(x), Some(y)) => {
+                (x.sym, &x.preset, &x.postset).cmp(&(y.sym, &y.preset, &y.postset))
+            }
+            (x, y) => x.is_some().cmp(&y.is_some()),
+        }
+    }
+
+    /// Orders places `a` and `b` by producers, consumers and marking.
+    fn cmp_places(&self, a: u32, b: u32) -> Ordering {
+        let (a, b) = (a as usize, b as usize);
+        let tokens = |p: usize| self.places[p].as_ref().map(|r| r.tokens);
+        (&self.producers[a], &self.consumers[a], tokens(a)).cmp(&(
+            &self.producers[b],
+            &self.consumers[b],
+            tokens(b),
+        ))
+    }
+
+    /// Sorts `sigs` by hash, then each run of equal hashes by the full
+    /// signature `same` and then by `first`, and returns the slots equal
+    /// to their predecessor: every member of a class but the one `first`
+    /// puts first. Runs are almost always single, so the common case is
+    /// a plain integer sort, and colliding hashes still cost
+    /// `O(n log n)`.
+    fn duplicates(
+        &self,
+        sigs: &mut [(u64, u32)],
+        same: impl Fn(&Self, u32, u32) -> Ordering,
+        first: impl Fn(&Self, u32, u32) -> Ordering,
+        out: &mut Vec<u32>,
+    ) {
+        sigs.sort_unstable();
+        out.clear();
+        for run in sigs.chunk_by_mut(|a, b| a.0 == b.0) {
+            if run.len() < 2 {
+                continue;
+            }
+            run.sort_unstable_by(|a, b| same(self, a.1, b.1).then_with(|| first(self, a.1, b.1)));
+            for w in run.windows(2) {
+                if same(self, w[0].1, w[1].1) == Ordering::Equal {
+                    out.push(w[1].1);
                 }
             }
         }
-        for t in &kill {
-            self.detach(*t);
+    }
+
+    /// Collapses duplicate transitions (same label, preset and postset)
+    /// to the one earliest in legacy order. Returns the number removed.
+    pub fn dedup_transitions(&mut self) -> usize {
+        let mut sigs = std::mem::take(&mut self.scratch.sigs);
+        let mut kill = std::mem::take(&mut self.scratch.slots);
+        sigs.clear();
+        for (t, rec) in self.transitions.iter().enumerate() {
+            if let Some(rec) = rec {
+                let h = hash_rows(rec.sym.index() as u64, &rec.preset, &rec.postset);
+                sigs.push((h, t as u32));
+            }
         }
-        kill.len()
+        self.duplicates(
+            &mut sigs,
+            Self::cmp_transitions,
+            |ed, a, b| ed.key_of(a).cmp(ed.key_of(b)),
+            &mut kill,
+        );
+        for &t in &kill {
+            self.detach(t as usize);
+        }
+        let removed = kill.len();
+        self.scratch = Scratch { sigs, slots: kill };
+        removed
     }
 
     /// Removes places that duplicate another place's constraint: same
@@ -573,40 +672,40 @@ impl<L: Label> NetEditor<L> {
     /// counts stay in lockstep in every reachable marking, so all but
     /// the first are implied. Returns the number removed.
     pub fn remove_redundant_places(&mut self) -> usize {
-        let mut seen: BTreeSet<(Vec<u32>, Vec<u32>, u32)> = BTreeSet::new();
-        let mut removed = 0usize;
-        for i in 0..self.places.len() {
-            let Some(rec) = self.places[i].as_ref() else {
+        let mut sigs = std::mem::take(&mut self.scratch.sigs);
+        let mut kill = std::mem::take(&mut self.scratch.slots);
+        sigs.clear();
+        for (i, rec) in self.places.iter().enumerate() {
+            let Some(rec) = rec else {
                 continue;
             };
-            if self.consumers[i].is_empty() && self.producers[i].is_empty() {
+            let (producers, consumers) = (&self.producers[i], &self.consumers[i]);
+            if producers.is_empty() && consumers.is_empty() {
                 continue; // disconnected; prune_stranded's concern
             }
-            let sig = (
-                self.producers[i].iter().copied().collect(),
-                self.consumers[i].iter().copied().collect(),
-                rec.tokens,
-            );
-            if seen.insert(sig) {
-                continue;
-            }
-            // Duplicate of an earlier place: every adjacent transition
-            // also carries the representative, so membership removal
-            // never empties a set.
-            let pid = i as u32;
-            for uid in self.consumers[i].clone() {
-                if let Some(t) = self.transitions[uid as usize].as_mut() {
-                    t.preset.remove(&pid);
-                }
-            }
-            for uid in self.producers[i].clone() {
-                if let Some(t) = self.transitions[uid as usize].as_mut() {
-                    t.postset.remove(&pid);
-                }
-            }
-            self.tombstone_place(i);
-            removed += 1;
+            let h = hash_rows(u64::from(rec.tokens), producers, consumers);
+            sigs.push((h, i as u32));
         }
+        self.duplicates(&mut sigs, Self::cmp_places, |_, a, b| a.cmp(&b), &mut kill);
+        // Each removed place duplicates a surviving one: every adjacent
+        // transition also carries the survivor, so membership removal
+        // never empties a row, and no other place's rows change.
+        for &pid in &kill {
+            let p = pid as usize;
+            for &uid in &self.consumers[p] {
+                if let Some(t) = self.transitions[uid as usize].as_mut() {
+                    remove_sorted(&mut t.preset, pid);
+                }
+            }
+            for &uid in &self.producers[p] {
+                if let Some(t) = self.transitions[uid as usize].as_mut() {
+                    remove_sorted(&mut t.postset, pid);
+                }
+            }
+            self.tombstone_place(p);
+        }
+        let removed = kill.len();
+        self.scratch = Scratch { sigs, slots: kill };
         removed
     }
 
@@ -619,31 +718,24 @@ impl<L: Label> NetEditor<L> {
     /// series contraction the orphaned real variant consumes exactly
     /// such a stranded place.
     pub fn prune_stranded(&mut self) -> (usize, usize) {
-        let mut stack: Vec<usize> = (0..self.places.len())
-            .filter(|&i| {
-                self.places[i]
-                    .as_ref()
-                    .is_some_and(|r| r.tokens == 0 && self.producers[i].is_empty())
-            })
-            .collect();
+        let mut stack = std::mem::take(&mut self.scratch.slots);
+        stack.clear();
+        stack.extend((0..self.places.len() as u32).filter(|&i| self.stranded(i as usize)));
         let mut pruned = 0usize;
         while let Some(x) = stack.pop() {
-            for uid in self.consumers[x].clone() {
+            for uid in std::mem::take(&mut self.consumers[x as usize]) {
                 let Some(rec) = self.detach(uid as usize) else {
                     continue;
                 };
                 pruned += 1;
                 for &y in &rec.postset {
-                    let yi = y as usize;
-                    if self.places[yi]
-                        .as_ref()
-                        .is_some_and(|r| r.tokens == 0 && self.producers[yi].is_empty())
-                    {
-                        stack.push(yi);
+                    if self.stranded(y as usize) {
+                        stack.push(y);
                     }
                 }
             }
         }
+        self.scratch.slots = stack;
         let mut dropped = 0usize;
         for i in 0..self.places.len() {
             let isolated = self.places[i].as_ref().is_some_and(|r| r.tokens == 0)
@@ -663,29 +755,32 @@ impl<L: Label> NetEditor<L> {
         self.reduce_metered(&mut meter)
     }
 
-    /// [`reduce`](Self::reduce) under a meter: the fixpoint loop polls
-    /// the meter's deadline/cancel state between rule passes and stops
-    /// early (returning the statistics so far, on a net that is still
+    /// [`reduce`](Self::reduce) under a meter: polls the meter's
+    /// deadline/cancel state before each rule pass and stops early
+    /// (returning the statistics so far, on a net that is still
     /// well-formed — every individual pass is atomic) once the meter
     /// stops. The resource caps do not bound rule applications; only
     /// the interrupt axes (deadline, cancellation) apply here.
+    ///
+    /// One round of the three rules reaches their joint fixpoint, except
+    /// that pruned transitions can leave places redundant, so a prune is
+    /// followed by one more redundant-place pass. No rule enables
+    /// another otherwise: a removed duplicate leaves its twin adjacent to
+    /// every place it touched; a removed redundant place leaves its twin
+    /// in every row it was in, so no two transitions become equal and no
+    /// other place's rows change; and pruning runs to its own fixpoint.
     pub fn reduce_metered(&mut self, meter: &mut Meter) -> ReductionStats {
         let mut stats = ReductionStats::default();
-        loop {
-            if meter.poll_interrupts() {
-                return stats;
-            }
-            let d = self.dedup_transitions();
-            let r = self.remove_redundant_places();
-            let (s, iso) = self.prune_stranded();
-            stats.duplicate_transitions += d;
-            stats.redundant_places += r;
-            stats.stranded_transitions += s;
-            stats.isolated_places += iso;
-            if d + r + s + iso == 0 {
-                return stats;
-            }
+        if meter.poll_interrupts() {
+            return stats;
         }
+        stats.duplicate_transitions = self.dedup_transitions();
+        stats.redundant_places = self.remove_redundant_places();
+        (stats.stranded_transitions, stats.isolated_places) = self.prune_stranded();
+        if stats.stranded_transitions > 0 && !meter.poll_interrupts() {
+            stats.redundant_places += self.remove_redundant_places();
+        }
+        stats
     }
 
     // ------------------------------------------------------------------
@@ -718,10 +813,10 @@ impl<L: Label> NetEditor<L> {
                 continue;
             }
             let pid = i as u32;
-            for uid in self.consumers[i].clone() {
+            for &uid in &self.consumers[i] {
                 if let Some(t) = self.transitions[uid as usize].as_mut() {
-                    t.preset.remove(&pid);
-                    t.postset.remove(&pid);
+                    remove_sorted(&mut t.preset, pid);
+                    remove_sorted(&mut t.postset, pid);
                 }
             }
             self.tombstone_place(i);
@@ -738,16 +833,16 @@ impl<L: Label> NetEditor<L> {
     /// all-live verdict from false to true).
     fn fsp_candidate(&self, t: usize, keep: &AlphaSet) -> Option<(u32, u32)> {
         let rec = self.transitions.get(t)?.as_ref()?;
-        if keep.contains(rec.sym) || rec.preset.len() != 1 || rec.postset.len() != 1 {
+        if keep.contains(rec.sym) {
             return None;
         }
-        let p = *rec.preset.iter().next()?;
-        let q = *rec.postset.iter().next()?;
-        let tid = t as u32;
-        let sole = |s: &BTreeSet<u32>| s.len() == 1 && s.contains(&tid);
+        let (&[p], &[q]) = (rec.preset.as_slice(), rec.postset.as_slice()) else {
+            return None;
+        };
+        let sole = [t as u32];
         if p != q
-            && sole(&self.consumers[p as usize])
-            && sole(&self.producers[q as usize])
+            && self.consumers[p as usize] == sole
+            && self.producers[q as usize] == sole
             && !self.producers[p as usize].is_empty()
         {
             Some((p, q))
@@ -783,10 +878,10 @@ impl<L: Label> NetEditor<L> {
             // q's only producer was t, so only consumers need rewiring.
             for uid in std::mem::take(&mut self.consumers[q as usize]) {
                 if let Some(rec) = self.transitions[uid as usize].as_mut() {
-                    rec.preset.remove(&q);
-                    rec.preset.insert(p);
+                    remove_sorted(&mut rec.preset, q);
+                    insert_sorted(&mut rec.preset, p);
                 }
-                self.consumers[p as usize].insert(uid);
+                insert_sorted(&mut self.consumers[p as usize], uid);
             }
             if let Some(rec) = self.places[p as usize].as_mut() {
                 rec.tokens += q_tokens;
@@ -807,11 +902,12 @@ impl<L: Label> NetEditor<L> {
     /// would let an unsafe token pile on `i` vanish).
     fn fst_candidate(&self, i: usize, keep: &AlphaSet) -> Option<(u32, u32)> {
         let place = self.places.get(i)?.as_ref()?;
-        if place.tokens != 0 || self.producers[i].len() != 1 || self.consumers[i].len() != 1 {
+        if place.tokens != 0 {
             return None;
         }
-        let t = *self.producers[i].iter().next()?;
-        let u = *self.consumers[i].iter().next()?;
+        let (&[t], &[u]) = (self.producers[i].as_slice(), self.consumers[i].as_slice()) else {
+            return None;
+        };
         if t == u {
             return None;
         }
@@ -820,7 +916,7 @@ impl<L: Label> NetEditor<L> {
             return None;
         }
         let t_rec = self.transitions[t as usize].as_ref()?;
-        if u_rec.postset.iter().any(|x| t_rec.postset.contains(x)) {
+        if intersects(&u_rec.postset, &t_rec.postset) {
             return None;
         }
         Some((t, u))
@@ -848,12 +944,14 @@ impl<L: Label> NetEditor<L> {
             };
             let pid = i as u32;
             if let Some(rec) = self.transitions[t as usize].as_mut() {
-                rec.postset.remove(&pid);
-                rec.postset.extend(u_rec.postset.iter().copied());
+                remove_sorted(&mut rec.postset, pid);
+                for &x in &u_rec.postset {
+                    insert_sorted(&mut rec.postset, x);
+                }
             }
-            self.producers[i].remove(&t);
+            remove_sorted(&mut self.producers[i], t);
             for &x in &u_rec.postset {
-                self.producers[x as usize].insert(t);
+                insert_sorted(&mut self.producers[x as usize], t);
             }
             self.tombstone_place(i);
             fused += 1;
@@ -939,25 +1037,68 @@ impl<L: Label> NetEditor<L> {
                 map[i] = Some(id);
             }
         }
-        let mut order: Vec<(&[u32], &TransRec)> = self
-            .transitions
-            .iter()
-            .filter_map(|t| t.as_ref().map(|t| (t.key.as_slice(), t)))
-            .collect();
-        order.sort_unstable_by(|a, b| a.0.cmp(b.0));
-        for (_, rec) in order {
-            let mapped = |s: &BTreeSet<u32>| -> Result<Vec<PlaceId>, PetriError> {
-                s.iter()
-                    .map(|&x| map[x as usize].ok_or(PetriError::UnknownPlace(x)))
-                    .collect()
-            };
-            net.add_transition_sym(mapped(&rec.preset)?, rec.sym, mapped(&rec.postset)?)?;
+        let mut order: Vec<&TransRec> = self.transitions.iter().flatten().collect();
+        order.sort_unstable_by(|a, b| self.key(a).cmp(self.key(b)));
+        for rec in order {
+            if let Some(&x) = rec
+                .preset
+                .iter()
+                .chain(&rec.postset)
+                .find(|&&x| map[x as usize].is_none())
+            {
+                return Err(PetriError::UnknownPlace(x));
+            }
+            net.add_transition_sym(
+                rec.preset.iter().filter_map(|&x| map[x as usize]),
+                rec.sym,
+                rec.postset.iter().filter_map(|&x| map[x as usize]),
+            )?;
         }
         for s in self.alphabet.iter() {
             net.declare_sym(s);
         }
         Ok(net)
     }
+}
+
+/// Removes `x` from the sorted row `row`, if present.
+fn remove_sorted(row: &mut Vec<u32>, x: u32) {
+    if let Ok(i) = row.binary_search(&x) {
+        row.remove(i);
+    }
+}
+
+/// Inserts `x` into the sorted row `row`, if absent.
+fn insert_sorted(row: &mut Vec<u32>, x: u32) {
+    if let Err(i) = row.binary_search(&x) {
+        row.insert(i, x);
+    }
+}
+
+/// Whether two sorted rows share an element.
+fn intersects(a: &[u32], b: &[u32]) -> bool {
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            Ordering::Less => i += 1,
+            Ordering::Greater => j += 1,
+            Ordering::Equal => return true,
+        }
+    }
+    false
+}
+
+/// A signature hash of `seed` and two rows: word-at-a-time multiply-
+/// rotate mixing. It only orders the signature sort — equal hashes are
+/// compared in full — so a collision costs a comparison, never a result.
+fn hash_rows(seed: u64, a: &[u32], b: &[u32]) -> u64 {
+    const K: u64 = 0x517c_c1b7_2722_0a95;
+    let mix = |h: u64, w: u64| (h.rotate_left(5) ^ w).wrapping_mul(K);
+    let mut h = mix(mix(0, seed), a.len() as u64);
+    for &x in a.iter().chain(b) {
+        h = mix(h, u64::from(x));
+    }
+    h
 }
 
 /// Reduces `net` for verdict-level analysis: runs
@@ -1245,6 +1386,134 @@ mod tests {
             .hide(&BTreeSet::from(["tau1", "tau2"]));
         let l1 = cpn_trace::Language::from_net(&reduced, 8, 100_000).unwrap();
         assert!(l0.eq_up_to(&l1, 4));
+    }
+
+    /// Runs `edit` on `ed` and reports whether `edits()` moved.
+    fn moves(
+        ed: &mut NetEditor<&'static str>,
+        edit: impl FnOnce(&mut NetEditor<&'static str>),
+    ) -> bool {
+        let before = ed.edits();
+        edit(ed);
+        ed.edits() != before
+    }
+
+    /// `reduce_explored` skips its cleanup reachability pass when
+    /// `edits()` has not moved, so the counter must move exactly when the
+    /// net changes.
+    #[test]
+    fn edits_move_iff_the_net_changes() {
+        let net = chain();
+        let all = net.alphabet_syms().clone();
+        let mut ed = NetEditor::from_net(&net);
+        let mut meter = Meter::new(&Budget::unlimited());
+        // `chain()` is a fixpoint of every rule, and with the whole
+        // alphabet kept nothing is internal.
+        assert!(!moves(&mut ed, |ed| {
+            assert_eq!(ed.reduce(), ReductionStats::default());
+        }));
+        assert!(!moves(&mut ed, |ed| {
+            assert_eq!(ed.dedup_transitions(), 0);
+            assert_eq!(ed.remove_redundant_places(), 0);
+            assert_eq!(ed.prune_stranded(), (0, 0));
+            assert_eq!(ed.eliminate_self_loop_places(), 0);
+            assert_eq!(ed.fuse_series_places(&all), 0);
+            assert_eq!(ed.fuse_series_transitions(&all), 0);
+            assert_eq!(ed.reduce_with(&all), ReductionStats::default());
+            ed.remove_transitions(&BTreeSet::new());
+        }));
+        // Hiding a label the net never interned, or one it declares but
+        // no transition carries, changes nothing.
+        let mut declared = chain();
+        declared.declare_label("idle");
+        let mut ed2 = NetEditor::from_net(&declared);
+        assert!(!moves(&mut ed2, |ed| {
+            assert!(ed.hide_label(&"absent", &mut meter).unwrap());
+            assert!(ed.hide_label(&"idle", &mut meter).unwrap());
+        }));
+        // A real hide moves the counter; hiding the label again does not.
+        assert!(moves(&mut ed, |ed| {
+            assert!(ed.hide_label(&"tau", &mut meter).unwrap());
+        }));
+        assert!(!moves(&mut ed, |ed| {
+            assert!(ed.hide_label(&"tau", &mut meter).unwrap());
+        }));
+        // The contraction left a stranded `b` and its place behind.
+        assert!(moves(&mut ed, |ed| assert_eq!(ed.prune_stranded(), (1, 1))));
+        assert!(!moves(&mut ed, |ed| {
+            assert_eq!(ed.reduce(), ReductionStats::default());
+        }));
+        let mut ed = NetEditor::from_net(&chain());
+        assert!(moves(&mut ed, |ed| ed.contract(1).unwrap()));
+        let mut ed = NetEditor::from_net(&chain());
+        assert!(moves(&mut ed, |ed| {
+            ed.remove_transitions(&BTreeSet::from([TransitionId::from_index(2)]));
+        }));
+
+        // Every rule that finds something moves the counter.
+        let mut dup: PetriNet<&str> = PetriNet::new();
+        let (p, q) = (dup.add_place("p"), dup.add_place("q"));
+        dup.add_transition([p], "a", [q]).unwrap();
+        dup.add_transition([p], "a", [q]).unwrap();
+        dup.set_initial(p, 1);
+        let mut ed = NetEditor::from_net(&dup);
+        assert!(moves(&mut ed, |ed| assert_eq!(ed.dedup_transitions(), 1)));
+
+        let mut lockstep: PetriNet<&str> = PetriNet::new();
+        let (p, q, r) = (
+            lockstep.add_place("p"),
+            lockstep.add_place("q"),
+            lockstep.add_place("r"),
+        );
+        lockstep.add_transition([p], "a", [q, r]).unwrap();
+        lockstep.add_transition([q, r], "b", [p]).unwrap();
+        lockstep.set_initial(p, 1);
+        let mut ed = NetEditor::from_net(&lockstep);
+        assert!(moves(&mut ed, |ed| {
+            assert_eq!(ed.remove_redundant_places(), 1);
+        }));
+
+        let mut mutex: PetriNet<&str> = PetriNet::new();
+        let (p0, p1, mx) = (
+            mutex.add_place("p0"),
+            mutex.add_place("p1"),
+            mutex.add_place("mutex"),
+        );
+        mutex.add_transition([p0, mx], "a", [p1, mx]).unwrap();
+        mutex.add_transition([p1, mx], "b", [p0, mx]).unwrap();
+        mutex.set_initial(p0, 1);
+        mutex.set_initial(mx, 1);
+        let mut ed = NetEditor::from_net(&mutex);
+        assert!(moves(&mut ed, |ed| {
+            assert_eq!(ed.eliminate_self_loop_places(), 1);
+        }));
+
+        let observable = |net: &PetriNet<&'static str>| {
+            let mut keep = AlphaSet::new();
+            keep.insert(net.sym_of(&"a").unwrap());
+            keep.insert(net.sym_of(&"b").unwrap());
+            keep
+        };
+        let mut cycle: PetriNet<&str> = PetriNet::new();
+        let (c0, c1, c2) = (
+            cycle.add_place("p0"),
+            cycle.add_place("p1"),
+            cycle.add_place("p2"),
+        );
+        cycle.add_transition([c0], "a", [c1]).unwrap();
+        cycle.add_transition([c1], "tau", [c2]).unwrap();
+        cycle.add_transition([c2], "b", [c0]).unwrap();
+        cycle.set_initial(c0, 1);
+        let keep = observable(&cycle);
+        let mut ed = NetEditor::from_net(&cycle);
+        assert!(moves(&mut ed, |ed| {
+            assert_eq!(ed.fuse_series_places(&keep), 1);
+        }));
+        let keep = observable(&net);
+        let mut ed = NetEditor::from_net(&net);
+        assert!(moves(&mut ed, |ed| {
+            assert_eq!(ed.fuse_series_transitions(&keep), 1);
+        }));
     }
 
     #[test]

@@ -14,14 +14,23 @@
 //!   (multiset initial markings), which the engine must handle the same
 //!   as the reference;
 //! * the structural reduction rules ([`NetEditor::reduce`]) are checked
-//!   trace-preserving against the `cpn-trace` oracle on generated nets.
+//!   trace-preserving against the `cpn-trace` oracle on generated nets;
+//! * [`NetEditor::reduce`] and [`NetEditor::reduce_with`] are checked
+//!   bit-identical (net and [`ReductionStats`](cpn_core::ReductionStats))
+//!   to the rebuild-per-rule reference, [`oracle::reduce`] and
+//!   [`oracle::reduce_with`]: on fresh editors, and for `reduce` also
+//!   after random sequences of partial hides and reductions, where the
+//!   duplicates sit at the arena's end but mid-way in transition order.
 //!
 //! All randomized cases replay under `CPN_TESTKIT_SEED`.
 
 use cpn_core::{hide_label, hide_labels_bounded, hide_transition, CoreError, NetEditor};
-use cpn_petri::{Budget, PetriNet, TransitionId};
+use cpn_petri::{AlphaSet, Budget, Meter, PetriNet, TransitionId};
 use cpn_testkit::oracle;
-use cpn_testkit::{check, prop_assert, prop_assume, NetStrategy, PropFail, PropResult, RawNet};
+use cpn_testkit::{
+    check, prop_assert, prop_assume, u32_in, usize_in, vec_of, NetStrategy, PropFail, PropResult,
+    RawNet,
+};
 use cpn_trace::Language;
 use std::collections::BTreeSet;
 
@@ -157,6 +166,78 @@ fn law_reduce_preserves_language(raw: &RawNet) -> PropResult {
     Ok(())
 }
 
+/// `reduce` on `editor` against [`oracle::reduce`] on the net the editor
+/// holds: the same reduced net and the same statistics.
+fn reduce_agrees(editor: &mut NetEditor<&'static str>) -> PropResult {
+    let finish = |editor: &NetEditor<&'static str>| {
+        editor
+            .finish()
+            .map_err(|e| PropFail::Fail(format!("finish failed: {e}")))
+    };
+    let before = finish(editor)?;
+    let stats = editor.reduce();
+    let after = finish(editor)?;
+    let want = oracle::reduce(&before)
+        .map_err(|e| PropFail::Fail(format!("reference reduce failed: {e}")))?;
+    prop_assert!(
+        want == (after.clone(), stats),
+        "reduce diverged from the reference on\n{before}\neditor ({stats:?}):\n{after}\nreference ({:?}):\n{}",
+        want.1,
+        want.0
+    );
+    Ok(())
+}
+
+fn law_reduce_matches_oracle(raw: &RawNet) -> PropResult {
+    reduce_agrees(&mut NetEditor::from_net(&build(raw)))
+}
+
+/// Each step either hides up to three transitions of one label or
+/// checks a `reduce` against the reference; a last `reduce` is checked
+/// after the sequence. A contraction error ends the sequence early.
+fn law_reduce_after_contractions_matches_oracle((raw, steps): &(RawNet, Vec<usize>)) -> PropResult {
+    let net = build(raw);
+    let mut editor = NetEditor::from_net(&net);
+    for &step in steps {
+        let Some(label) = LABELS.get(step % (LABELS.len() + 1)) else {
+            reduce_agrees(&mut editor)?;
+            continue;
+        };
+        let cap = 1 + step / (LABELS.len() + 1) % 3;
+        let mut meter = Meter::new(&Budget::new(usize::MAX, cap));
+        if editor.hide_label(label, &mut meter).is_err() {
+            break;
+        }
+    }
+    reduce_agrees(&mut editor)
+}
+
+/// `reduce_with` on a fresh editor against [`oracle::reduce_with`],
+/// keeping the labels whose bit is set in `mask`.
+fn law_reduce_with_matches_oracle((raw, mask): &(RawNet, u32)) -> PropResult {
+    let net = build(raw);
+    let keep: AlphaSet = LABELS
+        .iter()
+        .enumerate()
+        .filter(|&(i, _)| mask >> i & 1 == 1)
+        .filter_map(|(_, l)| net.sym_of(l))
+        .collect();
+    let mut editor = NetEditor::from_net(&net);
+    let stats = editor.reduce_with(&keep);
+    let after = editor
+        .finish()
+        .map_err(|e| PropFail::Fail(format!("finish failed: {e}")))?;
+    let want = oracle::reduce_with(&net, &keep)
+        .map_err(|e| PropFail::Fail(format!("reference reduce_with failed: {e}")))?;
+    prop_assert!(
+        want == (after.clone(), stats),
+        "reduce_with (mask {mask:#x}) diverged from the reference on\n{net}\neditor ({stats:?}):\n{after}\nreference ({:?}):\n{}",
+        want.1,
+        want.0
+    );
+    Ok(())
+}
+
 #[test]
 fn engine_matches_legacy_on_safe_nets() {
     check(
@@ -199,6 +280,60 @@ fn reduction_rules_preserve_language_nonsafe() {
         "reduction_rules_preserve_language_nonsafe",
         &strategy(4, 4).max_tokens(3),
         law_reduce_preserves_language,
+    );
+}
+
+#[test]
+fn reduce_matches_oracle_on_safe_nets() {
+    check(
+        "reduce_matches_oracle_on_safe_nets",
+        &strategy(5, 5),
+        law_reduce_matches_oracle,
+    );
+}
+
+#[test]
+fn reduce_matches_oracle_on_nonsafe_nets() {
+    check(
+        "reduce_matches_oracle_on_nonsafe_nets",
+        &strategy(5, 5).max_tokens(3),
+        law_reduce_matches_oracle,
+    );
+}
+
+#[test]
+fn reduce_after_contractions_matches_oracle_on_safe_nets() {
+    check(
+        "reduce_after_contractions_matches_oracle_on_safe_nets",
+        &(strategy(4, 4), vec_of(usize_in(0..15), 1..=6)),
+        law_reduce_after_contractions_matches_oracle,
+    );
+}
+
+#[test]
+fn reduce_after_contractions_matches_oracle_on_nonsafe_nets() {
+    check(
+        "reduce_after_contractions_matches_oracle_on_nonsafe_nets",
+        &(strategy(4, 4).max_tokens(3), vec_of(usize_in(0..15), 1..=6)),
+        law_reduce_after_contractions_matches_oracle,
+    );
+}
+
+#[test]
+fn reduce_with_matches_oracle_on_safe_nets() {
+    check(
+        "reduce_with_matches_oracle_on_safe_nets",
+        &(strategy(5, 5), u32_in(0..16)),
+        law_reduce_with_matches_oracle,
+    );
+}
+
+#[test]
+fn reduce_with_matches_oracle_on_nonsafe_nets() {
+    check(
+        "reduce_with_matches_oracle_on_nonsafe_nets",
+        &(strategy(5, 5).max_tokens(3), u32_in(0..16)),
+        law_reduce_with_matches_oracle,
     );
 }
 
@@ -253,6 +388,34 @@ fn regression_duplicate_of_hidden_label_reenqueues() {
             engines_agree(&net, &BTreeSet::from(["tau"]), cap),
         );
     }
+}
+
+/// Two series-transition fusions that exclude each other: fusing
+/// either `tau` into `t` puts `k` into `t`'s postset, which closes the
+/// overlap gate for the other. The one whose place comes first in arena
+/// order must be fused.
+#[test]
+fn regression_series_fusion_visit_order() {
+    let mut net: PetriNet<&str> = PetriNet::new();
+    let s = net.add_place("s");
+    let i = net.add_place("i");
+    let j = net.add_place("j");
+    let k = net.add_place("k");
+    net.add_transition([s], "t", [i, j]).unwrap();
+    net.add_transition([j], "tau", [k]).unwrap();
+    net.add_transition([i], "c", [k]).unwrap();
+    net.set_initial(s, 1);
+    let keep: AlphaSet = [net.sym_of(&"t").unwrap()].into_iter().collect();
+    let mut editor = NetEditor::from_net(&net);
+    let stats = editor.reduce_with(&keep);
+    assert_eq!(stats.series_transitions, 1);
+    let reduced = editor.finish().unwrap();
+    assert_eq!(
+        oracle::reduce_with(&net, &keep).unwrap(),
+        (reduced.clone(), stats)
+    );
+    assert!(reduced.transitions_with_label(&"tau").next().is_some());
+    assert!(reduced.transitions_with_label(&"c").next().is_none());
 }
 
 /// Divergence (hidden self-loop after one contraction) must surface as

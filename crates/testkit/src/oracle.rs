@@ -1,7 +1,8 @@
 //! Reference implementations the fast paths are differentiated against:
-//! [`hide_labels`] for the contraction engine, [`reachability`] for
-//! the exploration kernel, and [`canonical_form`] / [`canonical_order`]
-//! for the `NetId` canonicalizer.
+//! [`hide_labels`] for the contraction engine, [`reduce`] /
+//! [`reduce_with`] for its structural reduction rules, [`reachability`]
+//! for the exploration kernel, and [`canonical_form`] /
+//! [`canonical_order`] for the `NetId` canonicalizer.
 //!
 //! [`reachability`] builds `RG(N)` the interpreted way: the net's own
 //! [`PetriNet::is_enabled`] and [`PetriNet::fire`] over [`Marking`]s,
@@ -33,7 +34,9 @@ use cpn_petri::{
 use std::collections::{BTreeSet, HashMap};
 
 mod canonical;
+mod reduce;
 pub use canonical::{canonical_form, canonical_order};
+pub use reduce::{reduce, reduce_with};
 
 /// A reachability graph as the reference explorer builds it.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -1,9 +1,12 @@
-//! Structural-identity LRU cache of compiled nets.
+//! Structural-identity LRU cache of compiled nets and of the verify
+//! answers computed on them.
 //!
 //! Clients resubmitting the same document (an interactive design loop
 //! re-verifying after each edit, a CI matrix fanning one net across
 //! many property checks, a batch hash-consing its items' documents)
-//! should not pay parse + compile per request. The cache is two-tier:
+//! should not pay parse + compile per request, and a client re-verifying
+//! an unchanged pair should not pay the verify pipeline either. The
+//! cache has three tiers:
 //!
 //! 1. a **byte tier** keyed on an FNV-1a hash of the raw document text
 //!    plus the requested net name — the zero-parse fast path for exact
@@ -12,11 +15,27 @@
 //!    [`cpn_petri::NetId`] — documents that differ only in
 //!    whitespace, place names, declaration order, or interner history
 //!    compile to the same entry, as do shared sub-modules submitted
-//!    under different documents.
+//!    under different documents;
+//! 3. a **verdict tier** holding verify answers ([`VerifySummary`]),
+//!    each keyed by the two structural entries it was computed on plus
+//!    the request's sorted `louts` and `routs`, its effective state cap
+//!    and its `hide_budget`.
 //!
 //! A byte miss that lands on a resident `NetId` costs one parse but no
 //! compile, and is counted as a *structural hit*; only lookups whose
 //! canonical identity is genuinely absent count as misses.
+//!
+//! The verdict tier is exact. A verdict names its entries by a serial
+//! number each entry gets when it is compiled, not by `NetId`: two
+//! spellings of one net share a `NetId`, but nothing proves a
+//! reduction's counts invariant under respelling (the contraction
+//! editor's survivors follow the resident net's order), so an answer is
+//! returned only for the very entries it was computed on. A verdict is
+//! recorded only while both of its entries are still the resident ones
+//! for their `NetId`s (another worker may have evicted one and compiled
+//! it again meanwhile), and evicting an entry drops every verdict on it.
+//! The server records only answers that are pure functions of the
+//! request: complete, or stopped by the state or transition cap.
 //!
 //! Eviction is least-recently-*used* (every hit refreshes the entry),
 //! not FIFO: a hot net a pipelined client hammers between submissions
@@ -25,12 +44,17 @@
 //! minimum tick instead of maintaining an ordering structure —
 //! O(capacity) per *eviction* (misses only, at most one scan each) and
 //! zero overhead on the hit path beyond a counter store. Evicting an
-//! entry also purges every byte-tier alias that pointed at it.
+//! entry also purges every byte-tier alias and every verdict that
+//! pointed at it. The verdict tier holds at most `capacity` verdicts and
+//! evicts the least recently used one the same way; its recency stamps
+//! never touch a net entry's, so it cannot change which net is evicted.
 
+use crate::proto::VerifySummary;
 use cpn_format::{parse_with_limits, Document, ParseLimits};
 use cpn_petri::{CompiledNet, NetId, PetriNet};
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// FNV-1a, 64-bit — re-exported from [`cpn_petri::hash`] so existing
@@ -51,6 +75,9 @@ pub struct CachedNet {
     pub m0: Vec<u32>,
     /// The canonical structural identity the entry is keyed on.
     pub id: NetId,
+    /// Unique to this entry: a net evicted and compiled again gets a
+    /// new serial, so verdicts can name the very entry they used.
+    serial: u64,
 }
 
 /// Why a cache lookup failed to produce a net.
@@ -84,6 +111,45 @@ pub struct CacheStats {
     /// Approximate bytes held by resident entries (nets + compiled
     /// firing rules; see [`CachedNet::approx_bytes`]).
     pub bytes: u64,
+    /// Verify answers returned from the verdict tier.
+    pub verdict_hits: u64,
+    /// Verdicts currently resident (at most `capacity`).
+    pub verdicts: usize,
+}
+
+/// What a verify answer is a pure function of: the two resident entries
+/// it is computed on and the request's parameters.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub(crate) struct VerdictKey {
+    /// `(NetId, serial)` of the module's entry, then the environment's.
+    nets: [(NetId, u64); 2],
+    /// The module's outputs.
+    pub(crate) louts: BTreeSet<String>,
+    /// The environment's outputs.
+    pub(crate) routs: BTreeSet<String>,
+    /// The effective state cap.
+    pub(crate) cap: usize,
+    /// The per-label contraction budget.
+    pub(crate) hide_budget: usize,
+}
+
+impl VerdictKey {
+    pub(crate) fn new(
+        module: &CachedNet,
+        env: &CachedNet,
+        louts: BTreeSet<String>,
+        routs: BTreeSet<String>,
+        cap: usize,
+        hide_budget: usize,
+    ) -> Self {
+        VerdictKey {
+            nets: [(module.id, module.serial), (env.id, env.serial)],
+            louts,
+            routs,
+            cap,
+            hide_budget,
+        }
+    }
 }
 
 impl CachedNet {
@@ -112,6 +178,8 @@ impl CachedNet {
 pub struct NetCache {
     inner: Mutex<CacheInner>,
     limits: ParseLimits,
+    /// The next [`CachedNet`] serial.
+    serials: AtomicU64,
 }
 
 #[derive(Debug)]
@@ -123,6 +191,13 @@ struct CacheEntry {
 }
 
 #[derive(Debug)]
+struct StoredVerdict {
+    summary: VerifySummary,
+    /// Recency stamp, from the same counter as the entries' ticks.
+    tick: u64,
+}
+
+#[derive(Debug)]
 struct CacheInner {
     /// Byte tier: exact (doc hash, net name) pairs seen before, each
     /// an alias for a structural entry. Multiple byte keys may alias
@@ -130,6 +205,8 @@ struct CacheInner {
     by_bytes: HashMap<(u64, String), NetId>,
     /// Structural tier: the compiled nets themselves.
     by_id: HashMap<NetId, CacheEntry>,
+    /// Verdict tier: verify answers on resident entries.
+    verdicts: HashMap<VerdictKey, StoredVerdict>,
     /// Monotonic use counter; the entry with the smallest stored tick
     /// is the least recently used.
     tick: u64,
@@ -138,6 +215,7 @@ struct CacheInner {
     structural_hits: u64,
     misses: u64,
     evictions: u64,
+    verdict_hits: u64,
 }
 
 impl CacheInner {
@@ -172,10 +250,23 @@ impl CacheInner {
                 Some(id) => {
                     self.by_id.remove(&id);
                     self.by_bytes.retain(|_, target| *target != id);
+                    self.verdicts
+                        .retain(|key, _| key.nets.iter().all(|&(net, _)| net != id));
                     self.evictions += 1;
                 }
                 None => break,
             }
+        }
+    }
+
+    /// Drops least recently used verdicts until at most `capacity`
+    /// remain (ticks are unique, so each round drops exactly one).
+    fn evict_verdicts_to_capacity(&mut self) {
+        while self.verdicts.len() > self.capacity {
+            let Some(oldest) = self.verdicts.values().map(|v| v.tick).min() else {
+                break;
+            };
+            self.verdicts.retain(|_, v| v.tick != oldest);
         }
     }
 }
@@ -188,14 +279,17 @@ impl NetCache {
             inner: Mutex::new(CacheInner {
                 by_bytes: HashMap::new(),
                 by_id: HashMap::new(),
+                verdicts: HashMap::new(),
                 tick: 0,
                 capacity: capacity.max(1),
                 byte_hits: 0,
                 structural_hits: 0,
                 misses: 0,
                 evictions: 0,
+                verdict_hits: 0,
             }),
             limits,
+            serials: AtomicU64::new(0),
         }
     }
 
@@ -317,6 +411,9 @@ impl NetCache {
             compiled,
             m0,
             id,
+            // A unique number and nothing more: no other data is
+            // published through it.
+            serial: self.serials.fetch_add(1, Ordering::Relaxed),
         });
         let approx_bytes = entry.approx_bytes();
         let mut inner = self.lock();
@@ -359,6 +456,42 @@ impl NetCache {
             .is_some_and(|id| inner.by_id.contains_key(id))
     }
 
+    /// The verify answer recorded for `key`, refreshing its recency.
+    /// Every verdict names resident entries (recording checks it, and
+    /// evicting an entry drops its verdicts), so a hit is an answer
+    /// computed on the very nets the caller holds.
+    pub(crate) fn verdict(&self, key: &VerdictKey) -> Option<VerifySummary> {
+        let mut inner = self.lock();
+        let tick = inner.touch();
+        let stored = inner.verdicts.get_mut(key)?;
+        stored.tick = tick;
+        let summary = stored.summary.clone();
+        inner.verdict_hits += 1;
+        Some(summary)
+    }
+
+    /// Records `summary` as the answer for `key`, evicting the least
+    /// recently used verdict past capacity. Refused (`false`) unless
+    /// both entries the key names are still the resident ones for their
+    /// `NetId`s: another worker may have evicted one, and compiled it
+    /// again, while the answer was computed.
+    pub(crate) fn record_verdict(&self, key: VerdictKey, summary: VerifySummary) -> bool {
+        let mut inner = self.lock();
+        let resident = key.nets.iter().all(|&(id, serial)| {
+            inner
+                .by_id
+                .get(&id)
+                .is_some_and(|entry| entry.net.serial == serial)
+        });
+        if !resident {
+            return false;
+        }
+        let tick = inner.touch();
+        inner.verdicts.insert(key, StoredVerdict { summary, tick });
+        inner.evict_verdicts_to_capacity();
+        true
+    }
+
     /// All counters since construction.
     pub fn full_stats(&self) -> CacheStats {
         let inner = self.lock();
@@ -371,6 +504,8 @@ impl NetCache {
             len: inner.by_id.len(),
             capacity: inner.capacity,
             bytes: inner.by_id.values().map(|e| e.approx_bytes).sum(),
+            verdict_hits: inner.verdict_hits,
+            verdicts: inner.verdicts.len(),
         }
     }
 
@@ -406,6 +541,7 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
 
     use super::*;
+    use crate::proto::Receptive;
 
     const DOC: &str = "net n { places { p* q } transition \"t\" { pre: p; post: q } }";
 
@@ -557,6 +693,174 @@ mod tests {
         single.get_or_compile(PAIR, "m").unwrap();
         single.get_or_compile(PAIR, "ghost").unwrap_err();
         assert_eq!(many.full_stats(), single.full_stats());
+    }
+
+    /// A verify answer to record; `states` tells answers apart.
+    fn summary(states: usize) -> VerifySummary {
+        VerifySummary {
+            receptive: Receptive::Yes,
+            failures: Vec::new(),
+            states,
+            edges: 0,
+            stopped: None,
+            composed_transitions: 2,
+            reduced_transitions: Some(1),
+            dead_removed: 0,
+        }
+    }
+
+    fn labels(ls: &[&str]) -> BTreeSet<String> {
+        ls.iter().map(|l| l.to_string()).collect()
+    }
+
+    /// Looks up `m` and `e` in `doc` as a verify does, and keys the
+    /// verdict on the entries it got.
+    fn pair_key(cache: &NetCache, doc: &str) -> VerdictKey {
+        let nets = cache.get_or_compile_many(doc, &["m", "e"]).unwrap();
+        VerdictKey::new(&nets[0], &nets[1], labels(&["a"]), labels(&["b"]), 100, 10)
+    }
+
+    #[test]
+    fn a_recorded_verdict_answers_a_structural_relookup() {
+        let cache = NetCache::new(8, ParseLimits::default());
+        let key = pair_key(&cache, PAIR);
+        assert_eq!(cache.verdict(&key), None);
+        assert!(cache.record_verdict(key, summary(7)));
+        let respelled = pair_key(&cache, PAIR_RESPELLED);
+        assert_eq!(cache.verdict(&respelled), Some(summary(7)));
+        let stats = cache.full_stats();
+        assert_eq!(stats.structural_hits, 2);
+        assert_eq!((stats.verdict_hits, stats.verdicts), (1, 1));
+    }
+
+    #[test]
+    fn a_verdict_answers_only_its_own_parameters() {
+        let cache = NetCache::new(8, ParseLimits::default());
+        let key = pair_key(&cache, PAIR);
+        assert!(cache.record_verdict(key.clone(), summary(7)));
+        let others = [
+            VerdictKey {
+                cap: 99,
+                ..key.clone()
+            },
+            VerdictKey {
+                hide_budget: 11,
+                ..key.clone()
+            },
+            VerdictKey {
+                louts: labels(&["a", "b"]),
+                ..key.clone()
+            },
+            VerdictKey {
+                routs: labels(&[]),
+                ..key.clone()
+            },
+            VerdictKey {
+                nets: [key.nets[1], key.nets[0]],
+                ..key.clone()
+            },
+        ];
+        for other in &others {
+            assert_eq!(cache.verdict(other), None, "{other:?}");
+        }
+        assert_eq!(cache.verdict(&key), Some(summary(7)));
+        assert_eq!(cache.full_stats().verdict_hits, 1);
+    }
+
+    #[test]
+    fn evicting_either_entry_drops_its_verdicts() {
+        for (evicted, kept) in [("m", "e"), ("e", "m")] {
+            let cache = NetCache::new(2, ParseLimits::default());
+            let key = pair_key(&cache, PAIR);
+            assert!(cache.record_verdict(key.clone(), summary(7)));
+            // Refresh the other net, so the cold insert evicts `evicted`.
+            cache.get_or_compile(PAIR, kept).unwrap();
+            let (doc, name) = cold_doc(0);
+            cache.get_or_compile(&doc, &name).unwrap();
+            assert!(cache.peek(PAIR, kept) && !cache.peek(PAIR, evicted));
+            assert_eq!(cache.full_stats().verdicts, 0, "evicting {evicted}");
+            assert_eq!(cache.verdict(&key), None);
+            // Another spelling compiles `evicted` again: a new entry,
+            // so a new key, and no answer for it.
+            let respelled = pair_key(&cache, PAIR_RESPELLED);
+            assert_ne!(respelled, key);
+            assert_eq!(cache.verdict(&respelled), None);
+            assert_eq!(cache.full_stats().verdict_hits, 0);
+        }
+    }
+
+    #[test]
+    fn a_verdict_on_a_replaced_entry_is_refused() {
+        let cache = NetCache::new(3, ParseLimits::default());
+        let key = pair_key(&cache, PAIR);
+        // While the answer is computed, other lookups evict `m` and
+        // compile it again; `e` stays resident throughout.
+        for i in 0..2 {
+            cache.get_or_compile(PAIR, "e").unwrap();
+            let (doc, name) = cold_doc(i);
+            cache.get_or_compile(&doc, &name).unwrap();
+        }
+        assert!(!cache.peek(PAIR, "m"));
+        cache.get_or_compile(PAIR, "e").unwrap();
+        cache.get_or_compile(PAIR_RESPELLED, "m").unwrap();
+        assert!(cache.peek(PAIR, "e") && cache.peek(PAIR_RESPELLED, "m"));
+        assert!(!cache.record_verdict(key.clone(), summary(7)));
+        assert_eq!(cache.full_stats().verdicts, 0);
+        let current = pair_key(&cache, PAIR_RESPELLED);
+        assert_eq!(current.nets[1], key.nets[1], "`e` is the same entry");
+        assert_ne!(current, key);
+        assert_eq!(cache.verdict(&current), None);
+    }
+
+    #[test]
+    fn resident_verdicts_never_exceed_capacity() {
+        let cache = NetCache::new(2, ParseLimits::default());
+        let key = pair_key(&cache, PAIR);
+        let at = |cap| VerdictKey { cap, ..key.clone() };
+        for cap in 0..6 {
+            assert!(cache.record_verdict(at(cap), summary(cap)));
+            assert_eq!(cache.full_stats().verdicts, (cap + 1).min(2));
+        }
+        // Least recently used goes first: refresh 4, then record 6.
+        assert_eq!(cache.verdict(&at(4)), Some(summary(4)));
+        assert!(cache.record_verdict(at(6), summary(6)));
+        assert_eq!(cache.verdict(&at(5)), None);
+        assert_eq!(cache.verdict(&at(4)), Some(summary(4)));
+        assert_eq!(cache.verdict(&at(6)), Some(summary(6)));
+        // Verdict churn evicts no net.
+        let stats = cache.full_stats();
+        assert_eq!((stats.len, stats.evictions, stats.verdicts), (2, 0, 2));
+    }
+
+    #[test]
+    fn verdicts_do_not_change_which_net_is_evicted() {
+        let plain = NetCache::new(3, ParseLimits::default());
+        let with_verdicts = NetCache::new(3, ParseLimits::default());
+        for i in 0..6 {
+            let (doc, name) = cold_doc(i);
+            plain.get_or_compile_many(PAIR, &["m", "e"]).unwrap();
+            plain.get_or_compile(&doc, &name).unwrap();
+            let key = pair_key(&with_verdicts, PAIR);
+            if with_verdicts.verdict(&key).is_none() {
+                with_verdicts.record_verdict(key, summary(i));
+            }
+            with_verdicts.get_or_compile(&doc, &name).unwrap();
+            let resident = |cache: &NetCache| {
+                let mut docs: Vec<_> = (0..=i).map(cold_doc).collect();
+                docs.push((PAIR.to_owned(), "m".to_owned()));
+                docs.push((PAIR.to_owned(), "e".to_owned()));
+                docs.iter()
+                    .map(|(doc, name)| cache.peek(doc, name))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(resident(&plain), resident(&with_verdicts), "round {i}");
+            let (a, b) = (plain.full_stats(), with_verdicts.full_stats());
+            assert_eq!(
+                (a.hits, a.misses, a.evictions),
+                (b.hits, b.misses, b.evictions)
+            );
+        }
+        assert!(with_verdicts.full_stats().verdict_hits > 0);
     }
 
     #[test]

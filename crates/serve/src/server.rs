@@ -51,7 +51,7 @@
 //! server cancels its token — in-flight explorations stop at the next
 //! poll with partial results — and the pool is joined.
 
-use crate::cache::{CacheMiss, NetCache};
+use crate::cache::{CacheMiss, NetCache, VerdictKey};
 use crate::frame::{
     read_frame_payload, read_handshake_in, write_frame, write_handshake_version, FrameError,
     DEFAULT_MAX_FRAME, MIN_PROTO_VERSION, PROTO_VERSION,
@@ -67,7 +67,7 @@ use cpn_petri::{
     reachability_bounded_compiled, Bounded, Budget, CancelScope, CoverabilityOutcome,
     CoverabilityTree, Deadline, Resource, Verdict,
 };
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::io::{self, BufReader, Read, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -178,6 +178,9 @@ pub struct ServerStats {
     pub cache_hits: u64,
     /// Compiled-net cache misses.
     pub cache_misses: u64,
+    /// Verify answers returned from the cache's verdict tier, without
+    /// composing or exploring.
+    pub verdict_hits: u64,
     /// Workers that exited cleanly at drain (equals the pool size when
     /// the drain left the pool idle).
     pub workers_joined: usize,
@@ -554,7 +557,7 @@ impl Server {
             let _ = h.join();
         }
 
-        let (cache_hits, cache_misses) = shared.cache.stats();
+        let cache = shared.cache.full_stats();
         let c = &shared.counters;
         ServerStats {
             accepted: c.accepted.load(Ordering::SeqCst),
@@ -564,8 +567,9 @@ impl Server {
             bad_requests: c.bad_requests.load(Ordering::SeqCst),
             deadline_rejected: c.deadline_rejected.load(Ordering::SeqCst),
             handshake_failures: c.handshake_failures.load(Ordering::SeqCst),
-            cache_hits,
-            cache_misses,
+            cache_hits: cache.hits,
+            cache_misses: cache.misses,
+            verdict_hits: cache.verdict_hits,
             workers_joined: joined,
         }
     }
@@ -1113,10 +1117,10 @@ fn run_v2_job(shared: &Shared, request: &Request, sink: &ConnSink, corr: Option<
             }
             // Repeated identical items hash-cons their *answers*: the
             // kernel's determinism contract makes a completed or
-            // states-exhausted verdict a pure function of the request,
+            // cap-exhausted verdict a pure function of the request,
             // so byte-identical items share one computation. Verdicts
-            // cut short by wall-clock (deadline/cancel) are not pure
-            // and always recompute.
+            // cut short by the wall clock, a cancellation or a refused
+            // allocation are not pure and always recompute.
             let mut memo: HashMap<String, Response> = HashMap::new();
             for (index, item) in items.iter().enumerate() {
                 // A gone peer makes the remaining compute pointless.
@@ -1180,19 +1184,25 @@ fn run_v2_job(shared: &Shared, request: &Request, sink: &ConnSink, corr: Option<
 }
 
 /// Whether a response is a pure function of its request — reusable for
-/// a byte-identical sibling in the same batch. Complete verdicts and
-/// states-exhausted partials are deterministic (the kernel's contract);
-/// anything the wall clock or a cancellation shaped is not.
+/// a byte-identical sibling in the same batch.
 fn response_is_pure(resp: &Response) -> bool {
-    let deterministic_stop = |stopped: &Option<String>| {
-        !matches!(stopped.as_deref(), Some("deadline") | Some("cancelled"))
-    };
     match resp {
-        Response::Result(s) => deterministic_stop(&s.stopped),
-        Response::VerifyResult(v) => deterministic_stop(&v.stopped),
+        Response::Result(s) => stop_is_pure(&s.stopped),
+        Response::VerifyResult(v) => stop_is_pure(&v.stopped),
         Response::BadRequest(_) => true,
         _ => false,
     }
+}
+
+/// Whether an answer with this stop is a pure function of its request:
+/// complete, or stopped by the state or transition cap (the kernel's
+/// determinism contract). A stop the wall clock, a cancellation or a
+/// refused allocation (`storage`) caused is not.
+fn stop_is_pure(stopped: &Option<String>) -> bool {
+    matches!(
+        stopped.as_deref(),
+        None | Some("states") | Some("transitions")
+    )
 }
 
 /// Computes one request under its budget. Runs inside `catch_unwind`.
@@ -1377,7 +1387,9 @@ impl From<CacheMiss> for Response {
 /// The paper pipeline server-side: compose, then check receptiveness and
 /// reduce against the environment from one exploration of the
 /// composition, under the one shared budget; each stage boundary is
-/// streamed when asked.
+/// streamed when asked. A pure answer is recorded in the cache's verdict
+/// tier, which answers the same pair and parameters again without
+/// composing or exploring.
 fn handle_verify(
     shared: &Shared,
     request: &Request,
@@ -1402,9 +1414,6 @@ fn handle_verify(
         None => return Response::DeadlineExceeded,
     };
     let cap = (*max_states).min(shared.config.max_states_cap);
-    let budget = Budget::states(cap)
-        .with_deadline_at(deadline)
-        .with_cancel(shared.cancel.token());
 
     // Both nets come out of the same cache the single-request paths
     // use, from at most one parse of the document, so a batch fanning
@@ -1414,8 +1423,29 @@ fn handle_verify(
         Err(miss) => return miss.into(),
     };
     let (module_net, env_net) = (&nets[0], &nets[1]);
-    let louts: BTreeSet<String> = louts.iter().cloned().collect();
-    let routs: BTreeSet<String> = routs.iter().cloned().collect();
+    let key = VerdictKey::new(
+        module_net,
+        env_net,
+        louts.iter().cloned().collect(),
+        routs.iter().cloned().collect(),
+        cap,
+        *hide_budget,
+    );
+    if let Some(hit) = shared.cache.verdict(&key) {
+        if let Some(ctx) = stream {
+            // The frames the computation streams, each a function of
+            // its answer.
+            ctx.progress("composed", 0, hit.composed_transitions);
+            ctx.progress("checked", hit.states, hit.edges);
+            if let Some(reduced) = hit.reduced_transitions {
+                ctx.progress("reduced", 0, reduced);
+            }
+        }
+        return Response::VerifyResult(hit);
+    }
+    let budget = Budget::states(cap)
+        .with_deadline_at(deadline)
+        .with_cancel(shared.cancel.token());
 
     let comp = match parallel_tracked_common(&module_net.net, &env_net.net) {
         Ok(c) => c,
@@ -1429,8 +1459,8 @@ fn handle_verify(
     let check = verify_against_environment(
         &comp,
         &module_net.net.alphabet(),
-        &louts,
-        &routs,
+        &key.louts,
+        &key.routs,
         &budget,
         *hide_budget,
     );
@@ -1469,7 +1499,7 @@ fn handle_verify(
         Err(err) => return Response::BadRequest(format!("reduction failed: {err}")),
     };
 
-    Response::VerifyResult(VerifySummary {
+    let summary = VerifySummary {
         receptive,
         failures,
         states,
@@ -1478,7 +1508,11 @@ fn handle_verify(
         composed_transitions,
         reduced_transitions,
         dead_removed,
-    })
+    };
+    if stop_is_pure(&summary.stopped) {
+        shared.cache.record_verdict(key, summary.clone());
+    }
+    Response::VerifyResult(summary)
 }
 
 fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
@@ -1497,5 +1531,47 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     match m.lock() {
         Ok(g) => g,
         Err(poisoned) => poisoned.into_inner(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Only complete answers and answers stopped by the state or
+    /// transition cap are reused: a `storage` stop comes from a refused
+    /// allocation, which the next attempt need not meet.
+    #[test]
+    fn only_complete_and_cap_stopped_answers_are_pure() {
+        let verify = |stopped: Option<String>| {
+            Response::VerifyResult(VerifySummary {
+                receptive: Receptive::Unknown,
+                failures: Vec::new(),
+                states: 3,
+                edges: 4,
+                stopped,
+                composed_transitions: 5,
+                reduced_transitions: None,
+                dead_removed: 0,
+            })
+        };
+        let result = |stopped: Option<String>| {
+            Response::Result(ExploreSummary {
+                states: 3,
+                edges: 4,
+                stopped,
+                detail: String::new(),
+            })
+        };
+        for answer in [verify, result] {
+            assert!(response_is_pure(&answer(None)));
+            for pure in [Resource::States, Resource::Transitions] {
+                assert!(response_is_pure(&answer(Some(pure.to_string()))), "{pure}");
+            }
+            for impure in [Resource::Deadline, Resource::Cancelled, Resource::Storage] {
+                let stopped = Some(impure.to_string());
+                assert!(!response_is_pure(&answer(stopped)), "{impure}");
+            }
+        }
     }
 }

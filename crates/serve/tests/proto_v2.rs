@@ -1,7 +1,8 @@
 //! Protocol v2 end-to-end tests: version negotiation with v1 clients,
-//! server-side `verify` (the paper pipeline), batching with per-item
-//! results and umbrella deadlines, live stats with cache counters,
-//! streaming progress frames, and pipelined correlation.
+//! server-side `verify` (the paper pipeline) and its answers from the
+//! cache's verdict tier, batching with per-item results and umbrella
+//! deadlines, live stats with cache counters, streaming progress
+//! frames, and pipelined correlation.
 
 use cpn_core::{check_receptiveness, parallel_tracked_common, reduce_against_environment};
 use cpn_petri::{
@@ -13,10 +14,11 @@ use cpn_serve::frame::{
 };
 use cpn_serve::proto::{split_corr, with_corr};
 use cpn_serve::{
-    BatchItem, Client, Endpoint, PipelinedClient, Receptive, Request, Response, Server,
-    ServerConfig, VerifySummary,
+    BatchItem, Client, Endpoint, PipelinedClient, ProgressUpdate, Receptive, Request, Response,
+    Server, ServerConfig, VerifySummary,
 };
-use std::collections::BTreeSet;
+use cpn_testkit::TestRng;
+use std::collections::{BTreeSet, HashMap};
 use std::io::Write;
 use std::time::Duration;
 
@@ -101,7 +103,17 @@ fn start() -> (
     cpn_serve::ServerHandle,
     std::thread::JoinHandle<cpn_serve::ServerStats>,
 ) {
-    let server = Server::bind(&[Endpoint::Tcp("127.0.0.1:0".into())], config()).expect("bind");
+    start_with(config())
+}
+
+fn start_with(
+    config: ServerConfig,
+) -> (
+    Endpoint,
+    cpn_serve::ServerHandle,
+    std::thread::JoinHandle<cpn_serve::ServerStats>,
+) {
+    let server = Server::bind(&[Endpoint::Tcp("127.0.0.1:0".into())], config).expect("bind");
     let ep = server.local_endpoints().expect("endpoints").remove(0);
     let handle = server.handle();
     let join = std::thread::spawn(move || server.run());
@@ -257,6 +269,44 @@ fn parse_pair(doc: &str, (module, env): (&str, &str)) -> (PetriNet<String>, Petr
     (net(module), net(env))
 }
 
+/// A verify case: the document, the names of the module and the
+/// environment in it, and their outputs.
+type VerifyCase = (
+    &'static str,
+    (&'static str, &'static str),
+    Vec<String>,
+    Vec<String>,
+);
+
+fn labels(ls: &[&str]) -> Vec<String> {
+    ls.iter().map(|l| l.to_string()).collect()
+}
+
+/// A receptive pair, a non-receptive pair and a pair whose reduction
+/// hides private steps.
+fn verify_cases() -> Vec<VerifyCase> {
+    vec![
+        (
+            HANDSHAKE_DOC,
+            ("producer", "consumer"),
+            labels(&["req"]),
+            labels(&["ack"]),
+        ),
+        (
+            BROKEN_DOC,
+            ("producer", "consumer"),
+            labels(&["req"]),
+            labels(&["ack"]),
+        ),
+        (
+            PRIVATE_STEP_DOC,
+            ("requester", "worker"),
+            labels(&["r0", "r1", "r2"]),
+            labels(&["a0", "a1", "a2"]),
+        ),
+    ]
+}
+
 /// The verify pipeline as two calls that each explore the composition:
 /// `check_receptiveness`, then `reduce_against_environment` unless the
 /// check stopped. With no deadline in play the server must answer the
@@ -317,29 +367,8 @@ fn two_call_reference(
 fn verify_budget_sweep_matches_two_call_reference() {
     let (ep, handle, join) = start();
     let mut client = Client::connect(&ep).expect("connect");
-    let labels = |ls: &[&str]| -> Vec<String> { ls.iter().map(|l| l.to_string()).collect() };
-    let cases = [
-        (
-            HANDSHAKE_DOC,
-            ("producer", "consumer"),
-            labels(&["req"]),
-            labels(&["ack"]),
-        ),
-        (
-            BROKEN_DOC,
-            ("producer", "consumer"),
-            labels(&["req"]),
-            labels(&["ack"]),
-        ),
-        (
-            PRIVATE_STEP_DOC,
-            ("requester", "worker"),
-            labels(&["r0", "r1", "r2"]),
-            labels(&["a0", "a1", "a2"]),
-        ),
-    ];
     let hide_budget = 10_000;
-    for (doc, (module, env), louts, routs) in cases {
+    for (doc, (module, env), louts, routs) in verify_cases() {
         let lset: BTreeSet<String> = louts.iter().cloned().collect();
         let rset: BTreeSet<String> = routs.iter().cloned().collect();
         let pair = parse_pair(doc, (module, env));
@@ -387,6 +416,250 @@ fn verify_budget_sweep_matches_two_call_reference() {
     handle.begin_drain();
     let stats = join.join().expect("server");
     assert_eq!(stats.panics, 0);
+}
+
+/// The progress frames a streamed verify answered `v` must send: the
+/// composition's size, the receptiveness pass's counts, and the reduced
+/// size when the reduction completed.
+fn verify_frames(v: &VerifySummary) -> Vec<ProgressUpdate> {
+    let frame = |stage: &str, states, edges| ProgressUpdate {
+        stage: stage.to_owned(),
+        states,
+        edges,
+    };
+    let mut frames = vec![
+        frame("composed", 0, v.composed_transitions),
+        frame("checked", v.states, v.edges),
+    ];
+    frames.extend(v.reduced_transitions.map(|n| frame("reduced", 0, n)));
+    frames
+}
+
+/// A streamed verify repeated on the same connection is answered from
+/// the cache's verdict tier, and is indistinguishable on the wire from
+/// the computed one: the same `composed`, `checked` and `reduced`
+/// frames with the same counts, then the unstreamed request's final
+/// answer. Both a complete and a cap-stopped answer are repeated.
+#[test]
+fn streamed_verify_repeats_send_the_computed_frames() {
+    let (ep, handle, join) = start();
+    let mut client = Client::connect(&ep).expect("connect");
+    let hide_budget = 10_000;
+    let mut repeats = 0;
+    for (doc, (module, env), louts, routs) in verify_cases() {
+        let pair = parse_pair(doc, (module, env));
+        let lset: BTreeSet<String> = louts.iter().cloned().collect();
+        let rset: BTreeSet<String> = routs.iter().cloned().collect();
+        for max_states in [100_000, 1] {
+            let req = |stream| Request::Verify {
+                module: module.into(),
+                env: env.into(),
+                louts: louts.clone(),
+                routs: routs.clone(),
+                max_states,
+                deadline_ms: None,
+                hide_budget,
+                stream,
+                doc: doc.into(),
+            };
+            let at = format!("{module}/{env} max_states={max_states}");
+            let streamed: Vec<_> = (0..2)
+                .map(|_| {
+                    let mut frames = Vec::new();
+                    let last = client
+                        .request_streaming(&req(true), |p| frames.push(p))
+                        .expect("streamed verify");
+                    (frames, last)
+                })
+                .collect();
+            assert_eq!(streamed[0], streamed[1], "{at}: repeat differs");
+            let plain = client.request(&req(false)).expect("verify");
+            assert_eq!(streamed[0].1, plain, "{at}: streamed final");
+            let expected = two_call_reference(
+                &pair,
+                &lset,
+                &rset,
+                &Budget::states(max_states),
+                hide_budget,
+            );
+            assert_eq!(plain, Response::VerifyResult(expected.clone()), "{at}");
+            assert_eq!(streamed[0].0, verify_frames(&expected), "{at}: frames");
+            repeats += 2;
+        }
+    }
+    drop(client);
+    handle.begin_drain();
+    let stats = join.join().expect("server");
+    assert_eq!(stats.panics, 0);
+    assert_eq!(stats.verdict_hits, repeats, "every repeat is a verdict hit");
+}
+
+/// A fourth pair: the module chooses between two requests, and the
+/// environment takes a private step before it acknowledges.
+const CHOICE_DOC: &str = r#"net chooser {
+    places { c0* c1 }
+    transition "d0" { pre: c0; post: c1 }
+    transition "d1" { pre: c0; post: c1 }
+    transition "ack" { pre: c1; post: c0 }
+}
+
+net acceptor {
+    places { r0* r1 r2 }
+    transition "d0" { pre: r0; post: r1 }
+    transition "d1" { pre: r0; post: r1 }
+    transition "w" { pre: r1; post: r2 }
+    transition "ack" { pre: r2; post: r0 }
+}"#;
+
+/// `items` in a seeded order (Fisher–Yates).
+fn shuffle<T>(items: &mut [T], rng: &mut TestRng) {
+    for i in (1..items.len()).rev() {
+        items.swap(i, rng.below(i + 1));
+    }
+}
+
+/// `doc` spelled differently: every place renamed, and places,
+/// transitions and the nets themselves declared in a shuffled order.
+/// Every net keeps its `NetId`.
+fn respell(doc: &str, rng: &mut TestRng) -> String {
+    let mut nets = cpn_format::parse(doc).expect("document parses").nets;
+    shuffle(&mut nets, rng);
+    let salt = rng.below(1_000_000);
+    let mut out = String::new();
+    for (name, net) in &nets {
+        let mut copy: PetriNet<String> = PetriNet::new();
+        let mut places: Vec<_> = net.place_ids().collect();
+        shuffle(&mut places, rng);
+        let mut renamed = HashMap::new();
+        for p in places {
+            let q = copy.add_place(format!("s{salt}_{}", p.index()));
+            copy.set_initial(q, net.initial_marking().tokens(p));
+            renamed.insert(p, q);
+        }
+        let mut transitions: Vec<_> = net.transition_ids().collect();
+        shuffle(&mut transitions, rng);
+        for t in transitions {
+            let tr = net.transition(t);
+            copy.add_transition(
+                tr.preset().iter().map(|p| renamed[p]),
+                net.label_of(t).clone(),
+                tr.postset().iter().map(|p| renamed[p]),
+            )
+            .expect("copied transition is valid");
+        }
+        out.push_str(&cpn_format::write_net(name, &copy));
+    }
+    out
+}
+
+/// The verdict tier under churn: a server holding three nets answers a
+/// few hundred verify requests over four pairs (six distinct nets: the
+/// handshake's two are one), so entries are evicted and compiled again,
+/// and their verdicts purged, all the time. Each request is sent byte-identical or respelled, with
+/// its labels as declared, with either side's outputs left out, and
+/// with a state cap of 0, 1, half, all or one past all of the
+/// composition's states; some are streamed. Every answer must equal the
+/// two-call reference on the parsed pair.
+#[test]
+fn verify_answers_under_cache_churn_match_two_call_reference() {
+    let (ep, handle, join) = start_with(ServerConfig {
+        cache_capacity: 3,
+        ..config()
+    });
+    let mut client = Client::connect(&ep).expect("connect");
+    let mut cases = verify_cases();
+    cases.push((
+        CHOICE_DOC,
+        ("chooser", "acceptor"),
+        labels(&["d0", "d1"]),
+        labels(&["ack"]),
+    ));
+    let pairs: Vec<_> = cases
+        .iter()
+        .map(|&(doc, names, ..)| parse_pair(doc, names))
+        .collect();
+    let caps: Vec<Vec<usize>> = pairs
+        .iter()
+        .map(|(module, env)| {
+            let comp = parallel_tracked_common(module, env).expect("pair composes");
+            let all = comp.net.reachability_bounded(&Budget::default());
+            let all = all.complete().expect("small pair").state_count();
+            vec![0, 1, all / 2, all, all + 1]
+        })
+        .collect();
+    let hide_budget = 10_000;
+    let mut reference = HashMap::new();
+    let mut rng = TestRng::seed_from_u64(0x5eed_7e5d);
+    let (mut verified, mut streamed) = (0, 0);
+    for _ in 0..400 {
+        let i = rng.below(cases.len());
+        let (doc, (module, env), louts, routs) = &cases[i];
+        let max_states = *rng.choose(&caps[i]);
+        let outputs = rng.below(3);
+        let (louts, routs) = match outputs {
+            0 => (louts.clone(), routs.clone()),
+            1 => (louts.clone(), Vec::new()),
+            _ => (Vec::new(), routs.clone()),
+        };
+        let doc = if rng.gen_bool() {
+            (*doc).to_owned()
+        } else {
+            respell(doc, &mut rng)
+        };
+        let stream = rng.gen_ratio(1, 4);
+        let expected = reference
+            .entry((i, max_states, outputs))
+            .or_insert_with(|| {
+                let lset = louts.iter().cloned().collect();
+                let rset = routs.iter().cloned().collect();
+                let budget = Budget::states(max_states);
+                two_call_reference(&pairs[i], &lset, &rset, &budget, hide_budget)
+            })
+            .clone();
+        let req = Request::Verify {
+            module: (*module).into(),
+            env: (*env).into(),
+            louts,
+            routs,
+            max_states,
+            deadline_ms: None,
+            hide_budget,
+            stream,
+            doc,
+        };
+        let at = format!("{module}/{env} max_states={max_states} outputs={outputs}");
+        let mut frames = Vec::new();
+        let answer = client
+            .request_streaming(&req, |p| frames.push(p))
+            .expect("verify");
+        if stream {
+            assert_eq!(frames, verify_frames(&expected), "{at}: frames");
+            streamed += 1;
+        } else {
+            assert!(frames.is_empty(), "{at}: unasked frames");
+        }
+        assert_eq!(answer, Response::VerifyResult(expected), "{at}");
+        verified += 1;
+    }
+    let Response::Stats(cache) = client.request(&Request::Stats).expect("stats") else {
+        panic!("expected Stats");
+    };
+    drop(client);
+    handle.begin_drain();
+    let stats = join.join().expect("server");
+    assert_eq!((stats.panics, stats.served), (0, verified + 1));
+    assert!(streamed > 0);
+    // Hits, purges and re-inserts all ran: verdicts were answered,
+    // entries evicted (dropping their verdicts), and nets compiled
+    // again after eviction (more misses than distinct nets).
+    let distinct: BTreeSet<_> = pairs
+        .iter()
+        .flat_map(|(module, env)| [module.net_id(), env.net_id()])
+        .collect();
+    assert_eq!(distinct.len(), 6);
+    assert!(stats.verdict_hits > 0, "{stats:?}");
+    assert!(cache.cache_evictions > 0, "{cache:?}");
+    assert!(cache.cache_misses > distinct.len() as u64, "{cache:?}");
 }
 
 /// Every state cap from 0 to one past the state (or tree node) count,

@@ -162,7 +162,7 @@ fn reduce_explored<L: Label>(
             Bounded::Complete(rg2) => {
                 let dead2 = dead_transitions_rg(&net, &rg2);
                 dead_removed += dead2.len();
-                net = remove_dead(&net, &dead2);
+                net = remove_dead(net, &dead2);
             }
             Bounded::Exhausted { info, .. } => stop = Some(info),
         }

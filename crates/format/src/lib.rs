@@ -32,7 +32,7 @@
 //! [`parse`] and the [`write_net`]/[`write_stg`] printers round-trip
 //! (property-tested).
 
-pub mod lexer;
+mod lexer;
 pub mod parser;
 pub mod writer;
 

@@ -1,9 +1,10 @@
 //! Recursive-descent parser for the `.cpn` format.
 
-use crate::lexer::{lex, LexError, Token, TokenKind};
+use crate::lexer::{lex, Token, TokenKind};
 use cpn_petri::{PetriNet, PlaceId};
 use cpn_stg::{Edge, Guard, Signal, SignalDir, Stg};
-use std::collections::BTreeMap;
+use std::borrow::Cow;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 /// A parsed `.cpn` document: named generic nets and named STGs, in
@@ -117,34 +118,36 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-impl From<LexError> for ParseError {
-    fn from(e: LexError) -> Self {
-        ParseError {
-            message: e.message,
-            line: e.line,
-            kind: ParseErrorKind::Syntax,
-        }
-    }
-}
-
-struct Parser {
-    tokens: Vec<Token>,
+/// A recursive-descent parser over borrowed tokens.
+///
+/// Every error it reports keeps the message and line of the former
+/// owned-token parser, which the differential suite holds it to.
+struct Parser<'a> {
+    tokens: Vec<Token<'a>>,
     pos: usize,
-    depth: usize,
-    max_depth: usize,
+    /// The place names of the net being parsed, for resolving arcs.
+    places: HashMap<&'a str, PlaceId>,
+    /// Arc buffers, reused across transitions.
+    pre: Vec<PlaceId>,
+    post: Vec<PlaceId>,
 }
 
-impl Parser {
-    fn peek(&self) -> Option<&TokenKind> {
-        self.tokens.get(self.pos).map(|t| &t.kind)
+/// How an error names the token it found.
+fn found(token: Option<Token<'_>>) -> String {
+    token.map_or("end of input".to_owned(), |t| t.kind.to_string())
+}
+
+impl<'a> Parser<'a> {
+    fn peek(&self) -> Option<TokenKind<'a>> {
+        self.tokens.get(self.pos).map(|t| t.kind)
     }
 
     fn line(&self) -> usize {
         self.tokens.get(self.pos).map_or(0, |t| t.line)
     }
 
-    fn bump(&mut self) -> Option<TokenKind> {
-        let t = self.tokens.get(self.pos).map(|t| t.kind.clone());
+    fn bump(&mut self) -> Option<Token<'a>> {
+        let t = self.tokens.get(self.pos).copied();
         self.pos += 1;
         t
     }
@@ -157,56 +160,41 @@ impl Parser {
         }
     }
 
-    /// Tracks brace depth on every consumed `{`/`}`; exceeding the cap
-    /// is a typed [`ParseErrorKind::NestingTooDeep`] error rather than
-    /// unbounded work (or, were the grammar ever to become recursive, a
-    /// stack overflow).
-    fn note_brace(&mut self, c: char) -> Result<(), ParseError> {
-        match c {
-            '{' => {
-                self.depth += 1;
-                if self.depth > self.max_depth {
-                    return Err(ParseError {
-                        message: format!("brace nesting exceeds depth limit {}", self.max_depth),
-                        line: self.tokens.get(self.pos - 1).map_or(0, |t| t.line),
-                        kind: ParseErrorKind::NestingTooDeep,
-                    });
-                }
-            }
-            '}' => self.depth = self.depth.saturating_sub(1),
-            _ => {}
-        }
-        Ok(())
-    }
-
-    fn expect_punct(&mut self, c: char) -> Result<(), ParseError> {
-        match self.bump() {
-            Some(TokenKind::Punct(p)) if p == c => {
-                self.note_brace(c)?;
-                Ok(())
-            }
-            other => Err(ParseError {
-                kind: ParseErrorKind::Syntax,
-                message: format!(
-                    "expected `{c}`, found {}",
-                    other.map_or("end of input".to_owned(), |t| t.to_string())
-                ),
-                line: self.tokens.get(self.pos - 1).map_or(0, |t| t.line),
-            }),
+    /// An error about the token just consumed (line 0 past the end).
+    fn err_at(token: Option<Token<'_>>, message: String) -> ParseError {
+        ParseError {
+            message,
+            line: token.map_or(0, |t| t.line),
+            kind: ParseErrorKind::Syntax,
         }
     }
 
-    fn expect_ident(&mut self) -> Result<String, ParseError> {
+    // The brace-depth cap needs no counter here: `make_parser` scanned
+    // every brace before the descent, and the descent consumes braces
+    // in that order.
+    fn expect_punct(&mut self, c: u8) -> Result<(), ParseError> {
         match self.bump() {
-            Some(TokenKind::Ident(s)) => Ok(s),
-            other => Err(ParseError {
-                kind: ParseErrorKind::Syntax,
-                message: format!(
-                    "expected identifier, found {}",
-                    other.map_or("end of input".to_owned(), |t| t.to_string())
-                ),
-                line: self.tokens.get(self.pos - 1).map_or(0, |t| t.line),
-            }),
+            Some(Token {
+                kind: TokenKind::Punct(p),
+                ..
+            }) if p == c => Ok(()),
+            other => Err(Self::err_at(
+                other,
+                format!("expected `{}`, found {}", char::from(c), found(other)),
+            )),
+        }
+    }
+
+    fn expect_ident(&mut self) -> Result<&'a str, ParseError> {
+        match self.bump() {
+            Some(Token {
+                kind: TokenKind::Ident(s),
+                ..
+            }) => Ok(s),
+            other => Err(Self::err_at(
+                other,
+                format!("expected identifier, found {}", found(other)),
+            )),
         }
     }
 
@@ -224,17 +212,9 @@ impl Parser {
         }
     }
 
-    fn eat_punct(&mut self, c: char) -> bool {
-        if self.peek() == Some(&TokenKind::Punct(c)) {
+    fn eat_punct(&mut self, c: u8) -> bool {
+        if self.peek() == Some(TokenKind::Punct(c)) {
             self.pos += 1;
-            // Depth cap violations surface on the next `expect_punct`;
-            // `eat` sites only ever consume closing braces or one
-            // opening brace per item, so only the counter matters here.
-            if c == '{' {
-                self.depth += 1;
-            } else if c == '}' {
-                self.depth = self.depth.saturating_sub(1);
-            }
             true
         } else {
             false
@@ -250,21 +230,37 @@ impl Parser {
         }
     }
 
-    /// `places { name (*N?)? ... }` — returns name→id and sets markings.
-    fn parse_places<F>(&mut self, mut add: F) -> Result<BTreeMap<String, PlaceId>, ParseError>
+    /// How many identifiers and strings come before the next `}`: the
+    /// entries of the section being read, to reserve room for them.
+    fn items_before_close(&self) -> usize {
+        self.tokens
+            .get(self.pos..)
+            .unwrap_or_default()
+            .iter()
+            .take_while(|t| t.kind != TokenKind::Punct(b'}'))
+            .filter(|t| matches!(t.kind, TokenKind::Ident(_) | TokenKind::Str(_)))
+            .count()
+    }
+
+    /// `places { name (*N?)? ... }` — adds the places in order through
+    /// `add` and maps their names to their ids.
+    fn parse_places<F>(&mut self, mut add: F) -> Result<(), ParseError>
     where
         F: FnMut(&str, u32) -> PlaceId,
     {
         self.expect_keyword("places")?;
-        self.expect_punct('{')?;
-        let mut map = BTreeMap::new();
+        self.expect_punct(b'{')?;
+        self.places.clear();
+        // Room for every name the section lists, so the map never grows
+        // (growing it rehashes every name).
+        self.places.reserve(self.items_before_close());
         loop {
-            if self.eat_punct('}') {
+            if self.eat_punct(b'}') {
                 break;
             }
             let line = self.line();
             let name = self.expect_ident()?;
-            if map.contains_key(&name) {
+            if self.places.contains_key(name) {
                 return Err(ParseError {
                     kind: ParseErrorKind::Syntax,
                     message: format!("duplicate place `{name}`"),
@@ -272,67 +268,64 @@ impl Parser {
                 });
             }
             let mut tokens_count = 0u32;
-            if self.eat_punct('*') {
+            if self.eat_punct(b'*') {
                 tokens_count = match self.peek() {
                     Some(TokenKind::Number(n)) => {
-                        let n = *n;
                         self.pos += 1;
                         n
                     }
                     _ => 1,
                 };
             }
-            let id = add(&name, tokens_count);
-            map.insert(name, id);
+            self.places.insert(name, add(name, tokens_count));
         }
-        Ok(map)
+        Ok(())
     }
 
-    /// `pre: a b; post: c d` inside braces (either list may be empty).
-    fn parse_flows(
-        &mut self,
-        places: &BTreeMap<String, PlaceId>,
-    ) -> Result<(Vec<PlaceId>, Vec<PlaceId>), ParseError> {
-        self.expect_punct('{')?;
+    /// The places named up to the next non-identifier, into the `post`
+    /// buffer or the `pre` one.
+    fn parse_arcs(&mut self, post: bool) -> Result<(), ParseError> {
+        let out = if post { &mut self.post } else { &mut self.pre };
+        out.clear();
+        while let Some(&Token {
+            kind: TokenKind::Ident(name),
+            line,
+        }) = self.tokens.get(self.pos)
+        {
+            self.pos += 1;
+            out.push(*self.places.get(name).ok_or_else(|| ParseError {
+                kind: ParseErrorKind::Syntax,
+                message: format!("unknown place `{name}`"),
+                line,
+            })?);
+        }
+        Ok(())
+    }
+
+    /// `{ pre: a b; post: c d }` (either list may be empty), into the
+    /// `pre` and `post` buffers.
+    fn parse_flows(&mut self) -> Result<(), ParseError> {
+        self.expect_punct(b'{')?;
         self.expect_keyword("pre")?;
-        self.expect_punct(':')?;
-        let mut pre = Vec::new();
-        while let Some(TokenKind::Ident(_)) = self.peek() {
-            let line = self.line();
-            let name = self.expect_ident()?;
-            pre.push(*places.get(&name).ok_or(ParseError {
-                kind: ParseErrorKind::Syntax,
-                message: format!("unknown place `{name}`"),
-                line,
-            })?);
-        }
-        self.expect_punct(';')?;
+        self.expect_punct(b':')?;
+        self.parse_arcs(false)?;
+        self.expect_punct(b';')?;
         self.expect_keyword("post")?;
-        self.expect_punct(':')?;
-        let mut post = Vec::new();
-        while let Some(TokenKind::Ident(_)) = self.peek() {
-            let line = self.line();
-            let name = self.expect_ident()?;
-            post.push(*places.get(&name).ok_or(ParseError {
-                kind: ParseErrorKind::Syntax,
-                message: format!("unknown place `{name}`"),
-                line,
-            })?);
-        }
-        self.expect_punct('}')?;
-        Ok((pre, post))
+        self.expect_punct(b':')?;
+        self.parse_arcs(true)?;
+        self.expect_punct(b'}')
     }
 
-    fn expect_str(&mut self) -> Result<String, ParseError> {
+    fn expect_str(&mut self) -> Result<Cow<'a, str>, ParseError> {
         let line = self.line();
         match self.bump() {
-            Some(TokenKind::Str(s)) => Ok(s),
+            Some(Token {
+                kind: TokenKind::Str(lit),
+                ..
+            }) => Ok(lit.value()),
             other => Err(ParseError {
                 kind: ParseErrorKind::Syntax,
-                message: format!(
-                    "expected quoted label, found {}",
-                    other.map_or("end of input".to_owned(), |t| t.to_string())
-                ),
+                message: format!("expected quoted label, found {}", found(other)),
                 line,
             }),
         }
@@ -343,7 +336,7 @@ impl Parser {
     /// transitions until the closing `}`.
     fn parse_net_body(&mut self) -> Result<PetriNet<String>, ParseError> {
         let mut net: PetriNet<String> = PetriNet::new();
-        let places = self.parse_places(|n, tok| {
+        self.parse_places(|n, tok| {
             let id = net.add_place(n);
             net.set_initial(id, tok);
             id
@@ -353,24 +346,27 @@ impl Parser {
         // alphabet is part of the net per Definition 2.1, and parallel
         // composition synchronizes on it).
         if self.eat_keyword("symbols") {
-            self.expect_punct('{')?;
+            self.expect_punct(b'{')?;
+            net.reserve_labels(self.items_before_close());
             loop {
-                if self.eat_punct('}') {
+                if self.eat_punct(b'}') {
                     break;
                 }
                 let label = self.expect_str()?;
-                net.declare_label(label);
+                let sym = net.intern_str(&label);
+                net.declare_sym(sym);
             }
         }
         loop {
-            if self.eat_punct('}') {
+            if self.eat_punct(b'}') {
                 break;
             }
             let line = self.line();
             self.expect_keyword("transition")?;
             let label = self.expect_str()?;
-            let (pre, post) = self.parse_flows(&places)?;
-            net.add_transition(pre, label, post)
+            self.parse_flows()?;
+            let sym = net.intern_str(&label);
+            net.add_transition_sym(self.pre.iter().copied(), sym, self.post.iter().copied())
                 .map_err(|e| ParseError {
                     kind: ParseErrorKind::Syntax,
                     message: e.to_string(),
@@ -382,20 +378,20 @@ impl Parser {
 
     fn parse_net(&mut self) -> Result<(String, PetriNet<String>), ParseError> {
         let name = self.expect_ident()?;
-        self.expect_punct('{')?;
+        self.expect_punct(b'{')?;
         let net = self.parse_net_body()?;
-        Ok((name, net))
+        Ok((name.to_owned(), net))
     }
 
     /// A quoted-label list section: `KEYWORD { "a" "b" … }`.
     fn parse_label_list(&mut self) -> Result<Vec<String>, ParseError> {
-        self.expect_punct('{')?;
+        self.expect_punct(b'{')?;
         let mut out = Vec::new();
         loop {
-            if self.eat_punct('}') {
+            if self.eat_punct(b'}') {
                 break;
             }
-            out.push(self.expect_str()?);
+            out.push(self.expect_str()?.into_owned());
         }
         Ok(out)
     }
@@ -403,7 +399,7 @@ impl Parser {
     /// `module NAME { [inputs {…}] [outputs {…}] net { … } }`
     fn parse_module(&mut self) -> Result<LibModule, ParseError> {
         let name = self.expect_ident()?;
-        self.expect_punct('{')?;
+        self.expect_punct(b'{')?;
         let mut inputs = Vec::new();
         let mut outputs = Vec::new();
         loop {
@@ -416,11 +412,11 @@ impl Parser {
             }
         }
         self.expect_keyword("net")?;
-        self.expect_punct('{')?;
+        self.expect_punct(b'{')?;
         let net = self.parse_net_body()?;
-        self.expect_punct('}')?;
+        self.expect_punct(b'}')?;
         Ok(LibModule {
-            name,
+            name: name.to_owned(),
             inputs,
             outputs,
             net,
@@ -432,87 +428,89 @@ impl Parser {
         let name = self.expect_ident()?;
         self.expect_keyword("of")?;
         let module = self.expect_ident()?;
-        self.expect_punct('{')?;
+        self.expect_punct(b'{')?;
         let mut rename = BTreeMap::new();
         if self.eat_keyword("rename") {
-            self.expect_punct('{')?;
+            self.expect_punct(b'{')?;
             loop {
-                if self.eat_punct('}') {
+                if self.eat_punct(b'}') {
                     break;
                 }
                 let line = self.line();
-                let from = self.expect_str()?;
-                self.expect_punct('=')?;
-                let to = self.expect_str()?;
-                if rename.insert(from.clone(), to).is_some() {
+                let from = self.expect_str()?.into_owned();
+                self.expect_punct(b'=')?;
+                let to = self.expect_str()?.into_owned();
+                if rename.contains_key(&from) {
                     return Err(ParseError {
                         kind: ParseErrorKind::Syntax,
                         message: format!("label {from:?} renamed twice"),
                         line,
                     });
                 }
+                rename.insert(from, to);
             }
         }
-        self.expect_punct('}')?;
+        self.expect_punct(b'}')?;
         Ok(LibInstance {
-            name,
-            module,
+            name: name.to_owned(),
+            module: module.to_owned(),
             rename,
         })
     }
 
     fn parse_edge_suffix(&mut self) -> Result<Edge, ParseError> {
         match self.bump() {
-            Some(TokenKind::Punct(c)) => Edge::from_suffix(c).ok_or(ParseError {
-                kind: ParseErrorKind::Syntax,
-                message: format!("`{c}` is not a signal edge"),
-                line: self.tokens.get(self.pos - 1).map_or(0, |t| t.line),
+            Some(
+                t @ Token {
+                    kind: TokenKind::Punct(c),
+                    ..
+                },
+            ) => Edge::from_suffix(char::from(c)).ok_or_else(|| {
+                Self::err_at(Some(t), format!("`{}` is not a signal edge", char::from(c)))
             }),
-            // `=` is lexed as Punct('='), handled above; nothing else fits.
-            other => Err(ParseError {
-                kind: ParseErrorKind::Syntax,
-                message: format!(
-                    "expected signal edge suffix, found {}",
-                    other.map_or("end of input".to_owned(), |t| t.to_string())
-                ),
-                line: self.tokens.get(self.pos - 1).map_or(0, |t| t.line),
-            }),
+            other => Err(Self::err_at(
+                other,
+                format!("expected signal edge suffix, found {}", found(other)),
+            )),
         }
     }
 
     fn parse_guard(&mut self) -> Result<Guard, ParseError> {
-        self.expect_punct('{')?;
+        self.expect_punct(b'{')?;
         let mut guard = Guard::new();
         loop {
             let line = self.line();
             let name = self.expect_ident()?;
-            self.expect_punct('=')?;
+            self.expect_punct(b'=')?;
             let value = match self.bump() {
-                Some(TokenKind::Number(0)) => false,
-                Some(TokenKind::Number(1)) => true,
+                Some(Token {
+                    kind: TokenKind::Number(0),
+                    ..
+                }) => false,
+                Some(Token {
+                    kind: TokenKind::Number(1),
+                    ..
+                }) => true,
                 other => {
                     return Err(ParseError {
                         kind: ParseErrorKind::Syntax,
-                        message: format!(
-                            "guard value must be 0 or 1, found {}",
-                            other.map_or("end of input".to_owned(), |t| t.to_string())
-                        ),
+                        message: format!("guard value must be 0 or 1, found {}", found(other)),
                         line,
                     })
                 }
             };
             guard = guard.require(Signal::new(name), value);
-            if !self.eat_punct('&') {
+            if !self.eat_punct(b'&') {
                 break;
             }
         }
-        self.expect_punct('}')?;
+        self.expect_punct(b'}')?;
         Ok(guard)
     }
 
     fn parse_stg(&mut self) -> Result<(String, Stg), ParseError> {
         let name = self.expect_ident()?;
-        self.expect_punct('{')?;
+        self.expect_punct(b'{')?;
         let mut stg = Stg::new();
 
         // Signal declarations.
@@ -529,53 +527,53 @@ impl Parser {
             loop {
                 let line = self.line();
                 let sig = self.expect_ident()?;
-                stg.try_add_signal(&sig, dir).map_err(|e| ParseError {
+                stg.try_add_signal(sig, dir).map_err(|e| ParseError {
                     kind: ParseErrorKind::Syntax,
                     message: e.to_string(),
                     line,
                 })?;
-                if self.eat_punct(';') {
+                if self.eat_punct(b';') {
                     break;
                 }
             }
         }
 
-        let places = self.parse_places(|n, tok| {
+        self.parse_places(|n, tok| {
             let id = stg.add_place(n);
             stg.set_initial(id, tok);
             id
         })?;
 
         loop {
-            if self.eat_punct('}') {
+            if self.eat_punct(b'}') {
                 break;
             }
             let line = self.line();
-            let tid = if self.eat_keyword("dummy") {
-                let (pre, post) = self.parse_flows(&places)?;
-                stg.add_dummy(pre, post).map_err(|e| ParseError {
-                    kind: ParseErrorKind::Syntax,
-                    message: e.to_string(),
-                    line,
-                })?
+            let added = if self.eat_keyword("dummy") {
+                self.parse_flows()?;
+                stg.add_dummy(self.pre.iter().copied(), self.post.iter().copied())
             } else {
                 self.expect_keyword("transition")?;
                 let sig = self.expect_ident()?;
                 let edge = self.parse_edge_suffix()?;
-                let (pre, post) = self.parse_flows(&places)?;
-                stg.add_signal_transition(pre, (Signal::new(sig), edge), post)
-                    .map_err(|e| ParseError {
-                        kind: ParseErrorKind::Syntax,
-                        message: e.to_string(),
-                        line,
-                    })?
+                self.parse_flows()?;
+                stg.add_signal_transition(
+                    self.pre.iter().copied(),
+                    (Signal::new(sig), edge),
+                    self.post.iter().copied(),
+                )
             };
+            let tid = added.map_err(|e| ParseError {
+                kind: ParseErrorKind::Syntax,
+                message: e.to_string(),
+                line,
+            })?;
             if self.eat_keyword("guard") {
                 let guard = self.parse_guard()?;
                 stg.set_guard(tid, guard);
             }
         }
-        Ok((name, stg))
+        Ok((name.to_owned(), stg))
     }
 }
 
@@ -601,8 +599,9 @@ pub fn parse(input: &str) -> Result<Document, ParseError> {
 
 /// Applies the resource caps and builds a [`Parser`] over the lexed
 /// tokens — the shared front half of [`parse_with_limits`] and
-/// [`parse_lib_with_limits`].
-fn make_parser(input: &str, limits: &ParseLimits) -> Result<Parser, ParseError> {
+/// [`parse_lib_with_limits`]. The caps apply in order: bytes before
+/// lexing, tokens after it, then brace depth before the descent.
+fn make_parser<'a>(input: &'a str, limits: &ParseLimits) -> Result<Parser<'a>, ParseError> {
     if input.len() > limits.max_input_bytes {
         return Err(ParseError {
             message: format!(
@@ -614,18 +613,7 @@ fn make_parser(input: &str, limits: &ParseLimits) -> Result<Parser, ParseError> 
             kind: ParseErrorKind::InputTooLarge,
         });
     }
-    let tokens = lex(input)?;
-    if tokens.len() > limits.max_tokens {
-        return Err(ParseError {
-            message: format!(
-                "document has {} tokens; the limit is {}",
-                tokens.len(),
-                limits.max_tokens
-            ),
-            line: 0,
-            kind: ParseErrorKind::InputTooLarge,
-        });
-    }
+    let tokens = lex(input, limits.max_tokens)?;
     // Brace-depth pre-scan: the grammar is flat, so any brace run past
     // the cap is adversarial; rejecting here (rather than only inside
     // the descent, which bails on the grammar error first) guarantees
@@ -633,7 +621,7 @@ fn make_parser(input: &str, limits: &ParseLimits) -> Result<Parser, ParseError> 
     let mut depth = 0usize;
     for t in &tokens {
         match t.kind {
-            TokenKind::Punct('{') => {
+            TokenKind::Punct(b'{') => {
                 depth += 1;
                 if depth > limits.max_depth {
                     return Err(ParseError {
@@ -643,15 +631,16 @@ fn make_parser(input: &str, limits: &ParseLimits) -> Result<Parser, ParseError> 
                     });
                 }
             }
-            TokenKind::Punct('}') => depth = depth.saturating_sub(1),
+            TokenKind::Punct(b'}') => depth = depth.saturating_sub(1),
             _ => {}
         }
     }
     Ok(Parser {
         tokens,
         pos: 0,
-        depth: 0,
-        max_depth: limits.max_depth,
+        places: HashMap::new(),
+        pre: Vec::new(),
+        post: Vec::new(),
     })
 }
 

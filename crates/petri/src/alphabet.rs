@@ -127,6 +127,12 @@ impl<L: Label> Interner<L> {
         &self.labels[sym.index()]
     }
 
+    /// Reserves room for `additional` more labels.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        self.labels.reserve(additional);
+        self.lookup.reserve(additional);
+    }
+
     /// Number of interned labels.
     pub fn len(&self) -> usize {
         self.labels.len()
@@ -153,6 +159,21 @@ impl<L: Label> Interner<L> {
     /// transition or trace element) and then work on remapped symbols.
     pub fn merge(&mut self, other: &Interner<L>) -> Vec<Sym> {
         other.labels.iter().map(|l| self.intern(l)).collect()
+    }
+}
+
+impl Interner<String> {
+    /// Interns a label given as `&str`: a label already interned is
+    /// found without allocating, and a new one is stored as
+    /// [`intern`](Self::intern) stores it.
+    pub fn intern_str(&mut self, label: &str) -> Sym {
+        if let Some(&s) = self.lookup.get(label) {
+            return s;
+        }
+        let s = Sym::from_index(self.labels.len());
+        self.labels.push(label.to_owned());
+        self.lookup.insert(label.to_owned(), s);
+        s
     }
 }
 

@@ -122,10 +122,20 @@ pub fn dead_transitions_structural_mg<L: Label>(
 ///
 /// Returns the pruned net; place ids are *not* stable across this call
 /// (the mapping from `without_isolated_places` is discarded because dead
-/// removal is a terminal cleanup step in the synthesis pipelines).
-pub fn remove_dead<L: Label>(net: &PetriNet<L>, dead: &BTreeSet<TransitionId>) -> PetriNet<L> {
-    let (pruned, _) = net.without_transitions(dead).without_isolated_places();
-    pruned
+/// removal is a terminal cleanup step in the synthesis pipelines). Each
+/// step copies the net only when it has something to drop, so a net
+/// with nothing dead and no isolated place comes back as it is.
+pub fn remove_dead<L: Label>(net: PetriNet<L>, dead: &BTreeSet<TransitionId>) -> PetriNet<L> {
+    let live = if dead.is_empty() {
+        net
+    } else {
+        net.without_transitions(dead)
+    };
+    if live.has_isolated_place() {
+        live.without_isolated_places().0
+    } else {
+        live
+    }
 }
 
 #[cfg(test)]
@@ -133,6 +143,7 @@ pub fn remove_dead<L: Label>(net: &PetriNet<L>, dead: &BTreeSet<TransitionId>) -
 mod tests {
     use super::*;
     use crate::budget::Budget;
+    use crate::net::PlaceId;
 
     #[test]
     fn token_free_cycle_is_dead() {
@@ -217,9 +228,44 @@ mod tests {
         net.add_transition([r2], "d", [r1]).unwrap();
         net.set_initial(p, 1);
         let dead = dead_transitions_structural_mg(&net).unwrap();
-        let pruned = remove_dead(&net, &dead);
+        let pruned = remove_dead(net, &dead);
         assert_eq!(pruned.transition_count(), 2);
         assert_eq!(pruned.place_count(), 2);
+        pruned.validate().unwrap();
+
+        // A dead transition whose places stay in use: only it goes.
+        let mut net = pruned;
+        let (p, q) = (PlaceId::from_index(0), PlaceId::from_index(1));
+        let c = net.add_transition([p, q], "c", [p]).unwrap();
+        let dead = BTreeSet::from([c]);
+        let reference = net.without_transitions(&dead).without_isolated_places().0;
+        let pruned = remove_dead(net, &dead);
+        assert_eq!(pruned, reference);
+        assert_eq!((pruned.place_count(), pruned.transition_count()), (2, 2));
+    }
+
+    #[test]
+    fn remove_dead_with_nothing_dead() {
+        let mut net: PetriNet<&str> = PetriNet::new();
+        let p = net.add_place("p");
+        let q = net.add_place("q");
+        net.add_transition([p], "a", [q]).unwrap();
+        net.add_transition([q], "b", [p]).unwrap();
+        net.set_initial(p, 1);
+        // Nothing to drop: the net comes back equal.
+        let kept = remove_dead(net.clone(), &BTreeSet::new());
+        assert_eq!(kept, net);
+        assert_eq!(kept.place_count(), 2);
+        // An isolated unmarked place is still dropped; a marked one is
+        // kept.
+        let mut with_isolated = net.clone();
+        with_isolated.add_place("lonely");
+        let marked = with_isolated.add_place("marked");
+        with_isolated.set_initial(marked, 1);
+        let pruned = remove_dead(with_isolated, &BTreeSet::new());
+        assert_eq!(pruned.place_count(), 3);
+        assert_eq!(pruned.transition_count(), 2);
+        assert!(pruned.places().all(|(_, pl)| pl.name() != "lonely"));
         pruned.validate().unwrap();
     }
 

@@ -169,6 +169,15 @@ impl Transition {
     }
 }
 
+/// The set of `places`, inserted one by one: collecting into a
+/// `BTreeSet` would first sort them in a `Vec` of their own, an
+/// allocation too many for the few places of a pre- or postset.
+fn place_set(places: impl IntoIterator<Item = PlaceId>) -> BTreeSet<PlaceId> {
+    let mut set = BTreeSet::new();
+    set.extend(places);
+    set
+}
+
 /// A labeled Petri net `(A, P, →, M0)` over labels of type `L`.
 ///
 /// Construction is incremental: add places, then transitions over them,
@@ -251,6 +260,13 @@ impl<L: Label> PetriNet<L> {
         id
     }
 
+    /// Reserves room for `additional` more interned labels, for a
+    /// builder that knows how many it will add: a growing interner
+    /// rehashes every label it holds.
+    pub fn reserve_labels(&mut self, additional: usize) {
+        self.interner.reserve(additional);
+    }
+
     fn check_transition(
         &self,
         preset: &BTreeSet<PlaceId>,
@@ -302,8 +318,8 @@ impl<L: Label> PetriNet<L> {
         sym: Sym,
         postset: impl IntoIterator<Item = PlaceId>,
     ) -> Result<TransitionId, PetriError> {
-        let preset: BTreeSet<PlaceId> = preset.into_iter().collect();
-        let postset: BTreeSet<PlaceId> = postset.into_iter().collect();
+        let preset = place_set(preset);
+        let postset = place_set(postset);
         self.check_transition(&preset, &postset)?;
         if sym.index() >= self.interner.len() {
             return Err(PetriError::Precondition(format!(
@@ -636,15 +652,7 @@ impl<L: Label> PetriNet<L> {
     /// initially nor adjacent to any transition, together with the
     /// old-to-new place id mapping.
     pub fn without_isolated_places(&self) -> (PetriNet<L>, BTreeMap<PlaceId, PlaceId>) {
-        let mut used = vec![false; self.places.len()];
-        for (_, t) in self.transitions() {
-            for &p in t.preset().iter().chain(t.postset().iter()) {
-                used[p.index()] = true;
-            }
-        }
-        for (p, _) in self.initial.marked_places() {
-            used[p.index()] = true;
-        }
+        let used = self.used_places();
         let mut map = BTreeMap::new();
         let mut net = PetriNet::with_interner(self.interner.clone());
         net.alphabet = self.alphabet.clone();
@@ -666,6 +674,29 @@ impl<L: Label> PetriNet<L> {
             });
         }
         (net, map)
+    }
+
+    /// Per place, whether it is marked initially or adjacent to a
+    /// transition: the places [`without_isolated_places`] keeps.
+    ///
+    /// [`without_isolated_places`]: Self::without_isolated_places
+    fn used_places(&self) -> Vec<bool> {
+        let mut used = vec![false; self.places.len()];
+        for (_, t) in self.transitions() {
+            for &p in t.preset().iter().chain(t.postset().iter()) {
+                used[p.index()] = true;
+            }
+        }
+        for (p, _) in self.initial.marked_places() {
+            used[p.index()] = true;
+        }
+        used
+    }
+
+    /// Whether some place is neither marked initially nor adjacent to
+    /// any transition.
+    pub(crate) fn has_isolated_place(&self) -> bool {
+        self.used_places().contains(&false)
     }
 
     /// Maps every label through `f`, producing a net over a new label type.
@@ -736,6 +767,14 @@ impl<L: Label> PetriNet<L> {
             }
         }
         Ok(())
+    }
+}
+
+impl PetriNet<String> {
+    /// [`intern_label`](Self::intern_label) for a label given as
+    /// `&str`: interning a label the net already has allocates nothing.
+    pub fn intern_str(&mut self, label: &str) -> Sym {
+        self.interner.intern_str(label)
     }
 }
 

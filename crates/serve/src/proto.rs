@@ -887,26 +887,30 @@ impl Response {
                 Ok(Response::Progress(p))
             }
             "stats" => {
+                // A tolerant reader: a counter this decoder does not know
+                // (one a later server reports) is skipped, so adding a
+                // counter breaks no client. Words without `=` and bad
+                // values of known counters are still errors.
                 let mut s = StatsReply::default();
                 for word in rest.split_whitespace() {
                     let (k, v) = word
                         .split_once('=')
                         .ok_or_else(|| format!("malformed field `{word}`"))?;
-                    let parsed: u64 = v.parse().map_err(|_| format!("bad {k}"))?;
+                    let parsed = || v.parse::<u64>().map_err(|_| format!("bad {k}"));
                     match k {
-                        "served" => s.served = parsed,
-                        "shed" => s.shed = parsed,
-                        "bad_requests" => s.bad_requests = parsed,
-                        "panics" => s.panics = parsed,
-                        "cache_hits" => s.cache_hits = parsed,
-                        "cache_byte_hits" => s.cache_byte_hits = parsed,
-                        "cache_structural_hits" => s.cache_structural_hits = parsed,
-                        "cache_misses" => s.cache_misses = parsed,
-                        "cache_evictions" => s.cache_evictions = parsed,
-                        "cache_len" => s.cache_len = parsed as usize,
-                        "cache_capacity" => s.cache_capacity = parsed as usize,
-                        "cache_bytes" => s.cache_bytes = parsed,
-                        other => return Err(format!("unknown field `{other}`")),
+                        "served" => s.served = parsed()?,
+                        "shed" => s.shed = parsed()?,
+                        "bad_requests" => s.bad_requests = parsed()?,
+                        "panics" => s.panics = parsed()?,
+                        "cache_hits" => s.cache_hits = parsed()?,
+                        "cache_byte_hits" => s.cache_byte_hits = parsed()?,
+                        "cache_structural_hits" => s.cache_structural_hits = parsed()?,
+                        "cache_misses" => s.cache_misses = parsed()?,
+                        "cache_evictions" => s.cache_evictions = parsed()?,
+                        "cache_len" => s.cache_len = parsed()? as usize,
+                        "cache_capacity" => s.cache_capacity = parsed()? as usize,
+                        "cache_bytes" => s.cache_bytes = parsed()?,
+                        _ => {}
                     }
                 }
                 Ok(Response::Stats(s))
@@ -1414,6 +1418,29 @@ mod tests {
         assert!(Request::decode("verify env=e").is_err()); // no module=
         assert!(Request::decode("verify module=m").is_err()); // no env=
         assert!(Request::decode("batch deadline_ms=5\n").is_err()); // no n=
+    }
+
+    #[test]
+    fn stats_decoder_skips_unknown_counters() {
+        let reply = Response::Stats(StatsReply {
+            served: 5,
+            cache_hits: 3,
+            cache_len: 2,
+            cache_capacity: 64,
+            ..StatsReply::default()
+        });
+        let text = reply.encode();
+        let extended = format!("{text} verdict_hits=7 future=x");
+        assert_eq!(Response::decode(&extended).unwrap(), reply);
+        assert_eq!(Response::decode(&text).unwrap(), reply);
+        // Still strict: malformed words and bad values of known fields.
+        assert!(Response::decode(&format!("{text} verdict_hits")).is_err());
+        assert!(Response::decode("stats served=x").is_err());
+        assert!(Response::decode("stats cache_len=-1").is_err());
+        // The other replies stay strict about unknown fields.
+        assert!(Response::decode("result states=1 edges=0 complete=true future=x").is_err());
+        assert!(Response::decode("verify-result receptive=true future=x").is_err());
+        assert!(Response::decode("progress stage=explore future=x").is_err());
     }
 
     #[test]

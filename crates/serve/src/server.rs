@@ -780,12 +780,13 @@ fn serve_conn_v2(shared: &Arc<Shared>, conn: Conn, job_tx: &SyncSender<Job>) {
     // it every burst pays one pool handoff, which dominates the cost
     // of a burst of microsecond queries.
     let mut bursty = false;
+    let mut read_timeout = ReadTimeout::default();
 
     loop {
         if sink.is_broken() {
             break;
         }
-        let payload = match read_frame_buffered(shared, &mut reader) {
+        let payload = match read_frame_buffered(shared, &mut reader, &mut read_timeout) {
             Ok(Some(p)) => p,
             Ok(None) => break, // drain/hard stop, peer idle
             Err(FrameError::Oversized { claimed, max }) => {
@@ -888,19 +889,39 @@ fn serve_conn_v2(shared: &Arc<Shared>, conn: Conn, job_tx: &SyncSender<Job>) {
     reader.into_inner().shutdown();
 }
 
+/// The read timeout last set on a connection's socket. Setting one is a
+/// `setsockopt` call, so [`read_frame_buffered`] sets a timeout only
+/// for a read that will consult the socket, and only when it differs
+/// from the one already set.
+#[derive(Default)]
+struct ReadTimeout(Option<Duration>);
+
+impl ReadTimeout {
+    fn set(&mut self, conn: &Conn, timeout: Duration) -> io::Result<()> {
+        if self.0 != Some(timeout) {
+            conn.set_read_timeout(Some(timeout))?;
+            self.0 = Some(timeout);
+        }
+        Ok(())
+    }
+}
+
 /// [`read_frame_with_timeouts`] over a buffered reader: identical idle
 /// and I/O timeout behavior, but consecutive small frames are served
-/// from one underlying `read`. Timeouts only bite when the buffer is
-/// empty and the socket is actually consulted.
+/// from one underlying `read`. Timeouts only bite when the buffer runs
+/// short and the socket is actually consulted, so only then is one set.
 fn read_frame_buffered(
     shared: &Shared,
     reader: &mut BufReader<Conn>,
+    timeout: &mut ReadTimeout,
 ) -> Result<Option<Vec<u8>>, FrameError> {
     let poll = Duration::from_millis(200);
     let started = Instant::now();
     let mut first = [0u8; 1];
     loop {
-        reader.get_mut().set_read_timeout(Some(poll))?;
+        if reader.buffer().is_empty() {
+            timeout.set(reader.get_ref(), poll)?;
+        }
         match reader.read(&mut first) {
             Ok(0) => {
                 return Err(FrameError::Io(io::Error::new(
@@ -924,9 +945,9 @@ fn read_frame_buffered(
             Err(e) => return Err(FrameError::Io(e)),
         }
     }
-    reader
-        .get_mut()
-        .set_read_timeout(Some(shared.config.io_timeout))?;
+    if !rest_buffered(reader, first[0]) {
+        timeout.set(reader.get_ref(), shared.config.io_timeout)?;
+    }
     let mut rest = [0u8; 3];
     reader.read_exact(&mut rest)?;
     let claimed = u32::from_be_bytes([first[0], rest[0], rest[1], rest[2]]) as usize;
@@ -937,6 +958,14 @@ fn read_frame_buffered(
 /// this small finishes in microseconds, so running it on the
 /// connection thread costs less than waking a worker for it.
 const INLINE_MAX_STATES: usize = 10_000;
+
+/// Whether the read buffer holds the rest of a frame whose first
+/// length byte was `first`: the other three length bytes and the whole
+/// payload.
+fn rest_buffered(reader: &BufReader<Conn>, first: u8) -> bool {
+    let buf = reader.buffer();
+    buf.len() >= 3 && buf.len() - 3 >= u32::from_be_bytes([first, buf[0], buf[1], buf[2]]) as usize
+}
 
 /// Whether the read buffer already holds a complete frame — i.e. the
 /// connection thread will process another request before it can block

@@ -775,6 +775,50 @@ fn batch_answers_every_item_in_order() {
     assert_eq!(stats.served, 3, "good items served, BatchDone uncounted");
 }
 
+/// A frame that arrives behind a complete one, in the same read, but
+/// only in part: the server answers the complete frame from its read
+/// buffer, then waits for the rest of the partial one for `io_timeout`
+/// (not the 200 ms idle poll, nor the far longer `idle_timeout`) and
+/// closes the connection.
+#[test]
+fn partly_buffered_frame_times_out_after_io_timeout() {
+    let io_timeout = Duration::from_millis(1500);
+    let (ep, handle, join) = start_with(ServerConfig {
+        io_timeout,
+        idle_timeout: Duration::from_secs(30),
+        ..config()
+    });
+    let mut conn = cpn_serve::Conn::dial(&ep).expect("dial");
+    let _ = conn.set_read_timeout(Some(Duration::from_secs(20)));
+    write_handshake_version(&mut conn, PROTO_VERSION).expect("handshake out");
+    assert_eq!(read_handshake(&mut conn).expect("handshake in"), 2);
+
+    let mut bytes = encode_frame(with_corr(Some(1), &Request::Ping.encode()).as_bytes());
+    let partial = encode_frame(with_corr(Some(2), &small_reach(None).encode()).as_bytes());
+    bytes.extend_from_slice(&partial[..partial.len() / 2]);
+    conn.write_all(&bytes).expect("frames");
+    let started = std::time::Instant::now();
+
+    let payload = read_frame(&mut conn, 1 << 20).expect("pong frame");
+    let text = std::str::from_utf8(&payload).expect("UTF-8");
+    let (corr, body) = split_corr(text).expect("corr");
+    assert_eq!(corr, Some(1));
+    assert_eq!(Response::decode(body).expect("typed"), Response::Pong);
+    // The server gives up on the partial frame and closes.
+    assert!(
+        read_frame(&mut conn, 1 << 20).is_err(),
+        "no reply to a partial frame"
+    );
+    let waited = started.elapsed();
+    assert!(
+        waited >= io_timeout - Duration::from_millis(300) && waited < Duration::from_secs(10),
+        "closed after {waited:?}, io_timeout is {io_timeout:?}"
+    );
+
+    handle.begin_drain();
+    join.join().expect("server");
+}
+
 /// An undecodable item inside a batch frame gets its own typed
 /// `BadRequest` naming the index; well-formed siblings still run.
 #[test]

@@ -51,17 +51,12 @@
 
 use crate::proto::VerifySummary;
 use cpn_format::{parse_with_limits, Document, ParseLimits};
+use cpn_petri::hash::fnv1a_64;
 use cpn_petri::{CompiledNet, NetId, PetriNet};
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-
-/// FNV-1a, 64-bit — re-exported from [`cpn_petri::hash`] so existing
-/// callers keep compiling while the implementation lives in one place.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    cpn_petri::hash::fnv1a_64(bytes)
-}
 
 /// A parsed and compiled net, shared between workers.
 #[derive(Debug)]
@@ -305,7 +300,7 @@ impl NetCache {
     /// poisoned negative entry would outlive a client's fixed resubmit)
     /// but do count as misses.
     pub fn get_or_compile(&self, doc: &str, name: &str) -> Result<Arc<CachedNet>, CacheMiss> {
-        self.lookup(doc, fnv1a(doc.as_bytes()), name, &mut None, false)
+        self.lookup(doc, fnv1a_64(doc.as_bytes()), name, &mut None, false)
     }
 
     /// The compiled nets for `names` inside one `doc`, in order, from
@@ -322,7 +317,7 @@ impl NetCache {
         doc: &str,
         names: &[&str],
     ) -> Result<Vec<Arc<CachedNet>>, CacheMiss> {
-        let hash = fnv1a(doc.as_bytes());
+        let hash = fnv1a_64(doc.as_bytes());
         let mut parsed = None;
         names
             .iter()
@@ -448,7 +443,7 @@ impl NetCache {
     /// tier only: a reformatted copy of a resident net probes `false`
     /// (routing must stay O(hash), not O(parse)).
     pub fn peek(&self, doc: &str, name: &str) -> bool {
-        let key = (fnv1a(doc.as_bytes()), name.to_owned());
+        let key = (fnv1a_64(doc.as_bytes()), name.to_owned());
         let inner = self.lock();
         inner
             .by_bytes
@@ -509,12 +504,6 @@ impl NetCache {
         }
     }
 
-    /// `(hits, misses)` counters since construction.
-    pub fn stats(&self) -> (u64, u64) {
-        let s = self.full_stats();
-        (s.hits, s.misses)
-    }
-
     /// Entries currently resident.
     pub fn len(&self) -> usize {
         self.lock().by_id.len()
@@ -563,8 +552,8 @@ mod tests {
         let a = cache.get_or_compile(DOC, "n").unwrap();
         let b = cache.get_or_compile(DOC, "n").unwrap();
         assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(cache.stats(), (1, 1));
         let full = cache.full_stats();
+        assert_eq!((full.hits, full.misses), (1, 1));
         assert_eq!(full.byte_hits, 1, "exact resubmit is a byte hit");
         assert_eq!(full.structural_hits, 0);
     }

@@ -14,9 +14,9 @@
 //! version it speaks; the server answers with
 //! `min(client_version, PROTO_VERSION)`, which both sides then use for
 //! the rest of the connection. A v1 client therefore keeps working
-//! against a v2 server unchanged (it advertises 1, the server echoes
-//! 1 and serves the v1 request/response loop), while two v2 peers get
-//! batches, correlation ids, and streaming. A v2 client dialing an old
+//! against a v2 server (it advertises 1, the server echoes 1 and
+//! answers it in lock-step), while two v2 peers get batches,
+//! correlation ids, and streaming. A v2 client dialing an old
 //! v1-only server fails the handshake (the old server rejects unknown
 //! versions before replying); that direction is a deliberate
 //! non-goal — servers upgrade first.

@@ -23,16 +23,24 @@
 //! * **Drain** — SIGTERM (or [`ServerHandle::begin_drain`]) stops
 //!   accepting, sheds new work, lets in-flight requests finish under a
 //!   shrinking deadline, then cancels stragglers and joins the pool.
-//! * **Cache** ([`cache`]) — compiled nets keyed by document content
-//!   hash with LRU eviction, so an edit-verify loop pays parse +
-//!   compile once per edit and a batch hash-conses repeated documents.
+//! * **Cache** ([`cache`]) — three LRU tiers: compiled nets found by
+//!   document bytes, then by canonical net identity (`NetId`, so a
+//!   respelled document is not recompiled), and verify verdicts keyed
+//!   by the two entries they were computed on. An edit-verify loop pays
+//!   parse + compile once per edit, a batch hash-conses repeated
+//!   documents, and a repeated `verify` is answered without composing
+//!   or exploring.
 //! * **Client** ([`client`]) — handshake, typed errors, and
 //!   retry-with-full-jitter backoff for sheds and transient faults.
 //!
 //! ## Protocol v2: batching, pipelining, streaming, server-side verify
 //!
-//! The handshake negotiates `min(client, server)` versions, so v1
-//! clients keep working unchanged. On a v2 connection:
+//! The handshake negotiates `min(client, server)` versions. Both run
+//! one connection loop; a v1 client is answered in lock-step with the
+//! bytes it always got (no correlation ids, batches or progress
+//! frames), except that an answer overdue past its deadline plus
+//! `io_timeout` plus 2 s becomes an `internal-error` and closes the
+//! connection. On a v2 connection:
 //!
 //! * [`Request::Batch`] carries N sub-requests in one frame, answered
 //!   in order with [`Response::Item`] frames and closed by
@@ -48,7 +56,8 @@
 //!   `module ‖ env`, then check receptiveness and reduce against the
 //!   environment from one exploration of the composition — answered
 //!   with [`Response::VerifyResult`].
-//! * [`Request::Stats`] reports live service and cache counters.
+//! * [`Request::Stats`] reports live service and cache counters,
+//!   verdict-tier hits included.
 //!
 //! [`Budget`]: cpn_petri::Budget
 //!

@@ -691,6 +691,9 @@ pub struct StatsReply {
     pub cache_capacity: usize,
     /// Approximate bytes held by resident cache entries.
     pub cache_bytes: u64,
+    /// Verify answers returned from the cache's verdict tier, without
+    /// composing or exploring (0 from a server that does not report it).
+    pub verdict_hits: u64,
 }
 
 /// A non-final streamed update for a `stream=true` request.
@@ -790,7 +793,8 @@ impl Response {
             Response::Stats(s) => format!(
                 "stats served={} shed={} bad_requests={} panics={} cache_hits={} \
                  cache_byte_hits={} cache_structural_hits={} cache_misses={} \
-                 cache_evictions={} cache_len={} cache_capacity={} cache_bytes={}",
+                 cache_evictions={} cache_len={} cache_capacity={} cache_bytes={} \
+                 verdict_hits={}",
                 s.served,
                 s.shed,
                 s.bad_requests,
@@ -802,7 +806,8 @@ impl Response {
                 s.cache_evictions,
                 s.cache_len,
                 s.cache_capacity,
-                s.cache_bytes
+                s.cache_bytes,
+                s.verdict_hits
             ),
             Response::Progress(p) => format!(
                 "progress stage={} states={} edges={}",
@@ -910,6 +915,7 @@ impl Response {
                         "cache_len" => s.cache_len = parsed()? as usize,
                         "cache_capacity" => s.cache_capacity = parsed()? as usize,
                         "cache_bytes" => s.cache_bytes = parsed()?,
+                        "verdict_hits" => s.verdict_hits = parsed()?,
                         _ => {}
                     }
                 }
@@ -1357,6 +1363,7 @@ mod tests {
                 cache_len: 3,
                 cache_capacity: 64,
                 cache_bytes: 4096,
+                verdict_hits: 12,
             }),
             Response::Progress(ProgressUpdate {
                 stage: "explore".into(),
@@ -1430,11 +1437,16 @@ mod tests {
             ..StatsReply::default()
         });
         let text = reply.encode();
-        let extended = format!("{text} verdict_hits=7 future=x");
+        let extended = format!("{text} future_counter=7 future=x");
         assert_eq!(Response::decode(&extended).unwrap(), reply);
         assert_eq!(Response::decode(&text).unwrap(), reply);
+        // A reply from a server that does not report `verdict_hits`.
+        let older = text.replace(" verdict_hits=0", "");
+        assert_ne!(older, text);
+        assert_eq!(Response::decode(&older).unwrap(), reply);
         // Still strict: malformed words and bad values of known fields.
-        assert!(Response::decode(&format!("{text} verdict_hits")).is_err());
+        assert!(Response::decode(&format!("{text} future_counter")).is_err());
+        assert!(Response::decode("stats verdict_hits=x").is_err());
         assert!(Response::decode("stats served=x").is_err());
         assert!(Response::decode("stats cache_len=-1").is_err());
         // The other replies stay strict about unknown fields.

@@ -17,14 +17,13 @@
 //! caught per-request with `catch_unwind`; the worker survives and the
 //! client receives [`Response::InternalError`].
 //!
-//! ## Protocol v2: pipelining, batches, streaming
+//! ## One connection loop for both protocol versions
 //!
 //! The handshake negotiates `min(client, PROTO_VERSION)` per
-//! connection. A v1 connection keeps the strict lock-step loop above —
-//! one frame in, one frame out, byte-identical to earlier builds. A v2
-//! connection splits reading from writing: the connection thread keeps
-//! reading (and dispatching) frames while workers write responses
-//! through a shared, mutex-serialized clone of the socket, each frame
+//! connection, and every connection runs the same loop: the connection
+//! thread reads frames through one buffered reader and dispatches them,
+//! while workers write responses through a shared, mutex-serialized
+//! clone of the socket (the connection's sink). On v2 each frame is
 //! tagged with the request's correlation id. That gives
 //!
 //! * **pipelining** — many requests in flight on one connection, each
@@ -41,6 +40,17 @@
 //!   [`Response::Progress`] frames (geometrically growing exploration
 //!   slices; total re-exploration overhead is bounded by a constant
 //!   factor of the final run) before the final answer.
+//!
+//! A v1 connection gets none of the three, derived from its version:
+//! frame text is never split for `@<id>`, a `batch` frame is refused
+//! with `BadRequest`, `stream=true` sends no progress frames, and after
+//! a pool dispatch the next frame is read only once the answer has been
+//! written — one frame in, one frame out, as v1 clients expect. An
+//! answer overdue past the request's deadline (capped by the default)
+//! plus `io_timeout` plus 2 s is replaced by
+//! `internal-error worker did not reply in time`, and the connection
+//! then closes, so the late answer can never be read as the reply to a
+//! later request.
 //!
 //! ## Drain
 //!
@@ -72,7 +82,7 @@ use std::io::{self, BufReader, Read, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -153,6 +163,14 @@ impl ServerConfig {
             max_items: self.max_batch_items,
             max_item_bytes: self.max_frame.min(self.parse_limits.max_input_bytes),
         }
+    }
+
+    /// A request's own deadline capped by `default_deadline`, which also
+    /// stands in when the request sets none.
+    fn capped_deadline(&self, request: &Request) -> Duration {
+        request
+            .deadline()
+            .map_or(self.default_deadline, |d| d.min(self.default_deadline))
     }
 }
 
@@ -251,6 +269,7 @@ impl Shared {
             cache_len: cache.len,
             cache_capacity: cache.capacity,
             cache_bytes: cache.bytes,
+            verdict_hits: cache.verdict_hits,
         }
     }
 }
@@ -291,15 +310,22 @@ impl ServerHandle {
 /// bytes accumulate, even while more completions are imminent.
 const SINK_FLUSH_BYTES: usize = 64 * 1024;
 
-/// The writer half of a [`ConnSink`]: the socket clone plus the
-/// pending coalescing buffer, guarded together so frames append and
-/// flush atomically.
+/// The writer half of a [`ConnSink`]: the socket clone, the pending
+/// coalescing buffer and the in-flight count, guarded together so
+/// frames append and flush atomically and a request leaves the count in
+/// the same step that writes its final frame.
 struct SinkState {
     conn: Conn,
     pending: Vec<u8>,
+    /// Requests dispatched to the pool whose final frame has not been
+    /// written yet.
+    in_flight: usize,
+    /// Whether the connection thread waits in [`ConnSink::wait_idle`]
+    /// (a notify is a syscall even with no waiter, so it is skipped).
+    waiting: bool,
 }
 
-/// The write half of a v2 connection, shared between the connection
+/// The write half of a connection, shared between the connection
 /// thread and the workers computing its requests. Frames are appended
 /// whole under the mutex (concurrent completions interleave at frame
 /// granularity, never byte granularity) into a pending buffer, and the
@@ -308,10 +334,12 @@ struct SinkState {
 /// costs one syscall, not one per frame.
 struct ConnSink {
     state: Mutex<SinkState>,
+    /// Signalled, while the connection thread waits, when the in-flight
+    /// count reaches zero or the sink breaks.
+    idle: Condvar,
     max_frame: usize,
-    /// Requests dispatched to the pool whose final frame has not been
-    /// written yet; the connection thread drains to zero before closing.
-    in_flight: AtomicUsize,
+    /// Whether `stream=true` requests get progress frames (v2 only).
+    streams: bool,
     /// Requests dispatched but not yet picked up by a worker. While
     /// nonzero, another completion is imminent and workers leave their
     /// frames in the pending buffer for the last one to flush.
@@ -322,38 +350,59 @@ struct ConnSink {
 }
 
 impl ConnSink {
+    fn new(conn: Conn, max_frame: usize, streams: bool) -> ConnSink {
+        ConnSink {
+            state: Mutex::new(SinkState {
+                conn,
+                pending: Vec::new(),
+                in_flight: 0,
+                waiting: false,
+            }),
+            idle: Condvar::new(),
+            max_frame,
+            streams,
+            queued: AtomicUsize::new(0),
+            broken: AtomicBool::new(false),
+        }
+    }
+
     /// Appends one frame to the pending buffer without flushing
     /// (unless the buffer has grown past [`SINK_FLUSH_BYTES`]).
     fn enqueue(&self, corr: Option<u64>, response: &Response) -> bool {
-        if self.broken.load(Ordering::SeqCst) {
+        if self.is_broken() {
             return false;
         }
         let text = with_corr(corr, &response.encode());
+        self.append_locked(&mut lock(&self.state), &text)
+    }
+
+    fn append_locked(&self, state: &mut SinkState, text: &str) -> bool {
+        if self.is_broken() {
+            return false;
+        }
         if text.len() > self.max_frame {
             // Our own encodings stay under the cap; treat an overrun
             // like a dead peer rather than desynchronize the stream.
-            self.broken.store(true, Ordering::SeqCst);
+            self.break_locked(state);
             return false;
         }
-        let mut state = lock(&self.state);
         state
             .pending
             .extend_from_slice(&(text.len() as u32).to_be_bytes());
         state.pending.extend_from_slice(text.as_bytes());
         if state.pending.len() >= SINK_FLUSH_BYTES {
-            return self.flush_locked(&mut state);
+            return self.flush_locked(state);
         }
         true
     }
 
     /// Writes everything pending in one syscall.
     fn flush(&self) -> bool {
-        let mut state = lock(&self.state);
-        self.flush_locked(&mut state)
+        self.flush_locked(&mut lock(&self.state))
     }
 
     fn flush_locked(&self, state: &mut SinkState) -> bool {
-        if self.broken.load(Ordering::SeqCst) {
+        if self.is_broken() {
             return false;
         }
         if state.pending.is_empty() {
@@ -365,10 +414,18 @@ impl ConnSink {
             .and_then(|()| state.conn.flush());
         state.pending.clear();
         if result.is_err() {
-            self.broken.store(true, Ordering::SeqCst);
+            self.break_locked(state);
             return false;
         }
         true
+    }
+
+    /// Marks the sink broken: nothing more is written through it.
+    fn break_locked(&self, state: &SinkState) {
+        self.broken.store(true, Ordering::SeqCst);
+        if state.waiting {
+            self.idle.notify_all();
+        }
     }
 
     /// Appends and flushes immediately — for frames a peer is waiting
@@ -377,18 +434,42 @@ impl ConnSink {
         self.enqueue(corr, response) && self.flush()
     }
 
-    /// Appends a worker's final frame, flushing only when no other
-    /// dispatched request is waiting for a worker — the common case
-    /// under pipelining is that the next completion is milliseconds
-    /// away and rides the same syscall.
-    fn send_coalesced(&self, corr: Option<u64>, response: &Response) -> bool {
-        if !self.enqueue(corr, response) {
-            return false;
+    /// Writes a dispatched request's final frame and retires the request
+    /// from the in-flight count in one critical section, so a connection
+    /// thread that stops waiting for it either finds the frame written
+    /// or keeps it from ever being written. The frame is flushed only
+    /// when no other dispatched request is waiting for a worker — under
+    /// pipelining the next completion is usually milliseconds away and
+    /// rides the same syscall — except that a batch's closing frame
+    /// always flushes the batch.
+    fn finish(&self, corr: Option<u64>, response: &Response) {
+        let text = (!self.is_broken()).then(|| with_corr(corr, &response.encode()));
+        let mut state = lock(&self.state);
+        if let Some(text) = text {
+            let flush = matches!(response, Response::BatchDone { .. })
+                || self.queued.load(Ordering::SeqCst) == 0;
+            if self.append_locked(&mut state, &text) && flush {
+                self.flush_locked(&mut state);
+            }
         }
-        if self.queued.load(Ordering::SeqCst) == 0 {
-            return self.flush();
+        state.in_flight -= 1;
+        if state.in_flight == 0 && state.waiting {
+            self.idle.notify_all();
         }
-        true
+    }
+
+    /// Blocks until no dispatched request is in flight, the sink breaks,
+    /// or `timeout` passes. Returns the lock, so the caller acts on what
+    /// it finds before any worker writes again.
+    fn wait_idle(&self, timeout: Duration) -> MutexGuard<'_, SinkState> {
+        let mut state = lock(&self.state);
+        state.waiting = true;
+        let (mut state, _) = self
+            .idle
+            .wait_timeout_while(state, timeout, |s| s.in_flight > 0 && !self.is_broken())
+            .unwrap_or_else(PoisonError::into_inner);
+        state.waiting = false;
+        state
     }
 
     fn is_broken(&self) -> bool {
@@ -396,18 +477,12 @@ impl ConnSink {
     }
 }
 
-/// Where a worker's answer goes.
-enum Reply {
-    /// v1 lock-step: the connection thread blocks on this channel.
-    Channel(SyncSender<Response>),
-    /// v2 pipelined: the worker writes frames itself, tagged with the
-    /// request's correlation id.
-    Sink(Arc<ConnSink>, Option<u64>),
-}
-
+/// One request for the pool; the worker writes its frames through
+/// `sink`, tagged with `corr`.
 struct Job {
     request: Request,
-    reply: Reply,
+    sink: Arc<ConnSink>,
+    corr: Option<u64>,
 }
 
 /// Streaming context threaded into a handler when the client asked for
@@ -622,54 +697,6 @@ fn accept_conn(
     }
 }
 
-/// Reads one frame with separate idle and I/O timeouts. Returns
-/// `Ok(None)` when the server is hard-stopping and the peer is idle.
-fn read_frame_with_timeouts(
-    shared: &Shared,
-    conn: &mut Conn,
-) -> Result<Option<Vec<u8>>, FrameError> {
-    // Idle phase: poll for the first byte in short slices so drain and
-    // hard-stop are observed promptly.
-    let poll = Duration::from_millis(200);
-    let started = Instant::now();
-    let mut first = [0u8; 1];
-    loop {
-        conn.set_read_timeout(Some(poll))?;
-        match conn.read(&mut first) {
-            Ok(0) => {
-                return Err(FrameError::Io(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "peer closed",
-                )))
-            }
-            Ok(_) => break,
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                // An idle connection (no frame started) has nothing
-                // in flight: close it as soon as a drain begins rather
-                // than holding the drain open for the whole grace.
-                if shared.hard_stop.load(Ordering::SeqCst) || shared.draining.load(Ordering::SeqCst)
-                {
-                    return Ok(None);
-                }
-                if started.elapsed() >= shared.config.idle_timeout {
-                    return Err(FrameError::Io(e));
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(FrameError::Io(e)),
-        }
-    }
-    // Frame phase: the peer has started a frame; finish it under the
-    // I/O timeout (a stalled writer is cut off, not waited on).
-    conn.set_read_timeout(Some(shared.config.io_timeout))?;
-    let mut rest = [0u8; 3];
-    conn.read_exact(&mut rest)?;
-    let claimed = u32::from_be_bytes([first[0], rest[0], rest[1], rest[2]]) as usize;
-    read_frame_payload(conn, claimed, shared.config.max_frame).map(Some)
-}
-
 fn serve_conn(shared: &Arc<Shared>, mut conn: Conn, job_tx: &SyncSender<Job>) {
     let _ = conn.set_write_timeout(Some(shared.config.io_timeout));
     let _ = conn.set_read_timeout(Some(shared.config.io_timeout));
@@ -694,64 +721,16 @@ fn serve_conn(shared: &Arc<Shared>, mut conn: Conn, job_tx: &SyncSender<Job>) {
         return;
     }
     shared.counters.accepted.fetch_add(1, Ordering::SeqCst);
-    if version >= 2 {
-        serve_conn_v2(shared, conn, job_tx);
-    } else {
-        serve_conn_v1(shared, conn, job_tx);
-    }
+    serve_frames(shared, conn, version < 2, job_tx);
 }
 
-/// The v1 lock-step loop: one frame in, one frame out, the connection
-/// thread blocking on the worker's reply. Byte-identical to earlier
-/// builds — a v1 client cannot observe the upgrade.
-fn serve_conn_v1(shared: &Arc<Shared>, mut conn: Conn, job_tx: &SyncSender<Job>) {
-    loop {
-        let payload = match read_frame_with_timeouts(shared, &mut conn) {
-            Ok(Some(p)) => p,
-            Ok(None) => break, // hard stop, peer idle
-            Err(FrameError::Oversized { claimed, max }) => {
-                // The stream is desynchronized past this point (we did
-                // not consume the oversized payload): answer, close.
-                let resp = Response::BadRequest(format!(
-                    "frame of {claimed} bytes exceeds the {max}-byte cap"
-                ));
-                let _ = write_frame(&mut conn, resp.encode().as_bytes(), shared.config.max_frame);
-                shared.counters.bad_requests.fetch_add(1, Ordering::SeqCst);
-                break;
-            }
-            Err(_) => break, // EOF, idle timeout, truncation, transport fault
-        };
-        let response = match std::str::from_utf8(&payload) {
-            Err(_) => Response::BadRequest("request is not UTF-8".to_owned()),
-            Ok(text) => match Request::decode_with_limits(text, &shared.config.batch_limits()) {
-                Err(msg) => Response::BadRequest(msg),
-                Ok(Request::Ping) => Response::Pong,
-                Ok(Request::Stats) => Response::Stats(shared.stats_reply()),
-                Ok(Request::Batch { .. }) => {
-                    Response::BadRequest("batch requires protocol v2".to_owned())
-                }
-                Ok(request) => dispatch_v1(shared, request, job_tx),
-            },
-        };
-        shared.count_final(&response);
-        if write_frame(
-            &mut conn,
-            response.encode().as_bytes(),
-            shared.config.max_frame,
-        )
-        .is_err()
-        {
-            break;
-        }
-    }
-    conn.shutdown();
-}
-
-/// The v2 pipelined loop: the connection thread only reads and
+/// The connection loop: the connection thread only reads and
 /// dispatches; workers write through the shared [`ConnSink`]. Inline
 /// verbs (`ping`, `stats`) are answered from this thread so they never
-/// queue behind compute.
-fn serve_conn_v2(shared: &Arc<Shared>, conn: Conn, job_tx: &SyncSender<Job>) {
+/// queue behind compute. A `lock_step` (v1) connection reads no
+/// correlation ids, refuses batches, streams no progress, and reads its
+/// next frame only once the request dispatched before it is answered.
+fn serve_frames(shared: &Arc<Shared>, conn: Conn, lock_step: bool, job_tx: &SyncSender<Job>) {
     let writer = match conn.try_clone() {
         Ok(w) => w,
         Err(_) => {
@@ -760,16 +739,7 @@ fn serve_conn_v2(shared: &Arc<Shared>, conn: Conn, job_tx: &SyncSender<Job>) {
         }
     };
     let _ = writer.set_write_timeout(Some(shared.config.io_timeout));
-    let sink = Arc::new(ConnSink {
-        state: Mutex::new(SinkState {
-            conn: writer,
-            pending: Vec::new(),
-        }),
-        max_frame: shared.config.max_frame,
-        in_flight: AtomicUsize::new(0),
-        queued: AtomicUsize::new(0),
-        broken: AtomicBool::new(false),
-    });
+    let sink = Arc::new(ConnSink::new(writer, shared.config.max_frame, !lock_step));
     let limits = shared.config.batch_limits();
     // Buffer reads: a pipelined burst of small request frames arrives
     // in one TCP segment and is parsed from one `read` syscall.
@@ -799,38 +769,11 @@ fn serve_conn_v2(shared: &Arc<Shared>, conn: Conn, job_tx: &SyncSender<Job>) {
             }
             Err(_) => break,
         };
-        let (corr, body) = match std::str::from_utf8(&payload) {
-            Err(_) => {
-                let resp = Response::BadRequest("request is not UTF-8".to_owned());
-                shared.count_final(&resp);
-                sink.send(None, &resp);
-                continue;
-            }
-            Ok(text) => match split_corr(text) {
-                Ok(split) => split,
-                Err(msg) => {
-                    let resp = Response::BadRequest(msg);
-                    shared.count_final(&resp);
-                    sink.send(None, &resp);
-                    continue;
-                }
-            },
-        };
-        match Request::decode_with_limits(body, &limits) {
-            Err(msg) => {
-                let resp = Response::BadRequest(msg);
-                shared.count_final(&resp);
-                sink.send(corr, &resp);
-            }
-            Ok(Request::Ping) => {
-                shared.count_final(&Response::Pong);
-                sink.send(corr, &Response::Pong);
-            }
-            Ok(Request::Stats) => {
-                let resp = Response::Stats(shared.stats_reply());
-                shared.count_final(&resp);
-                sink.send(corr, &resp);
-            }
+        let (corr, decoded) = decode_frame(&payload, lock_step, &limits);
+        let answer = match decoded {
+            Err(msg) => Response::BadRequest(msg),
+            Ok(Request::Ping) => Response::Pong,
+            Ok(Request::Stats) => Response::Stats(shared.stats_reply()),
             Ok(request) => {
                 // Fast path for pipelined bursts: when another complete
                 // frame is already waiting in the read buffer, a small
@@ -859,18 +802,20 @@ fn serve_conn_v2(shared: &Arc<Shared>, conn: Conn, job_tx: &SyncSender<Job>) {
                         // write before blocking on the socket again.
                         sink.send(corr, &response);
                     }
-                } else {
-                    // Pool handoff: flush any replies the fast path
-                    // coalesced first, so they are not stranded behind
-                    // pooled compute.
-                    sink.flush();
-                    if let Some(resp) = dispatch_v2(shared, request, corr, &sink, job_tx) {
-                        // Shed (never queued): answer from this thread.
-                        sink.send(corr, &resp);
-                    }
+                    continue;
                 }
+                let deadline = shared.config.capped_deadline(&request);
+                if let Some(resp) = dispatch(shared, request, corr, &sink, job_tx) {
+                    // Shed (never queued): answer from this thread.
+                    sink.send(corr, &resp);
+                } else if lock_step && !await_final(shared, &sink, deadline) {
+                    break;
+                }
+                continue;
             }
-        }
+        };
+        shared.count_final(&answer);
+        sink.send(corr, &answer);
     }
 
     // Stop reading, but let dispatched work flush its final frames
@@ -878,15 +823,60 @@ fn serve_conn_v2(shared: &Arc<Shared>, conn: Conn, job_tx: &SyncSender<Job>) {
     // final frame per accepted request.
     let grace =
         shared.config.drain_grace.max(shared.config.io_timeout) + shared.config.default_deadline;
-    let wait_until = Instant::now() + grace;
-    while sink.in_flight.load(Ordering::SeqCst) > 0
-        && !sink.is_broken()
-        && Instant::now() < wait_until
-    {
-        thread::sleep(Duration::from_millis(5));
-    }
-    sink.flush(); // anything a worker left coalesced goes out first
+    let mut state = sink.wait_idle(grace);
+    sink.flush_locked(&mut state); // anything a worker left coalesced goes out first
+    drop(state);
     reader.into_inner().shutdown();
+}
+
+/// Splits a frame into its correlation id and its request. On a
+/// `lock_step` (v1) connection the text is never split for `@<id>` and
+/// a `batch` is refused; an error is the `bad-request` message.
+fn decode_frame(
+    payload: &[u8],
+    lock_step: bool,
+    limits: &BatchLimits,
+) -> (Option<u64>, Result<Request, String>) {
+    let Ok(text) = std::str::from_utf8(payload) else {
+        return (None, Err("request is not UTF-8".to_owned()));
+    };
+    let (corr, body) = if lock_step {
+        (None, text)
+    } else {
+        match split_corr(text) {
+            Ok(split) => split,
+            Err(msg) => return (None, Err(msg)),
+        }
+    };
+    match Request::decode_with_limits(body, limits) {
+        Ok(Request::Batch { .. }) if lock_step => {
+            (corr, Err("batch requires protocol v2".to_owned()))
+        }
+        decoded => (corr, decoded),
+    }
+}
+
+/// The lock-step wait of a v1 connection: blocks until the request just
+/// dispatched has written its final frame. An answer overdue past its
+/// `deadline` plus `io_timeout` plus 2 s of queueing and poll slack is
+/// replaced by `internal-error worker did not reply in time`, and the
+/// sink breaks so the late answer is never written. Returns whether the
+/// connection may read on.
+fn await_final(shared: &Shared, sink: &ConnSink, deadline: Duration) -> bool {
+    let bound = deadline + shared.config.io_timeout + Duration::from_secs(2);
+    let mut state = sink.wait_idle(bound);
+    if state.in_flight == 0 {
+        return true;
+    }
+    if !sink.is_broken() {
+        let late = Response::InternalError("worker did not reply in time".to_owned());
+        shared.count_final(&late);
+        if sink.append_locked(&mut state, &late.encode()) {
+            sink.flush_locked(&mut state);
+        }
+        sink.break_locked(&state);
+    }
+    false
 }
 
 /// The read timeout last set on a connection's socket. Setting one is a
@@ -906,15 +896,18 @@ impl ReadTimeout {
     }
 }
 
-/// [`read_frame_with_timeouts`] over a buffered reader: identical idle
-/// and I/O timeout behavior, but consecutive small frames are served
-/// from one underlying `read`. Timeouts only bite when the buffer runs
-/// short and the socket is actually consulted, so only then is one set.
+/// Reads one frame with separate idle and I/O timeouts. Returns
+/// `Ok(None)` when the server is draining or hard-stopping and the peer
+/// is idle. Consecutive small frames are served from one underlying
+/// `read`; timeouts only bite when the buffer runs short and the socket
+/// is actually consulted, so only then is one set.
 fn read_frame_buffered(
     shared: &Shared,
     reader: &mut BufReader<Conn>,
     timeout: &mut ReadTimeout,
 ) -> Result<Option<Vec<u8>>, FrameError> {
+    // Idle phase: poll for the first byte in short slices so drain and
+    // hard-stop are observed promptly.
     let poll = Duration::from_millis(200);
     let started = Instant::now();
     let mut first = [0u8; 1];
@@ -933,6 +926,10 @@ fn read_frame_buffered(
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
             {
+                // A peer that has not started a frame is closed as soon
+                // as a drain begins (once its dispatched work is
+                // answered) rather than holding the drain open for the
+                // whole grace.
                 if shared.hard_stop.load(Ordering::SeqCst) || shared.draining.load(Ordering::SeqCst)
                 {
                     return Ok(None);
@@ -945,6 +942,8 @@ fn read_frame_buffered(
             Err(e) => return Err(FrameError::Io(e)),
         }
     }
+    // Frame phase: the peer has started a frame; finish it under the
+    // I/O timeout (a stalled writer is cut off, not waited on).
     if !rest_buffered(reader, first[0]) {
         timeout.set(reader.get_ref(), shared.config.io_timeout)?;
     }
@@ -1010,10 +1009,10 @@ fn try_acquire_inline(shared: &Shared) -> bool {
         .is_ok()
 }
 
-/// Queues a compute request for the v2 path. Returns `Some(shed
-/// response)` when the request never reached the pool, `None` when a
-/// worker now owns answering it.
-fn dispatch_v2(
+/// Queues a compute request. Returns `Some(shed response)` when the
+/// request never reached the pool (the caller's send flushes what the
+/// fast path left pending), `None` when a worker now owns answering it.
+fn dispatch(
     shared: &Arc<Shared>,
     request: Request,
     corr: Option<u64>,
@@ -1021,58 +1020,32 @@ fn dispatch_v2(
     job_tx: &SyncSender<Job>,
 ) -> Option<Response> {
     if shared.draining.load(Ordering::SeqCst) {
+        // New work during drain is shed; only already-queued requests
+        // finish.
         shared.counters.shed.fetch_add(1, Ordering::SeqCst);
         return Some(Response::Overloaded);
     }
-    // Count in-flight before the send: the worker may finish (and
-    // decrement) before try_send even returns.
-    sink.in_flight.fetch_add(1, Ordering::SeqCst);
+    {
+        // Flush any replies the fast path coalesced first, so they are
+        // not stranded behind pooled compute, and count the request in
+        // flight before the send: the worker may finish (and decrement)
+        // before try_send even returns.
+        let mut state = lock(&sink.state);
+        sink.flush_locked(&mut state);
+        state.in_flight += 1;
+    }
     sink.queued.fetch_add(1, Ordering::SeqCst);
     match job_tx.try_send(Job {
         request,
-        reply: Reply::Sink(Arc::clone(sink), corr),
+        sink: Arc::clone(sink),
+        corr,
     }) {
         Ok(()) => None,
         Err(TrySendError::Full(_) | TrySendError::Disconnected(_)) => {
             sink.queued.fetch_sub(1, Ordering::SeqCst);
-            sink.in_flight.fetch_sub(1, Ordering::SeqCst);
+            lock(&sink.state).in_flight -= 1;
             shared.counters.shed.fetch_add(1, Ordering::SeqCst);
             Some(Response::Overloaded)
-        }
-    }
-}
-
-/// Queues a compute request, shedding when full, and waits for the
-/// worker's reply (v1 lock-step path).
-fn dispatch_v1(shared: &Arc<Shared>, request: Request, job_tx: &SyncSender<Job>) -> Response {
-    if shared.draining.load(Ordering::SeqCst) {
-        // New work during drain is shed; only already-queued requests
-        // finish.
-        shared.counters.shed.fetch_add(1, Ordering::SeqCst);
-        return Response::Overloaded;
-    }
-    let wait = request
-        .deadline()
-        .unwrap_or(shared.config.default_deadline)
-        .min(shared.config.default_deadline);
-    let (reply_tx, reply_rx) = sync_channel(1);
-    match job_tx.try_send(Job {
-        request,
-        reply: Reply::Channel(reply_tx),
-    }) {
-        Ok(()) => {}
-        Err(TrySendError::Full(_) | TrySendError::Disconnected(_)) => {
-            shared.counters.shed.fetch_add(1, Ordering::SeqCst);
-            return Response::Overloaded;
-        }
-    }
-    // Deadline + queue wait + poll slack; the worker answers
-    // DeadlineExceeded itself if the deadline passes in the queue.
-    let reply_timeout = wait + shared.config.io_timeout + Duration::from_secs(2);
-    match reply_rx.recv_timeout(reply_timeout) {
-        Ok(resp) => resp,
-        Err(RecvTimeoutError::Timeout | RecvTimeoutError::Disconnected) => {
-            Response::InternalError("worker did not reply in time".to_owned())
         }
     }
 }
@@ -1084,21 +1057,13 @@ fn worker_loop(shared: &Arc<Shared>, rx: &Arc<Mutex<Receiver<Job>>>) {
             guard.recv_timeout(Duration::from_millis(100))
         };
         match job {
-            Ok(job) => match job.reply {
-                Reply::Channel(tx) => {
-                    let response = run_guarded(shared, &job.request, None, None);
-                    // The connection thread may have timed out and gone.
-                    // (v1 counts finals on the connection thread.)
-                    let _ = tx.send(response);
-                }
-                Reply::Sink(sink, corr) => {
-                    // No longer waiting for a worker: completions
-                    // behind this one shouldn't hold the flush.
-                    sink.queued.fetch_sub(1, Ordering::SeqCst);
-                    run_v2_job(shared, &job.request, &sink, corr);
-                    sink.in_flight.fetch_sub(1, Ordering::SeqCst);
-                }
-            },
+            Ok(job) => {
+                // No longer waiting for a worker: completions behind
+                // this one shouldn't hold the flush.
+                job.sink.queued.fetch_sub(1, Ordering::SeqCst);
+                let last = run_job(shared, &job.request, &job.sink, job.corr);
+                job.sink.finish(job.corr, &last);
+            }
             Err(RecvTimeoutError::Timeout) => {
                 if shared.stop_workers.load(Ordering::SeqCst) {
                     return;
@@ -1126,21 +1091,17 @@ fn run_guarded(
     })
 }
 
-/// Executes one v2 job end-to-end: computes, counts, and writes every
-/// frame it owes (per-item frames and `batch-done` for a batch, the
-/// single final otherwise).
-fn run_v2_job(shared: &Shared, request: &Request, sink: &ConnSink, corr: Option<u64>) {
+/// Executes one pool job: computes and counts it, writes the frames
+/// that precede its final one (per-item frames for a batch, progress
+/// frames when streamed), and returns the final one (`batch-done` for
+/// a batch) for [`ConnSink::finish`] to write.
+fn run_job(shared: &Shared, request: &Request, sink: &ConnSink, corr: Option<u64>) -> Response {
     match request {
-        Request::Batch { deadline_ms, items } => {
+        Request::Batch { items, .. } => {
             // Umbrella deadline for the whole batch, capped by the
             // server default and the drain deadline like any single
             // request's.
-            let mut umbrella = Deadline::after(
-                deadline_ms
-                    .map(Duration::from_millis)
-                    .unwrap_or(shared.config.default_deadline)
-                    .min(shared.config.default_deadline),
-            );
+            let mut umbrella = Deadline::after(shared.config.capped_deadline(request));
             if let Some(dd) = shared.drain_deadline() {
                 umbrella = umbrella.min(dd);
             }
@@ -1154,7 +1115,7 @@ fn run_v2_job(shared: &Shared, request: &Request, sink: &ConnSink, corr: Option<
             for (index, item) in items.iter().enumerate() {
                 // A gone peer makes the remaining compute pointless.
                 if sink.is_broken() {
-                    return;
+                    break;
                 }
                 let inner = match item {
                     BatchItem::Malformed(msg) => {
@@ -1195,19 +1156,19 @@ fn run_v2_job(shared: &Shared, request: &Request, sink: &ConnSink, corr: Option<
                 );
             }
             // Always close the batch, even when every item degraded —
-            // the client's collect loop keys on this frame. This send
-            // flushes the whole batch in one write.
-            sink.send(corr, &Response::BatchDone { n: items.len() });
+            // the client's collect loop keys on this frame.
+            Response::BatchDone { n: items.len() }
         }
         _ => {
-            let wants_stream = matches!(
-                request,
-                Request::Reach { stream: true, .. } | Request::Verify { stream: true, .. }
-            );
+            let wants_stream = sink.streams
+                && matches!(
+                    request,
+                    Request::Reach { stream: true, .. } | Request::Verify { stream: true, .. }
+                );
             let ctx = StreamCtx { sink, corr };
             let response = run_guarded(shared, request, None, wants_stream.then_some(&ctx));
             shared.count_final(&response);
-            sink.send_coalesced(corr, &response);
+            response
         }
     }
 }
@@ -1242,10 +1203,10 @@ fn handle_request_opts(
     stream: Option<&StreamCtx<'_>>,
 ) -> Response {
     let (net_name, max_states, threads, doc, is_cover) = match request {
-        Request::Ping => return Response::Pong,
-        Request::Stats => return Response::Stats(shared.stats_reply()),
-        Request::Batch { .. } => {
-            return Response::BadRequest("batch requires protocol v2".to_owned())
+        // The connection answers these itself, and runs a batch item by
+        // item.
+        Request::Ping | Request::Stats | Request::Batch { .. } => {
+            return Response::InternalError(format!("`{}` is not a computation", request.verb()))
         }
         Request::Verify { .. } => return handle_verify(shared, request, umbrella, stream),
         Request::Reach {
@@ -1331,12 +1292,7 @@ fn effective_deadline(
     request: &Request,
     umbrella: Option<Deadline>,
 ) -> Option<Deadline> {
-    let mut deadline = Deadline::after(
-        request
-            .deadline()
-            .unwrap_or(shared.config.default_deadline)
-            .min(shared.config.default_deadline),
-    );
+    let mut deadline = Deadline::after(shared.config.capped_deadline(request));
     if let Some(u) = umbrella {
         deadline = deadline.min(u);
     }

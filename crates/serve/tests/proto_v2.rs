@@ -164,6 +164,203 @@ fn v1_client_handshakes_and_works_unchanged() {
     assert_eq!(stats.panics, 0);
 }
 
+/// Dials `ep` advertising protocol v1 only.
+fn dial_v1(ep: &Endpoint) -> cpn_serve::Conn {
+    let mut conn = cpn_serve::Conn::dial(ep).expect("dial");
+    let _ = conn.set_read_timeout(Some(Duration::from_secs(10)));
+    write_handshake_version(&mut conn, 1).expect("handshake out");
+    let negotiated =
+        read_handshake_in(&mut conn, MIN_PROTO_VERSION..=PROTO_VERSION).expect("handshake in");
+    assert_eq!(negotiated, 1, "server must meet a v1 client at v1");
+    conn
+}
+
+/// The text of the next frame on `conn`.
+fn read_text(conn: &mut cpn_serve::Conn) -> String {
+    String::from_utf8(read_frame(conn, 1 << 20).expect("frame")).expect("UTF-8")
+}
+
+/// A v1 client that writes six frames at once is still answered in
+/// lock-step: one frame per request, in request order, even when the
+/// first request is the slowest. v1 has no correlation ids (`@7 ping`
+/// is an unknown verb), and `stream=true` sends no progress frames. A
+/// frame over the cap is refused and closes its connection, and an
+/// idle v1 connection closes as soon as a drain begins.
+#[test]
+fn v1_frames_written_together_are_answered_in_lock_step() {
+    let (ep, handle, join) = start();
+    let mut conn = dial_v1(&ep);
+    let boom = Request::Reach {
+        net: "boom".into(),
+        max_states: 60_000,
+        deadline_ms: None,
+        threads: 1,
+        stream: true,
+        doc: explosive_doc(16),
+    };
+    let verify = Request::Verify {
+        module: "producer".into(),
+        env: "consumer".into(),
+        louts: vec!["req".into()],
+        routs: vec!["ack".into()],
+        max_states: 100_000,
+        deadline_ms: None,
+        hide_budget: 10_000,
+        stream: true,
+        doc: HANDSHAKE_DOC.into(),
+    };
+    let frames = [
+        boom.encode(),
+        small_reach(None).encode(),
+        verify.encode(),
+        small_reach(None).encode(),
+        with_corr(Some(7), &Request::Ping.encode()),
+        Request::Ping.encode(),
+    ];
+    let burst: Vec<u8> = frames
+        .iter()
+        .flat_map(|text| encode_frame(text.as_bytes()))
+        .collect();
+    conn.write_all(&burst).expect("six frames in one write");
+
+    let replies: Vec<String> = frames.iter().map(|_| read_text(&mut conn)).collect();
+    for text in &replies {
+        assert!(
+            !text.starts_with('@') && !text.starts_with("progress"),
+            "v1 replies carry no correlation id and no progress: {replies:?}"
+        );
+    }
+    let decoded: Vec<Response> = replies
+        .iter()
+        .map(|text| Response::decode(text).expect("typed"))
+        .collect();
+    match &decoded[0] {
+        Response::Result(s) => {
+            assert_eq!(s.states, 60_000, "{replies:?}");
+            assert_eq!(s.stopped.as_deref(), Some("states"), "{replies:?}");
+        }
+        other => panic!("expected the capped reach first, got {other:?}: {replies:?}"),
+    }
+    for i in [1, 3] {
+        assert!(
+            matches!(&decoded[i], Response::Result(s) if s.states == 2),
+            "reply {i}: {replies:?}"
+        );
+    }
+    assert!(
+        matches!(&decoded[2], Response::VerifyResult(v) if v.receptive == Receptive::Yes),
+        "{replies:?}"
+    );
+    assert_eq!(
+        decoded[4],
+        Response::BadRequest("unknown verb `@7`".into()),
+        "{replies:?}"
+    );
+    assert_eq!(decoded[5], Response::Pong, "{replies:?}");
+
+    // A frame over the cap: typed refusal, then the connection closes.
+    let max = ServerConfig::default().max_frame;
+    let mut oversized = dial_v1(&ep);
+    oversized
+        .write_all(&(max as u32 + 1).to_be_bytes())
+        .expect("oversized header");
+    assert_eq!(
+        Response::decode(&read_text(&mut oversized)).expect("typed"),
+        Response::BadRequest(format!(
+            "frame of {} bytes exceeds the {max}-byte cap",
+            max + 1
+        ))
+    );
+    assert!(
+        read_frame(&mut oversized, 1 << 20).is_err(),
+        "closed after the refusal"
+    );
+
+    // The first connection is idle now: a drain closes it promptly.
+    let drained = std::time::Instant::now();
+    handle.begin_drain();
+    assert!(
+        read_frame(&mut conn, 1 << 20).is_err(),
+        "closed by the drain"
+    );
+    assert!(
+        drained.elapsed() < Duration::from_secs(1),
+        "idle v1 connection closed {:?} after the drain began",
+        drained.elapsed()
+    );
+    let stats = join.join().expect("server");
+    assert_eq!(stats.served, 5, "{stats:?}");
+    assert_eq!(
+        stats.bad_requests, 2,
+        "`@7` and the oversized frame: {stats:?}"
+    );
+    assert_eq!(stats.panics, 0);
+}
+
+/// A v1 answer overdue past the lock-step bound (the request's deadline,
+/// capped by `default_deadline`, plus `io_timeout` plus 2 s) is replaced
+/// by `internal-error worker did not reply in time`, and the connection
+/// then closes, so the late answer can never be read as the reply to a
+/// later request.
+#[test]
+fn v1_overdue_answer_is_an_internal_error_then_a_close() {
+    let (ep, handle, join) = start_with(ServerConfig {
+        workers: 1,
+        io_timeout: Duration::from_millis(200),
+        ..config()
+    });
+    // Occupy the only worker: a batch of distinct complete explorations
+    // (distinct caps, so no two share an answer) under a 6 s umbrella.
+    // The `ping` behind it is answered only once the batch is queued.
+    let mut busy = cpn_serve::Conn::dial(&ep).expect("dial");
+    let _ = busy.set_read_timeout(Some(Duration::from_secs(20)));
+    write_handshake_version(&mut busy, PROTO_VERSION).expect("handshake out");
+    assert_eq!(read_handshake(&mut busy).expect("handshake in"), 2);
+    let items = (0..400)
+        .map(|i| Request::Reach {
+            net: "boom".into(),
+            max_states: 140_000 + i,
+            deadline_ms: None,
+            threads: 1,
+            stream: false,
+            doc: explosive_doc(17),
+        })
+        .collect();
+    let long = Request::batch(items, Some(6_000)).expect("batch");
+    let mut frames = encode_frame(with_corr(Some(1), &long.encode()).as_bytes());
+    frames.extend(encode_frame(
+        with_corr(Some(2), &Request::Ping.encode()).as_bytes(),
+    ));
+    busy.write_all(&frames).expect("batch and ping");
+    assert_eq!(read_text(&mut busy), "@2 pong");
+
+    let mut conn = dial_v1(&ep);
+    let started = std::time::Instant::now();
+    conn.write_all(&encode_frame(small_reach(Some(100)).encode().as_bytes()))
+        .expect("request frame");
+    let reply = read_text(&mut conn);
+    let waited = started.elapsed();
+    assert_eq!(
+        Response::decode(&reply).expect("typed"),
+        Response::InternalError("worker did not reply in time".into())
+    );
+    assert!(
+        waited >= Duration::from_millis(2_200) && waited < Duration::from_secs(6),
+        "answered after {waited:?}; the bound is 100 ms + 200 ms + 2 s"
+    );
+    let _ = conn.write_all(&encode_frame(Request::Ping.encode().as_bytes()));
+    let after = read_frame(&mut conn, 1 << 20);
+    assert!(
+        after.is_err(),
+        "the connection closes after an overdue answer, got {:?}",
+        after.map(String::from_utf8)
+    );
+
+    handle.begin_drain();
+    let stats = join.join().expect("server");
+    assert_eq!(stats.panics, 0);
+}
+
 #[test]
 fn default_client_negotiates_v2() {
     let (ep, handle, join) = start();
@@ -950,6 +1147,45 @@ fn stats_reports_cache_counters() {
     drop(client);
     handle.begin_drain();
     join.join().expect("server");
+}
+
+/// `stats` reports the verdict tier: a repeated `verify` is answered
+/// from it and moves `verdict_hits` by one.
+#[test]
+fn stats_reports_verdict_hits() {
+    let (ep, handle, join) = start();
+    let mut client = Client::connect(&ep).expect("connect");
+    let verify = Request::Verify {
+        module: "producer".into(),
+        env: "consumer".into(),
+        louts: vec!["req".into()],
+        routs: vec!["ack".into()],
+        max_states: 100_000,
+        deadline_ms: None,
+        hide_budget: 10_000,
+        stream: false,
+        doc: HANDSHAKE_DOC.into(),
+    };
+    let verdict_hits = |client: &mut Client| match client.request(&Request::Stats) {
+        Ok(Response::Stats(s)) => s.verdict_hits,
+        other => panic!("expected Stats, got {other:?}"),
+    };
+    let before = verdict_hits(&mut client);
+    let first = client.request(&verify).expect("verify");
+    let computed = verdict_hits(&mut client);
+    let repeat = client.request(&verify).expect("verify");
+    let after = verdict_hits(&mut client);
+    assert_eq!(
+        (before, computed, after),
+        (0, 0, 1),
+        "only the repeat is a verdict hit"
+    );
+    assert!(matches!(&first, Response::VerifyResult(v) if v.receptive == Receptive::Yes));
+    assert_eq!(first, repeat);
+    drop(client);
+    handle.begin_drain();
+    let stats = join.join().expect("server");
+    assert_eq!(stats.verdict_hits, 1);
 }
 
 /// A streaming reach emits monotone progress frames and a final answer

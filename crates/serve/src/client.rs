@@ -77,8 +77,8 @@ fn decode_frame(payload: &[u8]) -> Result<(Option<u64>, Response), ClientError> 
 
 /// A connected, handshaken client.
 ///
-/// Reads are buffered: a server flushing a coalesced burst of frames
-/// (a whole batch's items, pipelined completions) is consumed with one
+/// Reads are buffered: a burst of frames (a batch's items, written up
+/// to 64 KiB at a time, or pipelined completions) is consumed with one
 /// `read` syscall instead of two per frame.
 pub struct Client {
     reader: BufReader<Conn>,

@@ -666,11 +666,12 @@ pub struct VerifySummary {
 /// Live service and cache counters carried by [`Response::Stats`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct StatsReply {
-    /// Requests answered with a non-shed response so far.
+    /// Final frames written so far with a non-shed answer (batch items
+    /// count individually); an answer counts once its write succeeds.
     pub served: u64,
     /// Requests or connections shed with `Overloaded` so far.
     pub shed: u64,
-    /// Malformed requests so far.
+    /// `bad-request` answers written so far.
     pub bad_requests: u64,
     /// Worker panics caught so far.
     pub panics: u64,

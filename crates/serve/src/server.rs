@@ -52,6 +52,21 @@
 //! then closes, so the late answer can never be read as the reply to a
 //! later request.
 //!
+//! ## Writes
+//!
+//! Every frame is written when it is produced: `ping`, `stats`, bad
+//! requests, sheds, inline answers and progress frames by the thread
+//! that made them, and a pool job's final frame by its worker, in the
+//! same critical section that retires the job from the connection's
+//! in-flight count (v1's lock-step wait relies on that). Each is one
+//! frame and one `write_all`. A batch is one request's answer: its job
+//! collects the item frames in a buffer of its own and writes it each
+//! time it passes 64 KiB, and with `batch-done`. No buffer, counter or
+//! flush decision spans two requests, so no answer waits for another
+//! request to finish. An answer counts in `served` or `bad_requests`
+//! only once the write that holds it succeeds: an answer to a peer that
+//! has gone is not counted.
+//!
 //! ## Drain
 //!
 //! [`ServerHandle::begin_drain`] (wired to SIGTERM in the binary)
@@ -179,14 +194,16 @@ impl ServerConfig {
 pub struct ServerStats {
     /// Connections accepted and handshaken.
     pub accepted: u64,
-    /// Requests answered with a non-shed response (batch items count
-    /// individually; `batch-done` and `progress` frames do not).
+    /// Final frames written with a non-shed answer (batch items count
+    /// individually; `batch-done` and `progress` frames do not). An
+    /// answer counts once the write that holds it succeeds, so an answer
+    /// to a peer that has gone does not.
     pub served: u64,
     /// Requests or connections shed with `Overloaded`.
     pub shed: u64,
     /// Worker panics caught (each produced an `InternalError`).
     pub panics: u64,
-    /// Malformed requests answered with `BadRequest`.
+    /// `BadRequest` answers written (counted like `served`).
     pub bad_requests: u64,
     /// Requests whose deadline passed before compute started.
     pub deadline_rejected: u64,
@@ -218,7 +235,7 @@ struct Counters {
 struct Shared {
     config: ServerConfig,
     cache: NetCache,
-    counters: Counters,
+    counters: Arc<Counters>,
     accepting: AtomicBool,
     draining: AtomicBool,
     hard_stop: AtomicBool,
@@ -237,20 +254,6 @@ impl Shared {
     /// The deadline stamped by `begin_drain`, if draining.
     fn drain_deadline(&self) -> Option<Deadline> {
         *lock(&self.drain_deadline)
-    }
-
-    /// Updates the served / bad-request counters for one final
-    /// response (sheds are counted where they happen).
-    fn count_final(&self, response: &Response) {
-        match response {
-            Response::BadRequest(_) => {
-                self.counters.bad_requests.fetch_add(1, Ordering::SeqCst);
-            }
-            Response::Overloaded => {}
-            _ => {
-                self.counters.served.fetch_add(1, Ordering::SeqCst);
-            }
-        }
     }
 
     /// A point-in-time snapshot for `Request::Stats`.
@@ -306,17 +309,41 @@ impl ServerHandle {
     }
 }
 
-/// Coalesce pending response bytes into one `write` once this many
-/// bytes accumulate, even while more completions are imminent.
-const SINK_FLUSH_BYTES: usize = 64 * 1024;
+/// A batch job writes the item frames it has collected once they pass
+/// this many bytes, so a batch costs one `write` per 64 KiB.
+const BATCH_WRITE_BYTES: usize = 64 * 1024;
 
-/// The writer half of a [`ConnSink`]: the socket clone, the pending
-/// coalescing buffer and the in-flight count, guarded together so
-/// frames append and flush atomically and a request leaves the count in
+/// Frames encoded for one `write_all`, with what their answers add to
+/// the `served` and `bad_requests` counters once that write succeeds.
+#[derive(Default)]
+struct Outbox {
+    bytes: Vec<u8>,
+    served: u64,
+    bad_requests: u64,
+    /// A frame over the cap was refused; writing this outbox breaks the
+    /// sink instead.
+    overrun: bool,
+}
+
+impl Outbox {
+    /// Counts one frame's answer: a final answer counts, a batch item
+    /// as its inner answer; `progress`, `batch-done` and a shed (counted
+    /// where it happens) add nothing.
+    fn count(&mut self, response: &Response) {
+        match response {
+            Response::Item { inner, .. } => self.count(inner),
+            Response::BadRequest(_) => self.bad_requests += 1,
+            Response::Progress(_) | Response::BatchDone { .. } | Response::Overloaded => {}
+            _ => self.served += 1,
+        }
+    }
+}
+
+/// The writer half of a [`ConnSink`]: the socket clone and the
+/// in-flight count, guarded together so a request leaves the count in
 /// the same step that writes its final frame.
 struct SinkState {
     conn: Conn,
-    pending: Vec<u8>,
     /// Requests dispatched to the pool whose final frame has not been
     /// written yet.
     in_flight: usize,
@@ -326,98 +353,77 @@ struct SinkState {
 }
 
 /// The write half of a connection, shared between the connection
-/// thread and the workers computing its requests. Frames are appended
-/// whole under the mutex (concurrent completions interleave at frame
-/// granularity, never byte granularity) into a pending buffer, and the
-/// buffer is flushed with a single `write` syscall when no further
-/// completion is imminent — so a burst of pipelined or batched answers
-/// costs one syscall, not one per frame.
+/// thread and the workers computing its requests. Every write happens
+/// when its frames are produced, whole and under the mutex, so
+/// concurrent completions interleave at frame granularity and no frame
+/// waits for another request. An answer counts once its write succeeds.
 struct ConnSink {
     state: Mutex<SinkState>,
     /// Signalled, while the connection thread waits, when the in-flight
     /// count reaches zero or the sink breaks.
     idle: Condvar,
+    counters: Arc<Counters>,
     max_frame: usize,
     /// Whether `stream=true` requests get progress frames (v2 only).
     streams: bool,
-    /// Requests dispatched but not yet picked up by a worker. While
-    /// nonzero, another completion is imminent and workers leave their
-    /// frames in the pending buffer for the last one to flush.
-    queued: AtomicUsize,
     /// Set on the first write failure; workers stop computing for a
     /// connection whose peer is gone.
     broken: AtomicBool,
 }
 
 impl ConnSink {
-    fn new(conn: Conn, max_frame: usize, streams: bool) -> ConnSink {
+    fn new(conn: Conn, counters: Arc<Counters>, max_frame: usize, streams: bool) -> ConnSink {
         ConnSink {
             state: Mutex::new(SinkState {
                 conn,
-                pending: Vec::new(),
                 in_flight: 0,
                 waiting: false,
             }),
             idle: Condvar::new(),
+            counters,
             max_frame,
             streams,
-            queued: AtomicUsize::new(0),
             broken: AtomicBool::new(false),
         }
     }
 
-    /// Appends one frame to the pending buffer without flushing
-    /// (unless the buffer has grown past [`SINK_FLUSH_BYTES`]).
-    fn enqueue(&self, corr: Option<u64>, response: &Response) -> bool {
-        if self.is_broken() {
-            return false;
-        }
+    /// Appends one frame, tagged with `corr`, to `out`.
+    fn push(&self, out: &mut Outbox, corr: Option<u64>, response: &Response) {
         let text = with_corr(corr, &response.encode());
-        self.append_locked(&mut lock(&self.state), &text)
-    }
-
-    fn append_locked(&self, state: &mut SinkState, text: &str) -> bool {
-        if self.is_broken() {
-            return false;
-        }
         if text.len() > self.max_frame {
             // Our own encodings stay under the cap; treat an overrun
             // like a dead peer rather than desynchronize the stream.
-            self.break_locked(state);
-            return false;
+            out.overrun = true;
+            return;
         }
-        state
-            .pending
+        out.bytes
             .extend_from_slice(&(text.len() as u32).to_be_bytes());
-        state.pending.extend_from_slice(text.as_bytes());
-        if state.pending.len() >= SINK_FLUSH_BYTES {
-            return self.flush_locked(state);
-        }
-        true
+        out.bytes.extend_from_slice(text.as_bytes());
+        out.count(response);
     }
 
-    /// Writes everything pending in one syscall.
-    fn flush(&self) -> bool {
-        self.flush_locked(&mut lock(&self.state))
-    }
-
-    fn flush_locked(&self, state: &mut SinkState) -> bool {
-        if self.is_broken() {
-            return false;
-        }
-        if state.pending.is_empty() {
-            return true;
-        }
-        let result = state
-            .conn
-            .write_all(&state.pending)
-            .and_then(|()| state.conn.flush());
-        state.pending.clear();
-        if result.is_err() {
+    /// Writes `out` with one `write_all` and empties it. Its answers
+    /// count if the write succeeds; the sink breaks if it fails.
+    fn write_locked(&self, state: &mut SinkState, out: &mut Outbox) {
+        let out = std::mem::take(out);
+        if out.overrun {
             self.break_locked(state);
-            return false;
         }
-        true
+        if self.is_broken() {
+            return;
+        }
+        if state.conn.write_all(&out.bytes).is_err() {
+            self.break_locked(state);
+            return;
+        }
+        self.counters.served.fetch_add(out.served, Ordering::SeqCst);
+        self.counters
+            .bad_requests
+            .fetch_add(out.bad_requests, Ordering::SeqCst);
+    }
+
+    fn write(&self, out: &mut Outbox) {
+        self.write_locked(&mut lock(&self.state), out);
     }
 
     /// Marks the sink broken: nothing more is written through it.
@@ -428,30 +434,20 @@ impl ConnSink {
         }
     }
 
-    /// Appends and flushes immediately — for frames a peer is waiting
-    /// on right now (inline replies, sheds, progress updates).
-    fn send(&self, corr: Option<u64>, response: &Response) -> bool {
-        self.enqueue(corr, response) && self.flush()
+    /// Writes one frame now.
+    fn send(&self, corr: Option<u64>, response: &Response) {
+        let mut out = Outbox::default();
+        self.push(&mut out, corr, response);
+        self.write(&mut out);
     }
 
-    /// Writes a dispatched request's final frame and retires the request
+    /// Writes a dispatched request's last frames and retires the request
     /// from the in-flight count in one critical section, so a connection
-    /// thread that stops waiting for it either finds the frame written
-    /// or keeps it from ever being written. The frame is flushed only
-    /// when no other dispatched request is waiting for a worker — under
-    /// pipelining the next completion is usually milliseconds away and
-    /// rides the same syscall — except that a batch's closing frame
-    /// always flushes the batch.
-    fn finish(&self, corr: Option<u64>, response: &Response) {
-        let text = (!self.is_broken()).then(|| with_corr(corr, &response.encode()));
+    /// thread that stops waiting for it either finds them written or
+    /// keeps them from ever being written.
+    fn finish(&self, mut out: Outbox) {
         let mut state = lock(&self.state);
-        if let Some(text) = text {
-            let flush = matches!(response, Response::BatchDone { .. })
-                || self.queued.load(Ordering::SeqCst) == 0;
-            if self.append_locked(&mut state, &text) && flush {
-                self.flush_locked(&mut state);
-            }
-        }
+        self.write_locked(&mut state, &mut out);
         state.in_flight -= 1;
         if state.in_flight == 0 && state.waiting {
             self.idle.notify_all();
@@ -526,7 +522,7 @@ impl Server {
         let shared = Arc::new(Shared {
             config,
             cache,
-            counters: Counters::default(),
+            counters: Arc::default(),
             accepting: AtomicBool::new(true),
             draining: AtomicBool::new(false),
             hard_stop: AtomicBool::new(false),
@@ -739,7 +735,12 @@ fn serve_frames(shared: &Arc<Shared>, conn: Conn, lock_step: bool, job_tx: &Sync
         }
     };
     let _ = writer.set_write_timeout(Some(shared.config.io_timeout));
-    let sink = Arc::new(ConnSink::new(writer, shared.config.max_frame, !lock_step));
+    let sink = Arc::new(ConnSink::new(
+        writer,
+        Arc::clone(&shared.counters),
+        shared.config.max_frame,
+        !lock_step,
+    ));
     let limits = shared.config.batch_limits();
     // Buffer reads: a pipelined burst of small request frames arrives
     // in one TCP segment and is parsed from one `read` syscall.
@@ -763,7 +764,6 @@ fn serve_frames(shared: &Arc<Shared>, conn: Conn, lock_step: bool, job_tx: &Sync
                 let resp = Response::BadRequest(format!(
                     "frame of {claimed} bytes exceeds the {max}-byte cap"
                 ));
-                shared.count_final(&resp);
                 sink.send(None, &resp);
                 break; // stream desynchronized
             }
@@ -773,7 +773,13 @@ fn serve_frames(shared: &Arc<Shared>, conn: Conn, lock_step: bool, job_tx: &Sync
         let answer = match decoded {
             Err(msg) => Response::BadRequest(msg),
             Ok(Request::Ping) => Response::Pong,
-            Ok(Request::Stats) => Response::Stats(shared.stats_reply()),
+            Ok(Request::Stats) => {
+                // A write in progress on this connection finishes, and
+                // counts, before the snapshot: the reply counts every
+                // answer this peer has read.
+                drop(lock(&sink.state));
+                Response::Stats(shared.stats_reply())
+            }
             Ok(request) => {
                 // Fast path for pipelined bursts: when another complete
                 // frame is already waiting in the read buffer, a small
@@ -782,8 +788,7 @@ fn serve_frames(shared: &Arc<Shared>, conn: Conn, lock_step: bool, job_tx: &Sync
                 // dwarf the exploration itself. A lock-step client
                 // (empty buffer) stays on the pool: it is RTT-bound, so
                 // inlining buys nothing and the read loop stays free.
-                let more = frame_buffered(&reader);
-                bursty |= more;
+                bursty |= frame_buffered(&reader);
                 if bursty
                     && !shared.draining.load(Ordering::SeqCst)
                     && inline_eligible(shared, &request)
@@ -791,17 +796,7 @@ fn serve_frames(shared: &Arc<Shared>, conn: Conn, lock_step: bool, job_tx: &Sync
                 {
                     let response = run_guarded(shared, &request, None, None);
                     shared.inline_permits.fetch_add(1, Ordering::SeqCst);
-                    shared.count_final(&response);
-                    if more {
-                        // Coalesce behind the burst: the next frame's
-                        // own send (or the post-loop flush) carries
-                        // this reply.
-                        sink.enqueue(corr, &response);
-                    } else {
-                        // Tail of the burst: flush everything in one
-                        // write before blocking on the socket again.
-                        sink.send(corr, &response);
-                    }
+                    sink.send(corr, &response);
                     continue;
                 }
                 let deadline = shared.config.capped_deadline(&request);
@@ -814,18 +809,15 @@ fn serve_frames(shared: &Arc<Shared>, conn: Conn, lock_step: bool, job_tx: &Sync
                 continue;
             }
         };
-        shared.count_final(&answer);
         sink.send(corr, &answer);
     }
 
-    // Stop reading, but let dispatched work flush its final frames
+    // Stop reading, but let dispatched work write its final frames
     // before the socket closes — a pipelined client is owed exactly one
     // final frame per accepted request.
     let grace =
         shared.config.drain_grace.max(shared.config.io_timeout) + shared.config.default_deadline;
-    let mut state = sink.wait_idle(grace);
-    sink.flush_locked(&mut state); // anything a worker left coalesced goes out first
-    drop(state);
+    drop(sink.wait_idle(grace));
     reader.into_inner().shutdown();
 }
 
@@ -868,14 +860,11 @@ fn await_final(shared: &Shared, sink: &ConnSink, deadline: Duration) -> bool {
     if state.in_flight == 0 {
         return true;
     }
-    if !sink.is_broken() {
-        let late = Response::InternalError("worker did not reply in time".to_owned());
-        shared.count_final(&late);
-        if sink.append_locked(&mut state, &late.encode()) {
-            sink.flush_locked(&mut state);
-        }
-        sink.break_locked(&state);
-    }
+    let mut out = Outbox::default();
+    let late = Response::InternalError("worker did not reply in time".to_owned());
+    sink.push(&mut out, None, &late);
+    sink.write_locked(&mut state, &mut out);
+    sink.break_locked(&state);
     false
 }
 
@@ -967,8 +956,7 @@ fn rest_buffered(reader: &BufReader<Conn>, first: u8) -> bool {
 }
 
 /// Whether the read buffer already holds a complete frame — i.e. the
-/// connection thread will process another request before it can block
-/// on the socket, so a fast-path reply may coalesce behind it.
+/// peer pipelines, so small queries may take the inline fast path.
 fn frame_buffered(reader: &BufReader<Conn>) -> bool {
     let buf = reader.buffer();
     buf.len() >= 4 && buf.len() - 4 >= u32::from_be_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize
@@ -1010,8 +998,8 @@ fn try_acquire_inline(shared: &Shared) -> bool {
 }
 
 /// Queues a compute request. Returns `Some(shed response)` when the
-/// request never reached the pool (the caller's send flushes what the
-/// fast path left pending), `None` when a worker now owns answering it.
+/// request never reached the pool, `None` when a worker now owns
+/// answering it.
 fn dispatch(
     shared: &Arc<Shared>,
     request: Request,
@@ -1025,16 +1013,9 @@ fn dispatch(
         shared.counters.shed.fetch_add(1, Ordering::SeqCst);
         return Some(Response::Overloaded);
     }
-    {
-        // Flush any replies the fast path coalesced first, so they are
-        // not stranded behind pooled compute, and count the request in
-        // flight before the send: the worker may finish (and decrement)
-        // before try_send even returns.
-        let mut state = lock(&sink.state);
-        sink.flush_locked(&mut state);
-        state.in_flight += 1;
-    }
-    sink.queued.fetch_add(1, Ordering::SeqCst);
+    // Count the request in flight before the send: the worker may
+    // finish (and decrement) before try_send even returns.
+    lock(&sink.state).in_flight += 1;
     match job_tx.try_send(Job {
         request,
         sink: Arc::clone(sink),
@@ -1042,7 +1023,6 @@ fn dispatch(
     }) {
         Ok(()) => None,
         Err(TrySendError::Full(_) | TrySendError::Disconnected(_)) => {
-            sink.queued.fetch_sub(1, Ordering::SeqCst);
             lock(&sink.state).in_flight -= 1;
             shared.counters.shed.fetch_add(1, Ordering::SeqCst);
             Some(Response::Overloaded)
@@ -1058,11 +1038,8 @@ fn worker_loop(shared: &Arc<Shared>, rx: &Arc<Mutex<Receiver<Job>>>) {
         };
         match job {
             Ok(job) => {
-                // No longer waiting for a worker: completions behind
-                // this one shouldn't hold the flush.
-                job.sink.queued.fetch_sub(1, Ordering::SeqCst);
                 let last = run_job(shared, &job.request, &job.sink, job.corr);
-                job.sink.finish(job.corr, &last);
+                job.sink.finish(last);
             }
             Err(RecvTimeoutError::Timeout) => {
                 if shared.stop_workers.load(Ordering::SeqCst) {
@@ -1091,11 +1068,13 @@ fn run_guarded(
     })
 }
 
-/// Executes one pool job: computes and counts it, writes the frames
-/// that precede its final one (per-item frames for a batch, progress
-/// frames when streamed), and returns the final one (`batch-done` for
-/// a batch) for [`ConnSink::finish`] to write.
-fn run_job(shared: &Shared, request: &Request, sink: &ConnSink, corr: Option<u64>) -> Response {
+/// Executes one pool job: computes it, writes the frames that precede
+/// its last ones (progress frames when streamed, a batch's items each
+/// time they pass [`BATCH_WRITE_BYTES`]), and returns the last ones
+/// (the final answer, or a batch's remaining items and `batch-done`)
+/// for [`ConnSink::finish`] to write.
+fn run_job(shared: &Shared, request: &Request, sink: &ConnSink, corr: Option<u64>) -> Outbox {
+    let mut out = Outbox::default();
     match request {
         Request::Batch { items, .. } => {
             // Umbrella deadline for the whole batch, capped by the
@@ -1144,20 +1123,21 @@ fn run_job(shared: &Shared, request: &Request, sink: &ConnSink, corr: Option<u64
                         }
                     }
                 };
-                shared.count_final(&inner);
-                // Items coalesce in the sink (the client reads nothing
-                // until `batch-done` anyway); size overflow flushes.
-                sink.enqueue(
-                    corr,
-                    &Response::Item {
-                        index,
-                        inner: Box::new(inner),
-                    },
-                );
+                let item = Response::Item {
+                    index,
+                    inner: Box::new(inner),
+                };
+                sink.push(&mut out, corr, &item);
+                if out.overrun {
+                    break;
+                }
+                if out.bytes.len() >= BATCH_WRITE_BYTES {
+                    sink.write(&mut out);
+                }
             }
             // Always close the batch, even when every item degraded —
             // the client's collect loop keys on this frame.
-            Response::BatchDone { n: items.len() }
+            sink.push(&mut out, corr, &Response::BatchDone { n: items.len() });
         }
         _ => {
             let wants_stream = sink.streams
@@ -1167,10 +1147,10 @@ fn run_job(shared: &Shared, request: &Request, sink: &ConnSink, corr: Option<u64
                 );
             let ctx = StreamCtx { sink, corr };
             let response = run_guarded(shared, request, None, wants_stream.then_some(&ctx));
-            shared.count_final(&response);
-            response
+            sink.push(&mut out, corr, &response);
         }
     }
+    out
 }
 
 /// Whether a response is a pure function of its request — reusable for

@@ -301,7 +301,8 @@ fn v1_frames_written_together_are_answered_in_lock_step() {
 /// capped by `default_deadline`, plus `io_timeout` plus 2 s) is replaced
 /// by `internal-error worker did not reply in time`, and the connection
 /// then closes, so the late answer can never be read as the reply to a
-/// later request.
+/// later request. The overdue request counts once, as its
+/// `internal-error`: its own answer is never written, so never counted.
 #[test]
 fn v1_overdue_answer_is_an_internal_error_then_a_close() {
     let (ep, handle, join) = start_with(ServerConfig {
@@ -309,24 +310,13 @@ fn v1_overdue_answer_is_an_internal_error_then_a_close() {
         io_timeout: Duration::from_millis(200),
         ..config()
     });
-    // Occupy the only worker: a batch of distinct complete explorations
-    // (distinct caps, so no two share an answer) under a 6 s umbrella.
-    // The `ping` behind it is answered only once the batch is queued.
+    // Occupy the only worker with a batch under a 6 s umbrella. The
+    // `ping` behind it is answered only once the batch is queued.
     let mut busy = cpn_serve::Conn::dial(&ep).expect("dial");
     let _ = busy.set_read_timeout(Some(Duration::from_secs(20)));
     write_handshake_version(&mut busy, PROTO_VERSION).expect("handshake out");
     assert_eq!(read_handshake(&mut busy).expect("handshake in"), 2);
-    let items = (0..400)
-        .map(|i| Request::Reach {
-            net: "boom".into(),
-            max_states: 140_000 + i,
-            deadline_ms: None,
-            threads: 1,
-            stream: false,
-            doc: explosive_doc(17),
-        })
-        .collect();
-    let long = Request::batch(items, Some(6_000)).expect("batch");
+    let long = busy_batch(6_000);
     let mut frames = encode_frame(with_corr(Some(1), &long.encode()).as_bytes());
     frames.extend(encode_frame(
         with_corr(Some(2), &Request::Ping.encode()).as_bytes(),
@@ -359,6 +349,145 @@ fn v1_overdue_answer_is_an_internal_error_then_a_close() {
     handle.begin_drain();
     let stats = join.join().expect("server");
     assert_eq!(stats.panics, 0);
+    assert_eq!(
+        stats.served, 402,
+        "400 batch items, `@2 pong` and the `internal-error`: {stats:?}"
+    );
+}
+
+/// A batch that keeps the only worker busy: 400 distinct capped
+/// explorations (distinct caps, so no two share an answer) under an
+/// umbrella of `umbrella_ms`.
+fn busy_batch(umbrella_ms: u64) -> Request {
+    let items = (0..400)
+        .map(|i| Request::Reach {
+            net: "boom".into(),
+            max_states: 140_000 + i,
+            deadline_ms: None,
+            threads: 1,
+            stream: false,
+            doc: explosive_doc(17),
+        })
+        .collect();
+    Request::batch(items, Some(umbrella_ms)).expect("batch")
+}
+
+/// A reach of `explosive_doc(16)` capped at 60,000 states: too big for
+/// the inline fast path, so it runs on the pool.
+fn capped_reach() -> Request {
+    Request::Reach {
+        net: "boom".into(),
+        max_states: 60_000,
+        deadline_ms: None,
+        threads: 1,
+        stream: false,
+        doc: explosive_doc(16),
+    }
+}
+
+/// A finished answer is written when it is produced, never held until
+/// an unrelated request finishes. With one worker, a capped reach and a
+/// batch under a 4 s umbrella arrive in one write; the reach's answer
+/// is read long before the umbrella ends (the batch starts only once
+/// the reach is done, so `batch-done` comes about 4 s after it), and the
+/// batch still answers every item in order.
+#[test]
+fn an_answer_is_written_before_the_batch_queued_behind_it() {
+    let (ep, handle, join) = start_with(ServerConfig {
+        workers: 1,
+        ..config()
+    });
+    let mut conn = cpn_serve::Conn::dial(&ep).expect("dial");
+    let _ = conn.set_read_timeout(Some(Duration::from_secs(20)));
+    write_handshake_version(&mut conn, PROTO_VERSION).expect("handshake out");
+    assert_eq!(read_handshake(&mut conn).expect("handshake in"), 2);
+    let mut frames = encode_frame(with_corr(Some(1), &capped_reach().encode()).as_bytes());
+    frames.extend(encode_frame(
+        with_corr(Some(2), &busy_batch(4_000).encode()).as_bytes(),
+    ));
+    conn.write_all(&frames).expect("reach and batch");
+
+    let first = read_text(&mut conn);
+    let answered = std::time::Instant::now();
+    match split_corr(&first).expect("corr") {
+        (Some(1), text) => match Response::decode(text).expect("typed") {
+            Response::Result(s) => assert_eq!(s.states, 60_000, "{first}"),
+            other => panic!("expected the capped reach, got {other:?}"),
+        },
+        other => panic!("expected `@1` first, got {other:?}"),
+    }
+
+    let mut items = 0;
+    loop {
+        let text = read_text(&mut conn);
+        let (corr, body) = split_corr(&text).expect("corr");
+        assert_eq!(corr, Some(2), "{text}");
+        match Response::decode(body).expect("typed") {
+            Response::Item { index, .. } => {
+                assert_eq!(index, items, "{text}");
+                items += 1;
+            }
+            Response::BatchDone { n } => {
+                assert_eq!((n, items), (400, 400));
+                break;
+            }
+            other => panic!("expected an item or batch-done, got {other:?}"),
+        }
+    }
+    let before_done = answered.elapsed();
+    assert!(
+        before_done >= Duration::from_secs(2),
+        "the reach's answer was read only {before_done:?} before `batch-done`, held behind the batch"
+    );
+    handle.begin_drain();
+    let stats = join.join().expect("server");
+    assert_eq!((stats.panics, stats.served), (0, 401), "{stats:?}");
+}
+
+/// An answer counts once it is written. A peer sends a capped reach and
+/// closes before it is answered: the worker's write fails, and
+/// `served` stays 0. The endpoint is a Unix socket, where a write to a
+/// closed peer fails at once (over TCP the first one still succeeds).
+/// A malformed frame behind the reach is answered by the connection
+/// thread, so reading its `bad-request` shows the reach was dispatched
+/// before the peer closes and the drain begins.
+#[cfg(unix)]
+#[test]
+fn an_answer_to_a_peer_that_has_gone_is_not_counted() {
+    let dir = std::env::temp_dir().join(format!("cpn-serve-proto-v2-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("tmpdir");
+    let path = dir.join("gone-peer.sock");
+    let server = Server::bind(&[Endpoint::Unix(path)], config()).expect("bind");
+    let ep = server.local_endpoints().expect("endpoints").remove(0);
+    let handle = server.handle();
+    let join = std::thread::spawn(move || server.run());
+
+    let mut conn = cpn_serve::Conn::dial(&ep).expect("dial");
+    write_handshake_version(&mut conn, PROTO_VERSION).expect("handshake out");
+    assert_eq!(read_handshake(&mut conn).expect("handshake in"), 2);
+    let mut frames = encode_frame(with_corr(Some(1), &capped_reach().encode()).as_bytes());
+    frames.extend(encode_frame(b"@2 frobnicate"));
+    conn.write_all(&frames)
+        .expect("reach and a malformed frame");
+    assert_eq!(
+        read_text(&mut conn),
+        "@2 bad-request unknown verb `frobnicate`"
+    );
+    drop(conn);
+
+    handle.begin_drain();
+    let stats = join.join().expect("server");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(
+        (stats.accepted, stats.shed, stats.cache_misses, stats.panics),
+        (1, 0, 1, 0),
+        "the reach ran on the pool: {stats:?}"
+    );
+    assert_eq!(
+        (stats.served, stats.bad_requests),
+        (0, 1),
+        "only the `bad-request` was written: {stats:?}"
+    );
 }
 
 #[test]

@@ -19,7 +19,7 @@ use crate::parallel::{parallel, parallel_tracked_common, Composition};
 use crate::verify::{obligations, scan_obligations, ReceptivenessReport};
 use cpn_petri::{
     dead_transitions_rg, remove_dead, Bounded, Budget, Exhausted, Label, Meter, PetriError,
-    PetriNet, ReachabilityGraph, Verdict,
+    PetriNet, StateSpace, Verdict,
 };
 use std::collections::BTreeSet;
 use std::fmt;
@@ -54,10 +54,11 @@ pub struct EnvironmentCheck<L: Label> {
 /// (Section 5.2): `hide(M1 ‖ M2, A \ keep)` with dead transitions removed.
 ///
 /// The reduction runs on one [`NetEditor`]: the dead duplicates of the
-/// synchronization cross-product, proved dead by the one reachability
-/// graph, are removed **before** hiding, which keeps the hiding step
-/// small, and the structural reduction rules ([`NetEditor::reduce`]) run
-/// between hidden labels to stop product-place accretion. Hiding can
+/// synchronization cross-product, proved dead by the one exploration
+/// (which transitions fired is all it reads), are removed **before**
+/// hiding, which keeps the hiding step small, and the structural
+/// reduction rules ([`NetEditor::reduce`]) run between hidden labels to
+/// stop product-place accretion. Hiding can
 /// strand further transitions, so a cleanup reachability pass removes
 /// those — skipped outright when hiding and reduction changed nothing
 /// since the pruning (the editor's edit counter says so). The reduction
@@ -93,7 +94,7 @@ pub fn verify_against_environment<L: Label>(
     hide_budget: usize,
 ) -> EnvironmentCheck<L> {
     let obs = obligations(comp, left_outputs, right_outputs);
-    let built = comp.net.reachability_bounded(budget);
+    let built = comp.net.state_space_bounded(budget);
     EnvironmentCheck {
         receptiveness: scan_obligations(comp, &obs, &built),
         reduction: reduce_explored(&comp.net, keep, &built, budget, hide_budget),
@@ -101,11 +102,11 @@ pub fn verify_against_environment<L: Label>(
 }
 
 /// The reduction half of [`verify_against_environment`], on the
-/// composition's already explored reachability graph.
+/// composition's already explored state space.
 fn reduce_explored<L: Label>(
     composed: &PetriNet<L>,
     keep: &BTreeSet<L>,
-    built: &Bounded<ReachabilityGraph>,
+    built: &Bounded<StateSpace>,
     budget: &Budget,
     hide_budget: usize,
 ) -> Result<Bounded<Reduction<L>>, PetriError> {
@@ -114,10 +115,10 @@ fn reduce_explored<L: Label>(
     let mut dead_removed = 0usize;
 
     let mut editor = NetEditor::from_net(composed);
-    if let Bounded::Complete(rg) = built {
+    if let Bounded::Complete(space) = built {
         // Original transition ids are still valid arena slots here (the
         // editor has performed no contraction yet).
-        let dead = dead_transitions_rg(composed, rg);
+        let dead = dead_transitions_rg(composed, space);
         dead_removed = dead.len();
         editor.remove_transitions(&dead);
     }
@@ -158,9 +159,9 @@ fn reduce_explored<L: Label>(
     // Out of budget (skip the cleanup pass) or nothing changed since
     // pruning (the pass provably finds nothing).
     if stop.is_none() && editor.edits() != edits_after_prune {
-        match net.reachability_bounded(budget) {
-            Bounded::Complete(rg2) => {
-                let dead2 = dead_transitions_rg(&net, &rg2);
+        match net.state_space_bounded(budget) {
+            Bounded::Complete(space) => {
+                let dead2 = dead_transitions_rg(&net, &space);
                 dead_removed += dead2.len();
                 net = remove_dead(net, &dead2);
             }

@@ -15,11 +15,11 @@
 //! output labels of each side and a [`Budget`], and answers a
 //! [`Verdict`]:
 //!
-//! * [`check_receptiveness`] — exhaustive, on the reachability graph of
+//! * [`check_receptiveness`] — exhaustive, on the reachable markings of
 //!   the composition (exact for bounded nets);
 //! * [`check_receptiveness_stubborn`] — the same search on a
-//!   stubborn-set reduced graph: the same verdict and failing labels,
-//!   typically from a fraction of the states;
+//!   stubborn-set reduced state space: the same verdict and failing
+//!   labels, typically from a fraction of the states;
 //! * [`check_receptiveness_structural_mg`] — the polynomial structural
 //!   check of Theorem 5.7 for live-safe strongly-connected **marked
 //!   graphs**, via the marked-graph state equation reduced to difference
@@ -29,8 +29,8 @@
 use crate::parallel::Composition;
 use cpn_petri::graph::{solve_difference_constraints, DiffConstraint};
 use cpn_petri::{
-    AlphaSet, Bounded, Budget, Label, Marking, Meter, PlaceId, PlaceMask, ReachabilityGraph,
-    StateId, Sym, Verdict,
+    AlphaSet, Bounded, Budget, Label, Marking, Meter, PlaceId, PlaceMask, StateId, StateSpace, Sym,
+    Verdict,
 };
 use std::collections::BTreeSet;
 use std::fmt;
@@ -147,10 +147,10 @@ pub(crate) fn obligations<L: Label>(
 
 /// Exhaustive receptiveness check (Propositions 5.5/5.6).
 ///
-/// Searches the reachability graph of the composition `comp` for a
-/// marking in which, for some fused transition whose label is an output
-/// of one side (`left_outputs` / `right_outputs`), the producer's preset
-/// part is fully marked but no consumer alternative's is.
+/// Searches the reachable markings of the composition `comp` for one in
+/// which, for some fused transition whose label is an output of one side
+/// (`left_outputs` / `right_outputs`), the producer's preset part is
+/// fully marked but no consumer alternative's is.
 ///
 /// Labels that are outputs of neither side (pure synchronization between
 /// two inputs) are not checked — no side can autonomously commit to them.
@@ -205,7 +205,7 @@ pub fn check_receptiveness<L: Label>(
     budget: &Budget,
 ) -> Verdict<ReceptivenessReport<L>> {
     let obs = obligations(comp, left_outputs, right_outputs);
-    let built = comp.net.reachability_bounded(budget);
+    let built = comp.net.state_space_bounded(budget);
     scan_obligations(comp, &obs, &built)
 }
 
@@ -213,11 +213,11 @@ pub fn check_receptiveness<L: Label>(
 /// verdict, typically a fraction of the states.
 ///
 /// The composition is explored with partial-order reduction
-/// ([`PetriNet::reachability_stubborn_bounded`](cpn_petri::PetriNet::reachability_stubborn_bounded)),
+/// ([`PetriNet::state_space_stubborn_bounded`](cpn_petri::PetriNet::state_space_stubborn_bounded)),
 /// watching exactly the places the obligations read (every producer and
 /// consumer preset). Every transition touching a watched place is forced
-/// into each stubborn set, so the reduced graph reaches the same set of
-/// watched valuations as the full graph — `Holds`/`Fails` answers and the
+/// into each stubborn set, so the reduced state space reaches the same
+/// set of watched valuations as the full one — `Holds`/`Fails` answers and the
 /// failing label set agree with the exhaustive check exactly. Witness
 /// markings are genuine reachable failure states but may differ from the
 /// full explorer's, and `Unknown` budgets are not comparable
@@ -237,7 +237,7 @@ pub fn check_receptiveness_stubborn<L: Label>(
         }
     }
     let watched: Vec<PlaceId> = watched.into_iter().collect();
-    let built = comp.net.reachability_stubborn_bounded(budget, &watched);
+    let built = comp.net.state_space_stubborn_bounded(budget, &watched);
     scan_obligations(comp, &obs, &built)
 }
 
@@ -246,7 +246,7 @@ pub fn check_receptiveness_stubborn<L: Label>(
 pub(crate) fn scan_obligations<L: Label>(
     comp: &Composition<L>,
     obs: &[Obligation],
-    built: &Bounded<ReachabilityGraph>,
+    built: &Bounded<StateSpace>,
 ) -> Verdict<ReceptivenessReport<L>> {
     let exhausted = built.exhausted().copied();
     let rg = built.value();

@@ -11,11 +11,13 @@ use crate::error::PetriError;
 use crate::graph::DiGraph;
 use crate::label::Label;
 use crate::net::{PetriNet, TransitionId};
-use crate::reachability::ReachabilityGraph;
+use crate::reachability::StateSpace;
 use std::collections::BTreeSet;
 
-/// Transitions that never fire, computed from a complete reachability
-/// graph (exact for bounded nets).
+/// Transitions that never fire, read from the fired bits of an explored
+/// [`StateSpace`] — or of a [`ReachabilityGraph`](crate::ReachabilityGraph),
+/// which dereferences to one. Exact for bounded nets on a complete
+/// exploration.
 ///
 /// # Example
 ///
@@ -38,18 +40,9 @@ use std::collections::BTreeSet;
 /// ```
 pub fn dead_transitions_rg<L: Label>(
     net: &PetriNet<L>,
-    rg: &ReachabilityGraph,
+    space: &StateSpace,
 ) -> BTreeSet<TransitionId> {
-    let mut fires = vec![false; net.transition_count()];
-    for (_, t, _) in rg.all_edges() {
-        fires[t.index()] = true;
-    }
-    fires
-        .iter()
-        .enumerate()
-        .filter(|(_, &f)| !f)
-        .map(|(i, _)| TransitionId::from_index(i))
-        .collect()
+    net.transition_ids().filter(|&t| !space.fired(t)).collect()
 }
 
 /// Structural dead-transition detection for **marked graphs**:

@@ -29,8 +29,9 @@
 //!   (FNV-1a 64/128, SplitMix64 finalizer).
 //! * [`netid`] — content-addressed structural identity: canonical form
 //!   and the [`NetId`] cache key.
-//! * [`reachability`] — explicit reachability graphs with state budgets,
-//!   built by one BFS driver over packed marking rows.
+//! * [`reachability`] — explicit reachability graphs and edge-free
+//!   state spaces with state budgets, built by one BFS driver over
+//!   packed marking rows.
 //! * [`coverability`] — Karp–Miller style boundedness detection.
 //! * [`analysis`] — liveness, safety, k-boundedness, deadlock, reversibility.
 //! * [`structural`] — net-class recognition (state machine, marked graph,
@@ -102,8 +103,8 @@ pub use mg::{mg_live_structural, mg_place_bounds, mg_safe_structural, token_free
 pub use net::{PetriNet, Place, PlaceId, Transition, TransitionId};
 pub use netid::{canonical_form, canonical_order, CanonicalOrder, NetId};
 pub use reachability::{
-    reachability_bounded_compiled, reachability_bounded_parallel_compiled, ReachabilityGraph,
-    StateId,
+    reachability_bounded_compiled, reachability_bounded_parallel_compiled,
+    state_space_bounded_compiled, ReachabilityGraph, StateId, StateSpace,
 };
 pub use siphon::{commoner_live, is_siphon, is_trap, max_siphon_in, max_trap_in, minimal_siphons};
 pub use store::MarkingStore;

@@ -1,4 +1,4 @@
-//! Explicit reachability graphs.
+//! Explicit reachability graphs and state spaces.
 //!
 //! The reachability graph `RG(N)` (Section 2.1 of the paper) is the
 //! transitive closure of the next-state relation: nodes are reachable
@@ -6,14 +6,23 @@
 //! here builds it breadth-first under a [`Budget`], so analyses never
 //! silently diverge on unbounded nets.
 //!
-//! One private BFS driver builds every graph. States are packed rows of
-//! one [`MarkingStore`]: one field of the same width per place, the width of the largest initial count (one bit
-//! on safe nets, where a row is its own occupancy bitmap). A firing that
-//! would overflow a field doubles the width and re-encodes every stored
-//! row; ids, edges and `Exhausted` statistics do not change. What the
-//! driver varies is how a state's **successors** are chosen: every
-//! enabled transition of the [`CompiledNet`], or a stubborn subset
-//! ([`PetriNet::reachability_stubborn_bounded`]).
+//! One private BFS driver explores every net. States are packed rows of
+//! one [`MarkingStore`]: one field of the same width per place, the
+//! width of the largest initial count (one bit on safe nets, where a
+//! row is its own occupancy bitmap). A firing that would overflow a
+//! field doubles the width and re-encodes every stored row; ids, edges
+//! and `Exhausted` statistics do not change. The driver varies in two
+//! ways:
+//!
+//! * which **successors** a state has: every enabled transition of the
+//!   [`CompiledNet`], or a stubborn subset
+//!   ([`PetriNet::reachability_stubborn_bounded`]);
+//! * what it **records** of each edge, its sink: a
+//!   [`ReachabilityGraph`] keeps every edge in a CSR array, and a
+//!   [`StateSpace`] keeps only their count and which transitions fired,
+//!   for callers that never read the edge relation
+//!   ([`PetriNet::state_space_bounded`]). The driver is monomorphised
+//!   per sink, and both see the same states, ids, counts and stops.
 //!
 //! States are numbered in discovery order and edges kept in ascending
 //! transition order. A store that refuses a state (allocation, id space,
@@ -29,8 +38,10 @@ use crate::marking::Marking;
 use crate::net::{PetriNet, PlaceId, TransitionId};
 use crate::store::{MarkingStore, RowFormat};
 use std::fmt;
+use std::ops::Deref;
 
-/// Identifier of a state (reachable marking) in a [`ReachabilityGraph`].
+/// Identifier of a state (reachable marking) in a [`StateSpace`] or a
+/// [`ReachabilityGraph`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct StateId(u32);
 
@@ -80,14 +91,161 @@ impl fmt::Display for StateId {
     }
 }
 
+/// The reachable markings of a net without its edges: what an
+/// exploration keeps for a caller that reads states, counts and which
+/// transitions fire, never the labeled edge relation.
+///
+/// Markings live as packed rows in a [`MarkingStore`] arena — one word
+/// per state for a safe net of up to 64 places. Read a marking with
+/// [`StateSpace::marking_into`] or [`StateSpace::marking`], and which
+/// places it marks with [`StateSpace::occupancy`]. Beside the markings a
+/// state space keeps the number of edges explored and one bit per
+/// transition, set when some stored edge fires it
+/// ([`StateSpace::fired`]); [`dead_transitions_rg`](crate::dead_transitions_rg)
+/// reads those bits. A [`ReachabilityGraph`] is a state space plus its
+/// edges, and dereferences to it.
+///
+/// # Example
+///
+/// ```
+/// use cpn_petri::{dead_transitions_rg, Budget, PetriNet};
+///
+/// # fn main() -> Result<(), cpn_petri::PetriError> {
+/// let mut net: PetriNet<&str> = PetriNet::new();
+/// let p = net.add_place("p");
+/// let q = net.add_place("q");
+/// let r = net.add_place("r");
+/// let a = net.add_transition([p], "a", [q])?;
+/// net.add_transition([p], "b", [r])?;
+/// let never = net.add_transition([r, q], "c", [p])?;
+/// net.set_initial(p, 1);
+/// let space = net.state_space_bounded(&Budget::default());
+/// assert!(space.is_complete());
+/// let space = space.value();
+/// assert_eq!((space.state_count(), space.edge_count()), (3, 2));
+/// assert!(space.fired(a) && !space.fired(never));
+/// assert_eq!(dead_transitions_rg(&net, space), [never].into());
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Clone, Debug)]
+pub struct StateSpace {
+    store: MarkingStore<u64>,
+    format: RowFormat,
+    /// The largest count any stored state puts on any place.
+    token_bound: u32,
+    /// Edges stored (a graph keeps them; a state space only counts them).
+    edges: usize,
+    /// Bit `t % 64` of word `t / 64` is set iff a stored edge fires `t`.
+    fired: Vec<u64>,
+}
+
+impl StateSpace {
+    /// Number of reachable states.
+    pub fn state_count(&self) -> usize {
+        self.store.len()
+    }
+
+    /// Number of edges explored: every firing from an expanded state
+    /// whose successor was stored.
+    pub fn edge_count(&self) -> usize {
+        self.edges
+    }
+
+    /// The state corresponding to the initial marking.
+    pub fn initial_state(&self) -> StateId {
+        StateId(0)
+    }
+
+    /// The marking of a state, decoded from its packed row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the id does not belong to this state space.
+    pub fn marking(&self, s: StateId) -> Marking {
+        let mut counts = Vec::new();
+        self.marking_into(s, &mut counts);
+        Marking::from_counts(counts)
+    }
+
+    /// Decodes the per-place token counts of a state into `out`
+    /// (cleared first).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the id does not belong to this state space.
+    pub fn marking_into(&self, s: StateId, out: &mut Vec<u32>) {
+        self.format.decode(self.store.get(s.index()), out);
+    }
+
+    /// The occupancy bitmap of a state: bit `p` of word `p / 64` is set
+    /// iff place `p` is marked. On a one-bit-per-place state space this
+    /// is the stored row itself; otherwise it is computed into `buf`.
+    /// Test it with a [`PlaceMask`](crate::compiled::PlaceMask).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the id does not belong to this state space.
+    pub fn occupancy<'a>(&'a self, s: StateId, buf: &'a mut Vec<u64>) -> &'a [u64] {
+        self.format.occupancy(self.store.get(s.index()), buf)
+    }
+
+    /// Iterates over all state ids.
+    pub fn state_ids(&self) -> impl Iterator<Item = StateId> {
+        (0..self.store.len()).map(StateId::from_index)
+    }
+
+    /// Looks up the state with the given marking in O(1) via the arena's
+    /// hash index.
+    pub fn find_state(&self, m: &Marking) -> Option<StateId> {
+        let mut row = Vec::new();
+        if m.len() != self.format.places() || !self.format.encode(m.as_slice(), &mut row) {
+            return None;
+        }
+        self.store.find(&row).map(StateId)
+    }
+
+    /// The largest token count any place reaches in any state: the bound
+    /// `k` for which the net is `k`-bounded (given a complete
+    /// exploration). Tracked as states are inserted, so this reads no
+    /// rows.
+    pub fn token_bound(&self) -> u32 {
+        self.token_bound
+    }
+
+    /// Whether some stored edge fires `t`. On a complete exploration a
+    /// transition that never fired is dead.
+    pub fn fired(&self, t: TransitionId) -> bool {
+        let i = t.index();
+        self.fired
+            .get(i / 64)
+            .is_some_and(|w| w >> (i % 64) & 1 == 1)
+    }
+
+    /// Bytes resident in the marking arena and its hash index — the
+    /// memory per state that `kernel_equivalence::marking_rows_are_packed`
+    /// bounds.
+    pub fn resident_marking_bytes(&self) -> usize {
+        self.store.resident_bytes()
+    }
+
+    /// Bytes resident in everything this state space holds: the marking
+    /// arena, its hash index and the fired bitmap. Nothing grows with
+    /// the edges.
+    pub fn resident_bytes(&self) -> usize {
+        self.resident_marking_bytes() + self.fired.capacity() * std::mem::size_of::<u64>()
+    }
+}
+
 /// The reachability graph of a net: every reachable marking plus the
 /// labeled next-state edges between them.
 ///
-/// Markings live as packed rows in a [`MarkingStore`] arena — one word
-/// per state for a safe net of up to 64 places — and edges in one CSR
-/// array. Read a marking with [`ReachabilityGraph::marking_into`] or
-/// [`ReachabilityGraph::marking`], and which places it marks with
-/// [`ReachabilityGraph::occupancy`].
+/// A graph is a [`StateSpace`] plus one CSR array of edges, and
+/// dereferences to its state space for every marking query:
+/// [`StateSpace::marking_into`], [`StateSpace::occupancy`],
+/// [`StateSpace::find_state`] and the rest. Build one only when the
+/// caller reads edges; [`PetriNet::state_space_bounded`] explores the
+/// same states without storing them.
 ///
 /// # Example
 ///
@@ -115,65 +273,26 @@ impl fmt::Display for StateId {
 /// ```
 #[derive(Clone, Debug)]
 pub struct ReachabilityGraph {
-    store: MarkingStore<u64>,
-    format: RowFormat,
+    space: StateSpace,
     /// All edges, grouped by source state (CSR payload).
     edge_data: Vec<(TransitionId, StateId)>,
     /// CSR offsets: edges of state `s` are
     /// `edge_data[edge_off[s]..edge_off[s+1]]`.
     edge_off: Vec<usize>,
-    /// The largest count any stored state puts on any place.
-    token_bound: u32,
+}
+
+impl Deref for ReachabilityGraph {
+    type Target = StateSpace;
+
+    fn deref(&self) -> &StateSpace {
+        &self.space
+    }
 }
 
 impl ReachabilityGraph {
-    /// Number of reachable states.
-    pub fn state_count(&self) -> usize {
-        self.store.len()
-    }
-
-    /// Total number of edges (O(1): the CSR payload length is cached by
-    /// construction).
+    /// Total number of edges (O(1): the CSR payload length).
     pub fn edge_count(&self) -> usize {
         self.edge_data.len()
-    }
-
-    /// The state corresponding to the initial marking.
-    pub fn initial_state(&self) -> StateId {
-        StateId(0)
-    }
-
-    /// The marking of a state, decoded from its packed row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id does not belong to this graph.
-    pub fn marking(&self, s: StateId) -> Marking {
-        let mut counts = Vec::new();
-        self.marking_into(s, &mut counts);
-        Marking::from_counts(counts)
-    }
-
-    /// Decodes the per-place token counts of a state into `out`
-    /// (cleared first).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id does not belong to this graph.
-    pub fn marking_into(&self, s: StateId, out: &mut Vec<u32>) {
-        self.format.decode(self.store.get(s.index()), out);
-    }
-
-    /// The occupancy bitmap of a state: bit `p` of word `p / 64` is set
-    /// iff place `p` is marked. On a one-bit-per-place graph this is the
-    /// stored row itself; otherwise it is computed into `buf`. Test it
-    /// with a [`PlaceMask`](crate::compiled::PlaceMask).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id does not belong to this graph.
-    pub fn occupancy<'a>(&'a self, s: StateId, buf: &'a mut Vec<u64>) -> &'a [u64] {
-        self.format.occupancy(self.store.get(s.index()), buf)
     }
 
     /// Outgoing edges of a state.
@@ -185,25 +304,10 @@ impl ReachabilityGraph {
         &self.edge_data[self.edge_off[s.index()]..self.edge_off[s.index() + 1]]
     }
 
-    /// Iterates over all state ids.
-    pub fn state_ids(&self) -> impl Iterator<Item = StateId> {
-        (0..self.store.len()).map(StateId::from_index)
-    }
-
     /// Iterates over all edges as `(source, transition, target)`.
     pub fn all_edges(&self) -> impl Iterator<Item = (StateId, TransitionId, StateId)> + '_ {
         self.state_ids()
             .flat_map(move |s| self.edges(s).iter().map(move |&(t, to)| (s, t, to)))
-    }
-
-    /// Looks up the state with the given marking in O(1) via the arena's
-    /// hash index.
-    pub fn find_state(&self, m: &Marking) -> Option<StateId> {
-        let mut row = Vec::new();
-        if m.len() != self.format.places() || !self.format.encode(m.as_slice(), &mut row) {
-            return None;
-        }
-        self.store.find(&row).map(StateId)
     }
 
     /// The underlying directed graph over state indices (labels dropped).
@@ -222,18 +326,11 @@ impl ReachabilityGraph {
             .collect()
     }
 
-    /// The largest token count any place reaches in any state: the bound
-    /// `k` for which the net is `k`-bounded (given a complete graph).
-    /// Tracked as states are inserted, so this reads no rows.
-    pub fn token_bound(&self) -> u32 {
-        self.token_bound
-    }
-
-    /// Bytes resident in the marking arena and its hash index — the
-    /// memory per state that `kernel_equivalence::marking_rows_are_packed`
-    /// bounds.
-    pub fn resident_marking_bytes(&self) -> usize {
-        self.store.resident_bytes()
+    /// Bytes resident in the state space and the CSR edge arrays.
+    pub fn resident_bytes(&self) -> usize {
+        self.space.resident_bytes()
+            + self.edge_data.capacity() * std::mem::size_of::<(TransitionId, StateId)>()
+            + self.edge_off.capacity() * std::mem::size_of::<usize>()
     }
 }
 
@@ -250,6 +347,14 @@ impl<L: Label> PetriNet<L> {
     /// to decide boundedness.
     pub fn reachability_bounded(&self, budget: &Budget) -> Bounded<ReachabilityGraph> {
         reachability_bounded_compiled(&self.compile(), self.initial_marking().as_slice(), budget)
+    }
+
+    /// The states of [`PetriNet::reachability_bounded`] without its
+    /// edges: the same states, ids, markings, token bound, edge count
+    /// and `Exhausted` statistics under the same budget, and which
+    /// transitions fired, in memory that grows with the states only.
+    pub fn state_space_bounded(&self, budget: &Budget) -> Bounded<StateSpace> {
+        state_space_bounded_compiled(&self.compile(), self.initial_marking().as_slice(), budget)
     }
 
     /// Builds a **stubborn-set reduced** reachability graph breadth-first
@@ -276,12 +381,22 @@ impl<L: Label> PetriNet<L> {
     ) -> Bounded<ReachabilityGraph> {
         let compiled = self.compile();
         let seeds = stubborn_seeds(&compiled, watched);
-        explore(
-            &compiled,
-            self.initial_marking().as_slice(),
-            budget,
-            Some(seeds.as_slice()),
-        )
+        let m0 = self.initial_marking();
+        explore::<Csr>(&compiled, m0.as_slice(), budget, Some(seeds.as_slice()))
+    }
+
+    /// The states of [`PetriNet::reachability_stubborn_bounded`] without
+    /// its edges, as [`PetriNet::state_space_bounded`] is to
+    /// [`PetriNet::reachability_bounded`].
+    pub fn state_space_stubborn_bounded(
+        &self,
+        budget: &Budget,
+        watched: &[PlaceId],
+    ) -> Bounded<StateSpace> {
+        let compiled = self.compile();
+        let seeds = stubborn_seeds(&compiled, watched);
+        let m0 = self.initial_marking();
+        explore::<Counts>(&compiled, m0.as_slice(), budget, Some(seeds.as_slice()))
     }
 }
 
@@ -289,15 +404,28 @@ impl<L: Label> PetriNet<L> {
 /// graph as [`PetriNet::reachability_bounded`] on the source net.
 ///
 /// The entry point for callers that amortize [`PetriNet::compile`]
-/// across many explorations — e.g. the `cpn-serve` session cache, which
-/// keys compiled nets by document content hash and re-explores them
-/// under different budgets per request.
+/// across many explorations and read the edges.
 pub fn reachability_bounded_compiled(
     compiled: &CompiledNet,
     m0: &[u32],
     budget: &Budget,
 ) -> Bounded<ReachabilityGraph> {
-    explore(compiled, m0, budget, None)
+    explore::<Csr>(compiled, m0, budget, None)
+}
+
+/// Explores a pre-compiled net under a [`Budget`], producing the same
+/// state space as [`PetriNet::state_space_bounded`] on the source net.
+///
+/// The entry point for callers that amortize [`PetriNet::compile`]
+/// across many explorations and read no edge — e.g. the `cpn-serve`
+/// session cache, which keys compiled nets by document content and
+/// answers `reach` requests with counts and the token bound.
+pub fn state_space_bounded_compiled(
+    compiled: &CompiledNet,
+    m0: &[u32],
+    budget: &Budget,
+) -> Bounded<StateSpace> {
+    explore::<Counts>(compiled, m0, budget, None)
 }
 
 /// [`reachability_bounded_compiled`] under its former multi-threaded
@@ -377,21 +505,127 @@ fn fire_packed(
     Some(high)
 }
 
+/// What the driver records of the edges it explores, beside the marking
+/// store it always keeps.
+trait Sink {
+    /// The exploration's result.
+    type Output;
+
+    /// An empty sink for a net of `transitions` transitions.
+    fn new(transitions: usize) -> Self;
+
+    /// The edge firing `t` from the state being expanded to the stored
+    /// state `target`.
+    fn edge(&mut self, t: u32, target: u32);
+
+    /// Every edge of the state being expanded has been recorded.
+    fn close_state(&mut self);
+
+    /// The result over the explored markings.
+    fn finish(self, store: MarkingStore<u64>, format: RowFormat, token_bound: u32) -> Self::Output;
+}
+
+/// The counting sink: how many edges, and which transitions they fire.
+struct Counts {
+    edges: usize,
+    fired: Vec<u64>,
+}
+
+impl Sink for Counts {
+    type Output = StateSpace;
+
+    fn new(transitions: usize) -> Self {
+        Counts {
+            edges: 0,
+            fired: vec![0; transitions.div_ceil(64)],
+        }
+    }
+
+    #[inline]
+    fn edge(&mut self, t: u32, _target: u32) {
+        self.edges += 1;
+        self.fired[t as usize / 64] |= 1 << (t % 64);
+    }
+
+    #[inline]
+    fn close_state(&mut self) {}
+
+    fn finish(self, store: MarkingStore<u64>, format: RowFormat, token_bound: u32) -> StateSpace {
+        StateSpace {
+            store,
+            format,
+            token_bound,
+            edges: self.edges,
+            fired: self.fired,
+        }
+    }
+}
+
+/// The CSR sink: the counts, plus every edge grouped by source state.
+struct Csr {
+    counts: Counts,
+    edge_data: Vec<(TransitionId, StateId)>,
+    edge_off: Vec<usize>,
+}
+
+impl Sink for Csr {
+    type Output = ReachabilityGraph;
+
+    fn new(transitions: usize) -> Self {
+        Csr {
+            counts: Counts::new(transitions),
+            edge_data: Vec::new(),
+            edge_off: vec![0],
+        }
+    }
+
+    #[inline]
+    fn edge(&mut self, t: u32, target: u32) {
+        self.counts.edge(t, target);
+        let t = TransitionId::from_index(t as usize);
+        self.edge_data.push((t, StateId(target)));
+    }
+
+    #[inline]
+    fn close_state(&mut self) {
+        self.edge_off.push(self.edge_data.len());
+    }
+
+    fn finish(
+        mut self,
+        store: MarkingStore<u64>,
+        format: RowFormat,
+        token_bound: u32,
+    ) -> ReachabilityGraph {
+        // On early exit the offsets of unexpanded (and the partially
+        // expanded) states still need closing so the CSR stays
+        // well-formed.
+        self.edge_off.resize(store.len() + 1, self.edge_data.len());
+        ReachabilityGraph {
+            space: self.counts.finish(store, format, token_bound),
+            edge_data: self.edge_data,
+            edge_off: self.edge_off,
+        }
+    }
+}
+
 /// The one BFS loop behind every explorer.
 ///
 /// States are expanded in id order and their successors — all enabled
 /// transitions, or the stubborn set grown from `stubborn` seeds —
-/// examined in ascending transition order. The meter is charged in a
-/// fixed order: `take_transition` before the successor is fired and
-/// looked up, `take_state` before it is inserted. That order is what
-/// keeps `Exhausted` prefixes and statistics identical to the
-/// interpreted reference explorer's.
-fn explore(
+/// examined in ascending transition order; each edge whose successor is
+/// stored goes to the sink `S`. The meter is charged in a fixed order:
+/// `take_transition` before the successor is fired and looked up,
+/// `take_state` before it is inserted. That order is what keeps
+/// `Exhausted` prefixes and statistics identical to the interpreted
+/// reference explorer's, whatever the sink.
+fn explore<S: Sink>(
     compiled: &CompiledNet,
     m0: &[u32],
     budget: &Budget,
     stubborn: Option<&[u32]>,
-) -> Bounded<ReachabilityGraph> {
+) -> Bounded<S::Output> {
+    let mut sink = S::new(compiled.transition_count());
     let mut meter = Meter::new(budget);
     let mut format = RowFormat::fitting(m0);
     let mut store = MarkingStore::<u64>::new(format.words());
@@ -405,8 +639,6 @@ fn explore(
     meter.take_state();
     let mut token_bound = m0.iter().copied().max().unwrap_or(0);
 
-    let mut edge_data: Vec<(TransitionId, StateId)> = Vec::new();
-    let mut edge_off: Vec<usize> = vec![0];
     let mut next: Vec<u64> = Vec::with_capacity(format.words());
     let mut occ_buf: Vec<u64> = Vec::new();
     let mut scratch = EnableScratch::default();
@@ -466,24 +698,13 @@ fn explore(
                     id
                 }
             };
-            edge_data.push((TransitionId::from_index(t as usize), StateId(target)));
+            sink.edge(t, target);
         }
-        edge_off.push(edge_data.len());
+        sink.close_state();
         frontier += 1;
     }
-    // On early exit the offsets of unexpanded (and the partially
-    // expanded) states still need closing so the CSR stays well-formed.
-    while edge_off.len() <= store.len() {
-        edge_off.push(edge_data.len());
-    }
 
-    meter.finish(ReachabilityGraph {
-        store,
-        format,
-        edge_data,
-        edge_off,
-        token_bound,
-    })
+    meter.finish(sink.finish(store, format, token_bound))
 }
 
 #[cfg(test)]

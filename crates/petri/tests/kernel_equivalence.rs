@@ -6,17 +6,20 @@
 //! statistics under equal budgets — including nets whose counts outgrow
 //! the starting field width and force re-encodes. A store that fails
 //! must stop the exploration with a sound prefix, never a complete
-//! graph.
+//! graph. The counting sink ([`StateSpace`]) is held to the CSR graph
+//! explored under the same budget: the same states, counts and stops,
+//! and a fired set equal to the transitions on the graph's edges.
 //!
 //! Driven by the deterministic `cpn-testkit` harness: failures print a
 //! case seed, replayable via `CPN_TESTKIT_SEED=<seed>`.
 
 use cpn_petri::{
-    reachability_bounded_compiled, Bounded, Budget, CancelScope, PetriNet, PlaceId,
-    ReachabilityGraph, Resource, StateId,
+    dead_transitions_rg, reachability_bounded_compiled, state_space_bounded_compiled, Bounded,
+    Budget, CancelScope, PetriNet, PlaceId, ReachabilityGraph, Resource, StateId, StateSpace,
 };
 use cpn_testkit::oracle::{self, Reachability};
 use cpn_testkit::{check, prop_assert, prop_assert_eq, NetStrategy, RawNet, TestRng};
+use std::collections::BTreeSet;
 
 /// Random nets: 2–5 places, 1–5 uniquely-labeled transitions, up to
 /// **three** tokens per place so multiset (non-safe) markings are
@@ -243,6 +246,107 @@ fn reencoding_matches_oracle_bit_for_bit() {
     });
 }
 
+/// The counting sink against the CSR graph under one budget, for the
+/// full and the stubborn kernel (and the pre-compiled entry point): the
+/// same `Exhausted` statistics, state numbering, markings, token bound
+/// and edge count, and fired bits equal to the transitions on the
+/// graph's edges, so `dead_transitions_rg` reads the same set from
+/// both.
+fn assert_counted_matches_graph(
+    net: &PetriNet<String>,
+    budget: &Budget,
+) -> Result<(), cpn_testkit::PropFail> {
+    let watched = [PlaceId::from_index(0)];
+    let (compiled, m0) = (net.compile(), net.initial_marking());
+    for (what, built, counted) in [
+        (
+            "full",
+            net.reachability_bounded(budget),
+            net.state_space_bounded(budget),
+        ),
+        (
+            "precompiled",
+            reachability_bounded_compiled(&compiled, m0.as_slice(), budget),
+            state_space_bounded_compiled(&compiled, m0.as_slice(), budget),
+        ),
+        (
+            "stubborn",
+            net.reachability_stubborn_bounded(budget, &watched),
+            net.state_space_stubborn_bounded(budget, &watched),
+        ),
+    ] {
+        prop_assert_eq!(
+            counted.exhausted(),
+            built.exhausted(),
+            "{}: exhaustion stats under {:?}",
+            what,
+            budget
+        );
+        let (rg, space): (&ReachabilityGraph, &StateSpace) = (built.value(), counted.value());
+        prop_assert_eq!(
+            (space.state_count(), space.edge_count(), space.token_bound()),
+            (rg.state_count(), rg.edge_count(), rg.token_bound()),
+            "{}: states, edges and token bound under {:?}",
+            what,
+            budget
+        );
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        for s in rg.state_ids() {
+            rg.marking_into(s, &mut a);
+            space.marking_into(s, &mut b);
+            prop_assert_eq!(&a, &b, "{}: marking of {} under {:?}", what, s, budget);
+            prop_assert_eq!(space.find_state(&rg.marking(s)), Some(s), "{}: id", what);
+        }
+        let on_edges: BTreeSet<_> = rg.all_edges().map(|(_, t, _)| t).collect();
+        for t in net.transition_ids() {
+            prop_assert_eq!(
+                (space.fired(t), rg.fired(t)),
+                (on_edges.contains(&t), on_edges.contains(&t)),
+                "{}: fired bit of {:?} under {:?}",
+                what,
+                t,
+                budget
+            );
+        }
+        let dead: BTreeSet<_> = net
+            .transition_ids()
+            .filter(|t| !on_edges.contains(t))
+            .collect();
+        prop_assert_eq!(dead_transitions_rg(net, space), dead.clone(), "{}", what);
+        prop_assert_eq!(dead_transitions_rg(net, rg), dead, "{}", what);
+    }
+    Ok(())
+}
+
+#[test]
+fn counting_sink_matches_the_csr_graph() {
+    check("counting_sink_matches_the_csr_graph", &raw_net(), |raw| {
+        // A cap most random nets complete under (the rest stop at it),
+        // then the tight budgets.
+        let net = raw.build_indexed();
+        for budget in [
+            Budget::states(2_000),
+            Budget::states(0),
+            Budget::states(1),
+            Budget::states(3),
+            Budget::new(100, 5),
+            Budget::new(4, 100),
+        ] {
+            assert_counted_matches_graph(&net, &budget)?;
+        }
+        // Unbounded counts: a cap, and budgets around every re-encode
+        // under it.
+        let net = with_source(raw);
+        let cap = Budget::states(300);
+        assert_counted_matches_graph(&net, &cap)?;
+        let reference = oracle::reachability(&net, &cap);
+        for budget in budgets_around_reencodes(&net, &reference) {
+            assert_counted_matches_graph(&net, &budget)?;
+        }
+        Ok(())
+    });
+}
+
 #[test]
 fn empty_preset_sources_match_legacy() {
     // An always-enabled source transition pumps a bounded buffer
@@ -414,7 +518,7 @@ fn marking_rows_are_packed() {
     // The pipeline is safe (one bit per place, 30 places in one word);
     // the 9-token mesh needs four bits on 9 places (one word). With the
     // hash cache and the slot table, neither takes more than 40 bytes
-    // per state. Edge counts in closed form: the pipeline's `2^k +
+    // per state, in the graph or in the counted exploration. Edge counts in closed form: the pipeline's `2^k +
     // (k−1)·2^(k−2)` enabled transitions, and two moves per marked place
     // over every spread of the mesh's tokens.
     for (what, net, states, edges) in [
@@ -443,6 +547,22 @@ fn marking_rows_are_packed() {
         assert!(
             per_state <= 40.0,
             "{what}: {per_state:.1} B/state resident for markings"
+        );
+        // The graph pays 8 B per edge on top; the counted exploration of
+        // the same net stores the same states and nothing per edge.
+        assert!(rg.resident_bytes() >= rg.resident_marking_bytes() + 8 * edges);
+        let Bounded::Complete(space) = net.state_space_bounded(&Budget::default()) else {
+            panic!("{what}: counted exploration stopped under the default budget");
+        };
+        assert_eq!(
+            (space.state_count(), space.edge_count()),
+            (states, edges),
+            "{what}: counted"
+        );
+        let per_state = space.resident_bytes() as f64 / states as f64;
+        assert!(
+            per_state <= 40.0,
+            "{what}: {per_state:.1} B/state resident in the counted exploration"
         );
     }
 }

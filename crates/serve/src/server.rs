@@ -89,7 +89,7 @@ use crate::transport::{Conn, Endpoint, Listener};
 use cpn_core::{parallel_tracked_common, verify_against_environment};
 use cpn_format::ParseLimits;
 use cpn_petri::{
-    reachability_bounded_compiled, Bounded, Budget, CancelScope, CoverabilityOutcome,
+    state_space_bounded_compiled, Bounded, Budget, CancelScope, CoverabilityOutcome,
     CoverabilityTree, Deadline, Resource, Verdict,
 };
 use std::collections::HashMap;
@@ -1139,6 +1139,8 @@ fn run_job(shared: &Shared, request: &Request, sink: &ConnSink, corr: Option<u64
             // the client's collect loop keys on this frame.
             sink.push(&mut out, corr, &Response::BatchDone { n: items.len() });
         }
+        // A gone peer makes the compute pointless.
+        _ if sink.is_broken() => {}
         _ => {
             let wants_stream = sink.streams
                 && matches!(
@@ -1289,11 +1291,13 @@ fn effective_deadline(
     Some(deadline)
 }
 
-/// Reachability, optionally streamed. The streamed variant re-explores
-/// in geometrically growing slices (×4), emitting a `progress` frame
-/// after each exhausted slice; because the slices grow geometrically,
-/// the re-explored prefixes sum to less than a third of the final
-/// exploration, and the final answer is byte-identical to the
+/// Reachability, optionally streamed. The answer reads counts and the
+/// token bound, so the exploration stores states but no edges (a
+/// [`StateSpace`](cpn_petri::StateSpace)). The streamed variant
+/// re-explores in geometrically growing slices (×4), emitting a
+/// `progress` frame after each exhausted slice; because the slices grow
+/// geometrically, the re-explored prefixes sum to less than a third of
+/// the final exploration, and the final answer is byte-identical to the
 /// unstreamed one (the kernel is deterministic under a states cap).
 fn explore_reach(
     shared: &Shared,
@@ -1310,13 +1314,13 @@ fn explore_reach(
         let budget = Budget::states(slice)
             .with_deadline_at(deadline)
             .with_cancel(shared.cancel.token());
-        match reachability_bounded_compiled(&cached.compiled, &cached.m0, &budget) {
-            Bounded::Complete(rg) => {
+        match state_space_bounded_compiled(&cached.compiled, &cached.m0, &budget) {
+            Bounded::Complete(space) => {
                 return ExploreSummary {
-                    states: rg.state_count(),
-                    edges: rg.edge_count(),
+                    states: space.state_count(),
+                    edges: space.edge_count(),
                     stopped: None,
-                    detail: format!("bound={}", rg.token_bound()),
+                    detail: format!("bound={}", space.token_bound()),
                 }
             }
             Bounded::Exhausted { info, .. } => {

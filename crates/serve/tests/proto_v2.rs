@@ -444,20 +444,18 @@ fn an_answer_is_written_before_the_batch_queued_behind_it() {
     assert_eq!((stats.panics, stats.served), (0, 401), "{stats:?}");
 }
 
-/// An answer counts once it is written. A peer sends a capped reach and
-/// closes before it is answered: the worker's write fails, and
-/// `served` stays 0. The endpoint is a Unix socket, where a write to a
-/// closed peer fails at once (over TCP the first one still succeeds).
-/// A malformed frame behind the reach is answered by the connection
-/// thread, so reading its `bad-request` shows the reach was dispatched
-/// before the peer closes and the drain begins.
+/// Serves one v2 connection over a Unix socket, where a write to a
+/// closed peer fails at once (over TCP the first one still succeeds):
+/// the peer sends `requests`, then a malformed frame, reads the
+/// `bad-request` that answers it, closes, and the server drains. The
+/// connection thread answers the malformed frame itself, so reading its
+/// answer shows that every request ahead of it was dispatched before
+/// the peer closed.
 #[cfg(unix)]
-#[test]
-fn an_answer_to_a_peer_that_has_gone_is_not_counted() {
-    let dir = std::env::temp_dir().join(format!("cpn-serve-proto-v2-{}", std::process::id()));
+fn hang_up_after(test: &str, config: ServerConfig, requests: &[Request]) -> cpn_serve::ServerStats {
+    let dir = std::env::temp_dir().join(format!("cpn-serve-{test}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("tmpdir");
-    let path = dir.join("gone-peer.sock");
-    let server = Server::bind(&[Endpoint::Unix(path)], config()).expect("bind");
+    let server = Server::bind(&[Endpoint::Unix(dir.join("peer.sock"))], config).expect("bind");
     let ep = server.local_endpoints().expect("endpoints").remove(0);
     let handle = server.handle();
     let join = std::thread::spawn(move || server.run());
@@ -465,23 +463,75 @@ fn an_answer_to_a_peer_that_has_gone_is_not_counted() {
     let mut conn = cpn_serve::Conn::dial(&ep).expect("dial");
     write_handshake_version(&mut conn, PROTO_VERSION).expect("handshake out");
     assert_eq!(read_handshake(&mut conn).expect("handshake in"), 2);
-    let mut frames = encode_frame(with_corr(Some(1), &capped_reach().encode()).as_bytes());
-    frames.extend(encode_frame(b"@2 frobnicate"));
+    let mut frames = Vec::new();
+    for (corr, req) in (1..).zip(requests) {
+        frames.extend(encode_frame(
+            with_corr(Some(corr), &req.encode()).as_bytes(),
+        ));
+    }
+    frames.extend(encode_frame(b"@0 frobnicate"));
     conn.write_all(&frames)
-        .expect("reach and a malformed frame");
+        .expect("requests and a malformed frame");
     assert_eq!(
         read_text(&mut conn),
-        "@2 bad-request unknown verb `frobnicate`"
+        "@0 bad-request unknown verb `frobnicate`"
     );
     drop(conn);
 
     handle.begin_drain();
     let stats = join.join().expect("server");
     let _ = std::fs::remove_dir_all(&dir);
+    stats
+}
+
+/// An answer counts once it is written. A peer sends a capped reach and
+/// closes before it is answered: the worker's write fails, and
+/// `served` stays 0.
+#[cfg(unix)]
+#[test]
+fn an_answer_to_a_peer_that_has_gone_is_not_counted() {
+    let stats = hang_up_after("gone-peer", config(), &[capped_reach()]);
     assert_eq!(
         (stats.accepted, stats.shed, stats.cache_misses, stats.panics),
         (1, 0, 1, 0),
         "the reach ran on the pool: {stats:?}"
+    );
+    assert_eq!(
+        (stats.served, stats.bad_requests),
+        (0, 1),
+        "only the `bad-request` was written: {stats:?}"
+    );
+}
+
+/// A request queued for a peer that has gone is not computed. With one
+/// worker, a capped reach runs while a reach of a second, uncached
+/// document waits behind it; the peer closes, the first answer's write
+/// fails, and the worker drops the second request without compiling or
+/// exploring it: one cache miss, not two.
+#[cfg(unix)]
+#[test]
+fn a_request_queued_for_a_peer_that_has_gone_is_not_computed() {
+    let second = Request::Reach {
+        net: "boom".into(),
+        max_states: 1_000,
+        deadline_ms: None,
+        threads: 1,
+        stream: false,
+        doc: explosive_doc(4),
+    };
+    let config = ServerConfig {
+        workers: 1,
+        ..config()
+    };
+    let stats = hang_up_after("queued-for-gone-peer", config, &[capped_reach(), second]);
+    assert_eq!(
+        (stats.accepted, stats.shed, stats.panics),
+        (1, 0, 0),
+        "{stats:?}"
+    );
+    assert_eq!(
+        stats.cache_misses, 1,
+        "only the first reach was computed: {stats:?}"
     );
     assert_eq!(
         (stats.served, stats.bad_requests),

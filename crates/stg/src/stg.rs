@@ -594,9 +594,9 @@ impl Stg {
         })
     }
 
-    /// Removes dead transitions (found on the reachability graph,
-    /// explored under `budget`) and isolated places — the cleanup step of
-    /// compositional synthesis (Section 5.2).
+    /// Removes dead transitions (those no reachable state fires, explored
+    /// under `budget` without storing edges) and isolated places — the
+    /// cleanup step of compositional synthesis (Section 5.2).
     ///
     /// Transition ids shift as dead transitions go; every surviving
     /// guard moves with its transition to the new id.
@@ -604,8 +604,8 @@ impl Stg {
     /// A transition is only removable when the *whole* graph proves it
     /// dead, so a [`Bounded::Exhausted`] partial is this STG unchanged.
     pub fn remove_dead(&self, budget: &Budget) -> Bounded<Stg> {
-        let rg = match self.net.reachability_bounded(budget) {
-            Bounded::Complete(rg) => rg,
+        let space = match self.net.state_space_bounded(budget) {
+            Bounded::Complete(space) => space,
             Bounded::Exhausted { info, .. } => {
                 return Bounded::Exhausted {
                     partial: self.clone(),
@@ -613,7 +613,7 @@ impl Stg {
                 }
             }
         };
-        let dead = cpn_petri::dead_transitions_rg(&self.net, &rg);
+        let dead = cpn_petri::dead_transitions_rg(&self.net, &space);
         if dead.is_empty() {
             return Bounded::Complete(self.clone());
         }
@@ -657,7 +657,7 @@ impl Stg {
 
     /// Receptiveness check against a peer STG (Propositions 5.5/5.6):
     /// composes the two nets on their common alphabet and searches the
-    /// reachability graph, under `budget`, for a state in which one side
+    /// reachable markings, under `budget`, for a state in which one side
     /// can commit to an output no peer alternative is ready to accept.
     /// See [`cpn_core::check_receptiveness`] for the verdict's meaning.
     ///
@@ -717,7 +717,7 @@ impl Stg {
         let keep: BTreeSet<Signal> = self.signals.keys().cloned().collect();
         let projected = pruned.project_signals(&keep, hide_budget)?;
         // When projection was structurally a no-op the pruned net's
-        // reachability graph is still valid and held no dead transitions;
+        // state space is still valid and held no dead transitions;
         // skip the second exploration outright.
         let reduced = if projected.net.same_structure(&pruned.net) {
             Bounded::Complete(projected)
@@ -762,8 +762,8 @@ impl Stg {
             .filter(|l| !l.is_dummy())
             .collect();
         let comp = cpn_core::parallel_tracked(&self.net, &env.net, &shared)?;
-        let rg = match comp.net.reachability_bounded(budget) {
-            Bounded::Complete(rg) => rg,
+        let space = match comp.net.state_space_bounded(budget) {
+            Bounded::Complete(space) => space,
             Bounded::Exhausted { info, .. } => {
                 return Ok(Bounded::Exhausted {
                     partial: self.clone(),
@@ -771,10 +771,6 @@ impl Stg {
                 })
             }
         };
-        let mut fired = vec![false; comp.net.transition_count()];
-        for (_, t, _) in rg.all_edges() {
-            fired[t.index()] = true;
-        }
 
         // Liveness of this STG's transitions: private ones map in order;
         // shared ones are alive iff any of their fused instances fired.
@@ -783,12 +779,12 @@ impl Stg {
         let mut composed_idx = 0usize;
         for (tid, t) in self.net.transitions() {
             if !shared_syms.contains(t.sym()) {
-                alive[tid.index()] = fired[composed_idx];
+                alive[tid.index()] = space.fired(TransitionId::from_index(composed_idx));
                 composed_idx += 1;
             }
         }
         for sync in &comp.sync_transitions {
-            if fired[sync.transition.index()] {
+            if space.fired(sync.transition) {
                 alive[sync.left_transition.index()] = true;
             }
         }
